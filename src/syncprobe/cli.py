@@ -540,7 +540,9 @@ def _sweep_task(task):
 
 
 def _run_tasks(tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    # never more processes than there are tasks or cores to run them
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with multiprocessing.Pool(processes=workers) as pool:
@@ -740,7 +742,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         # No grid given: center a default one on the predicted crossing.
         predicted = predict_transition(model, params, T=temperature,
                                        kappa=scan_cfg.kappa)
-        grid = predicted + np.linspace(-0.15, 0.15, 7)
+        grid = predicted + omega_q * np.linspace(-0.15, 0.15, 7)
 
     tp = scan_transition(model, lam, temperature, grid, config=scan_cfg,
                          omega_q=omega_q)

@@ -6,6 +6,8 @@ the tests:
 * ``evolve_analytic`` solves the decoupled blocks of the secular equation in
   the eigenmode (quasiparticle Fock) basis by exact eigendecomposition of
   constant 2x2 coefficient matrices, then reinstates the Hamiltonian phases.
+  The signals read only the four parity-allowed coherences, so that is all
+  it evaluates unless the caller asks for the full states.
 * ``evolve_numeric`` vectorizes the full Liouvillian (column stacking) and
   steps it with the matrix exponential.  It never touches the block algebra,
   so agreement between the two is a real check, not bookkeeping.
@@ -18,23 +20,24 @@ Fock index order is |00>, |01> (mode-2 quasiparticle), |10> (mode-1), |11>.
 in the Schroedinger picture, with all Hamiltonian phases reinstated.  Stored
 states keep the basis of the input; ``Trajectory.basis`` records which.
 
-Expectation-value weights are always obtained numerically by conjugating the
-Pauli matrices with the eigenmode transform, never from hand-written element
-formulas.  All rates are plain angular frequencies in units of omega_q.
+Expectation-value weights are closed form in the Bogoliubov angles
+(``fock_observable_weights``).  Conjugating the Pauli matrices with the
+numeric eigenmode transform survives only as the independent check in
+``test_weight_matrices_angle_route_matches_conjugation``.  All rates are plain
+angular frequencies in units of omega_q.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .bath import (KAPPA_DEFAULT, LindbladRates, SpectralDensityModel,
-                   bose_occupation, evaluate_J, lindblad_rates)
-from .spin_model import (ID2, SIGMA_X, EigenStructure, OperatorSet,
-                         QubitPairParams, build_operators, diagonalize,
+                   bose_occupation, evaluate_J)
+from .spin_model import (ID2, SIGMA_X, EigenStructure, QubitPairParams,
+                         build_operators, diagonalize,
                          direct_diagonalize, eigenmode_transform)
 
 
@@ -137,32 +140,43 @@ def _two_state_propagators(up: float, down: float, times: np.ndarray):
     return p_eq[None, :, :] + damp[:, None, None] * rest[None, :, :]
 
 
-def _coherence_propagators(rates: LindbladRates, times: np.ndarray):
-    """Interaction-picture propagators for the two 2x2 coherence blocks.
+def _coherence_block(slow_rates: np.ndarray, total: float, x: np.ndarray,
+                     freq: float, dephase: float, times: np.ndarray):
+    """One 2x2 coherence block from its initial pair ``x``, at every time.
 
-    Block A couples (rho_01, rho_23) through mode-1 rates and is damped by
-    half the mode-2 total rate; block B couples (rho_02, rho_13) with the
-    roles of the modes exchanged and sign-flipped cross terms.
+    ``slow_rates / total`` projects onto the slow (non-decaying) mode of the
+    block's rate matrix, so the pair evolves as exp((i*freq - dephase)*t)
+    times slow + exp(-total*t) * fast.
+    """
+    if total == 0.0:
+        slow, fast = x, np.zeros(2)
+    else:
+        slow = (slow_rates / total) @ x
+        fast = x - slow
+    rot = np.exp((1j * freq - dephase) * times)
+    damp = np.exp(-total * times)
+    return rot * (slow[0] + damp * fast[0]), rot * (slow[1] + damp * fast[1])
+
+
+def _coherences(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
+                times: np.ndarray):
+    """rho_01, rho_23, rho_02, rho_13 at every time, Schroedinger picture.
+
+    Block A couples (rho_01, rho_23) through mode-1 rates, is damped by half
+    the mode-2 total rate and rotates at E2; block B couples (rho_02, rho_13)
+    with the roles of the modes exchanged and sign-flipped cross terms, and
+    rotates at E1.  These are the only entries a parity-odd observable reads.
     """
     g1u, g1d = rates.g1_up, rates.g1_down
     g2u, g2d = rates.g2_up, rates.g2_down
     t1, t2 = rates.g1_total, rates.g2_total
-    n = times.size
-
-    if t1 == 0.0:
-        ua = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    else:
-        p_eq = np.array([[g1d, g1d], [g1u, g1u]]) / t1
-        ua = p_eq[None] + np.exp(-t1 * times)[:, None, None] * (np.eye(2) - p_eq)[None]
-    ua = ua * np.exp(-0.5 * t2 * times)[:, None, None]
-
-    if t2 == 0.0:
-        ub = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    else:
-        p_eq = np.array([[g2d, -g2d], [-g2u, g2u]]) / t2
-        ub = p_eq[None] + np.exp(-t2 * times)[:, None, None] * (np.eye(2) - p_eq)[None]
-    ub = ub * np.exp(-0.5 * t1 * times)[:, None, None]
-    return ua, ub
+    rho01, rho23 = _coherence_block(np.array([[g1d, g1d], [g1u, g1u]]), t1,
+                                    np.array([rho0[0, 1], rho0[2, 3]]),
+                                    eig.E2, 0.5 * t2, times)
+    rho02, rho13 = _coherence_block(np.array([[g2d, -g2d], [-g2u, g2u]]), t2,
+                                    np.array([rho0[0, 2], rho0[1, 3]]),
+                                    eig.E1, 0.5 * t1, times)
+    return rho01, rho23, rho02, rho13
 
 
 def _fock_energies(eig: EigenStructure) -> np.ndarray:
@@ -171,19 +185,13 @@ def _fock_energies(eig: EigenStructure) -> np.ndarray:
                      0.5 * (eig.E1 - eig.E2), half])
 
 
-# Entries of a parity-odd single-spin operator that vanish identically in the
-# quasiparticle basis: diagonal, and the even-even / odd-odd pairings.
-_PARITY_FORBIDDEN = np.array([[True, False, False, True],
-                              [False, True, True, False],
-                              [False, True, True, False],
-                              [True, False, False, True]])
-
-
 def fock_observable_weights(eig: EigenStructure):
     """(W_q, W_p): sigma_x matrices in the eigenmode basis, from the angles.
 
-    Deliberately closed-form where evolve_analytic conjugates numerically; the
-    test suite holds the two routes against each other.
+    Closed form; the only numeric conjugation of the Pauli matrices left is
+    the test that holds these against it.  sigma^x flips quasiparticle
+    parity, so the only nonzero entries connect the even states {vac, doubly
+    excited} with the odd singly-excited pair.
     """
     cs = np.cos(eig.theta_plus + eig.theta_minus)
     ss = np.sin(eig.theta_plus + eig.theta_minus)
@@ -200,66 +208,58 @@ def fock_observable_weights(eig: EigenStructure):
     return w_q + w_q.T, w_p + w_p.T
 
 
-def evolve_analytic(params: QubitPairParams, eig: EigenStructure,
-                    rates: LindbladRates, rho0: np.ndarray,
-                    times: np.ndarray, store_states: bool = False) -> Trajectory:
-    """Exact block solution; ``rho0`` must be given in the eigenmode basis.
+def _expectation(coherences, w: np.ndarray) -> np.ndarray:
+    """Tr(rho W) for a real symmetric parity-odd W: twice the real part of
+    the four allowed coherences against their weights."""
+    rho01, rho23, rho02, rho13 = coherences
+    return 2.0 * np.real(w[1, 0] * rho01 + w[3, 2] * rho23
+                         + w[2, 0] * rho02 + w[3, 1] * rho13)
 
-    Works on any increasing time grid (the closed form needs no stepping).
-    """
-    validate_density_matrix(rho0)
-    times = np.asarray(times, dtype=float)
+
+def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
+                  times: np.ndarray, coherences) -> np.ndarray:
+    """Full (n, 4, 4) eigenmode-basis states around the given coherences."""
     n = times.size
-
     diag0 = np.real(np.diag(rho0))
     u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
     u2 = _two_state_propagators(rates.g2_up, rates.g2_down, times)
     # population propagator is the Kronecker product of the per-mode ones
     pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
 
-    ua, ub = _coherence_propagators(rates, times)
-    block_a = np.einsum("nij,j->ni", ua, np.array([rho0[0, 1], rho0[2, 3]]))
-    block_b = np.einsum("nij,j->ni", ub, np.array([rho0[0, 2], rho0[1, 3]]))
-    gamma_all = rates.g1_total + rates.g2_total
-    anti = np.exp(-0.5 * gamma_all * times)
-    rho03 = anti * rho0[0, 3]
-    rho12 = anti * rho0[1, 2]
-
-    rho_t = np.zeros((n, 4, 4), dtype=complex)
-    rho_t[:, 0, 0] = pop[:, 0]
-    rho_t[:, 1, 1] = pop[:, 1]
-    rho_t[:, 2, 2] = pop[:, 2]
-    rho_t[:, 3, 3] = pop[:, 3]
-    rho_t[:, 0, 1] = block_a[:, 0]
-    rho_t[:, 2, 3] = block_a[:, 1]
-    rho_t[:, 0, 2] = block_b[:, 0]
-    rho_t[:, 1, 3] = block_b[:, 1]
-    rho_t[:, 0, 3] = rho03
-    rho_t[:, 1, 2] = rho12
-
-    # reinstate Hamiltonian phases: rho_jk picks up exp(-i(e_j - e_k)t)
+    # the two parity-even coherences only dephase, at the full total rate
     eps = _fock_energies(eig)
-    phase = np.exp(-1j * times[:, None, None]
-                   * (eps[None, :, None] - eps[None, None, :]))
-    rho_t = rho_t * phase
+    anti = -0.5 * (rates.g1_total + rates.g2_total)
+    rho_t = np.zeros((n, 4, 4), dtype=complex)
+    for k in range(4):
+        rho_t[:, k, k] = pop[:, k]
+    for (j, k), val in zip(((0, 1), (2, 3), (0, 2), (1, 3)), coherences):
+        rho_t[:, j, k] = val
+    for j, k in ((0, 3), (1, 2)):
+        rho_t[:, j, k] = rho0[j, k] * np.exp(
+            (anti - 1j * (eps[j] - eps[k])) * times)
     iu = np.triu_indices(4, k=1)
     rho_t[:, iu[1], iu[0]] = np.conj(rho_t[:, iu[0], iu[1]])
+    return rho_t
 
-    ops = build_operators(params, eig)
-    v = eigenmode_transform(ops)
-    w_q = v.conj().T @ np.kron(SIGMA_X, ID2) @ v
-    w_p = v.conj().T @ np.kron(ID2, SIGMA_X) @ v
-    # sigma^x flips quasiparticle parity, so its only nonzero elements connect
-    # the even states {vac, doubly excited} with the odd singly-excited pair.
-    # Conjugation roundoff (~1e-17) on the forbidden entries would otherwise
-    # couple the non-decaying populations into the signal and bury the true
-    # oscillation once it has decayed below that floor.
-    w_q[_PARITY_FORBIDDEN] = 0.0
-    w_p[_PARITY_FORBIDDEN] = 0.0
-    sx_q = np.real(np.einsum("njk,kj->n", rho_t, w_q))
-    sx_p = np.real(np.einsum("njk,kj->n", rho_t, w_p))
-    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p,
-                      states=rho_t if store_states else None,
+
+def evolve_analytic(params: QubitPairParams, eig: EigenStructure,
+                    rates: LindbladRates, rho0: np.ndarray,
+                    times: np.ndarray, store_states: bool = False) -> Trajectory:
+    """Exact block solution; ``rho0`` must be given in the eigenmode basis.
+
+    Works on any increasing time grid (the closed form needs no stepping).
+    The signals read only the four parity-allowed coherences, evaluated as
+    O(n) vectors; the dense (n, 4, 4) states are built only for
+    ``store_states``.  ``params`` is implied by ``eig`` and is not read.
+    """
+    validate_density_matrix(rho0)
+    times = np.asarray(times, dtype=float)
+    coherences = _coherences(eig, rates, rho0, times)
+    w_q, w_p = fock_observable_weights(eig)
+    states = (_dense_states(eig, rates, rho0, times, coherences)
+              if store_states else None)
+    return Trajectory(times=times, sx_q=_expectation(coherences, w_q),
+                      sx_p=_expectation(coherences, w_p), states=states,
                       basis="eigenmode")
 
 
@@ -293,11 +293,13 @@ def _secular_collapse_ops(params: QubitPairParams, model: SpectralDensityModel,
             for b in range(4):
                 w = evals[b] - evals[a]
                 if w > 1e-9 and abs(sx_eig[a, b]) > 1e-12:
-                    key = round(w, 9)
-                    op = gaps.setdefault(key, np.zeros((4, 4), dtype=complex))
+                    # group equal gaps by a rounded key, but keep the exact
+                    # gap as the frequency the bath is evaluated at
+                    _, op = gaps.setdefault(
+                        round(w, 9), (w, np.zeros((4, 4), dtype=complex)))
                     op += sx_eig[a, b] * np.outer(evecs[:, a],
                                                   evecs[:, b].conj())
-        pieces = [(float(w), op) for w, op in gaps.items()]
+        pieces = [(float(w), op) for w, op in gaps.values()]
         h = evecs @ np.diag(evals) @ evecs.conj().T
 
     collapse = []

@@ -85,6 +85,11 @@ class TransitionPoint:
     uncertainty: float | None = None
 
     def __post_init__(self):
+        for name in ("lam", "omega_p_bar", "E1", "E2", "ratio", "n1", "n2",
+                     "uncertainty"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.ratio > 0:
             raise ValueError(f"ratio must be > 0, got {self.ratio}")
         if not self.E1 >= self.E2 > 0:
@@ -182,16 +187,20 @@ def _rate_balance(model: SpectralDensityModel, params: QubitPairParams,
 
 
 def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
-                       T: float = 0.0, bracket: tuple[float, float] = (0.5, 1.5),
+                       T: float = 0.0,
+                       bracket: tuple[float, float] | None = None,
                        kappa: float = KAPPA_DEFAULT) -> float:
     """Probe frequency at which the two total mode rates are equal.
 
-    Bisects log(rate1/rate2) in omega_p over ``bracket`` (params.omega_p is
-    ignored) down to ~1e-13, far inside the guaranteed 1e-6 * omega_q.  At
+    Bisects log(rate1/rate2) in omega_p over ``bracket`` (default
+    (0.5, 1.5) * omega_q; params.omega_p is ignored) down to ~1e-13, far
+    inside the guaranteed 1e-6 * omega_q.  At
     T=0 both rates are pure decay, so the root also satisfies the closed-form
     power-law line s = log(tan^2(theta_+ + theta_-)) / log(E1/E2) when J has
     no cutoff.
     """
+    if bracket is None:
+        bracket = (0.5 * params.omega_q, 1.5 * params.omega_q)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
@@ -436,13 +445,15 @@ def infer_system_params(spectrum, omega_p) -> tuple[float, float]:
 def collect_constraints(model: SpectralDensityModel, lams, T: float = 0.0,
                         config: ScanConfig | None = None,
                         method: str = "signal", omega_q: float = 1.0,
-                        grid=None, bracket: tuple[float, float] = (0.5, 1.5),
+                        grid=None, bracket: tuple[float, float] | None = None,
                         failures: list | None = None) -> list[TransitionPoint]:
     """One TransitionPoint per coupling, aggregated in sorted-lam order.
 
     method="signal" runs the full scan per lam (grid=None centers a default
-    7-point grid on the predicted crossing; pass an explicit grid to scan
-    blind).  method="analytic" skips simulation and roots the rate balance
+    7-point grid of half-width 0.15 * omega_q on the predicted crossing; pass
+    an explicit grid to scan blind).  ``bracket`` defaults to
+    (0.5, 1.5) * omega_q.  method="analytic" skips simulation and roots the
+    rate balance
     directly.  Failures for individual lam values are warned about and
     appended to ``failures`` as (lam, message); the call raises only when no
     lam yields a constraint.
@@ -465,7 +476,7 @@ def collect_constraints(model: SpectralDensityModel, lams, T: float = 0.0,
                                            temperature=T)
                     root = predict_transition(model, base, T=T, bracket=bracket,
                                               kappa=config.kappa)
-                    lam_grid = root + np.linspace(-0.15, 0.15, 7)
+                    lam_grid = root + omega_q * np.linspace(-0.15, 0.15, 7)
                 else:
                     lam_grid = grid
                 points.append(scan_transition(model, lam, T, lam_grid,

@@ -112,10 +112,13 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
 
     # Height floor per the 5x-median rule; the prominence floor additionally
     # scales with the strongest feature so Hann sidelobe ripples (-31 dB,
-    # under 3% of the main lobe) never register as peaks of their own.
+    # under 3% of the main lobe) never register as peaks of their own.  The
+    # spectrum is >= 0, so no peak's prominence exceeds its height: filtering
+    # on height=prom (>= floor) keeps exactly the peaks height=floor would,
+    # without scanning the prominence of sidelobes that cannot pass.
     floor = 5.0 * float(np.median(spec))
     prom = max(floor, 0.05 * float(np.max(spec)))
-    idx, _ = scipy.signal.find_peaks(spec, height=floor, prominence=prom)
+    idx, _ = scipy.signal.find_peaks(spec, height=prom, prominence=prom)
     peaks = []
     for i in idx:
         # 3-point parabolic refinement
@@ -256,6 +259,31 @@ def spin_correlator(rho: np.ndarray) -> complex:
     return complex(np.trace(np.asarray(rho) @ op))
 
 
+def _windowed_correlation(times, f, g, win_n: int, step_n: int,
+                          window: float):
+    """``sync_measure`` at every ``step_n``-th window start, in one pass.
+
+    Returns (window-center times, correlations); NaN where a window has zero
+    variance, and both empty when the window is longer than the signals.
+    """
+    starts = np.arange(0, times.size - win_n + 1, step_n)
+    c_times = times[starts] + 0.5 * window
+    if starts.size == 0:
+        return c_times, np.empty(0)
+    da = np.lib.stride_tricks.sliding_window_view(f, win_n)[starts]
+    db = np.lib.stride_tricks.sliding_window_view(g, win_n)[starts]
+    da -= da.mean(axis=1, keepdims=True)
+    db -= db.mean(axis=1, keepdims=True)
+    na = np.sqrt(np.einsum("ij,ij->i", da, da))
+    nb = np.sqrt(np.einsum("ij,ij->i", db, db))
+    num = np.einsum("ij,ij->i", da, db)
+    defined = (na != 0.0) & (nb != 0.0)
+    c_values = np.full(starts.size, np.nan)
+    c_values[defined] = np.clip(num[defined] / (na[defined] * nb[defined]),
+                                -1.0, 1.0)
+    return c_times, c_values
+
+
 @dataclass(frozen=True)
 class SyncConfig:
     window: float = 3.0
@@ -289,10 +317,8 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
     step = config.step if config.step is not None else config.window / 4.0
     step_n = max(1, int(round(step / dt)))
 
-    starts = range(0, times.size - win_n + 1, step_n)
-    c_times = np.array([times[s] + 0.5 * config.window for s in starts])
-    c_values = np.array([np.nan if (c := sync_measure(f, g, s, win_n)) is None
-                         else c for s in starts])
+    c_times, c_values = _windowed_correlation(times, f, g, win_n, step_n,
+                                              config.window)
 
     late = (times >= config.late_window[0]) & (times <= config.late_window[1])
     if np.max(np.abs(g[late])) < config.noise_floor:

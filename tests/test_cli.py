@@ -200,6 +200,16 @@ def test_evolve_rejects_short_horizon(tmp_path):
     assert code == 2
 
 
+def test_evolve_window_longer_than_trajectory(tmp_path):
+    # no correlation window fits: an empty c-trace and no verdict, not an error
+    cfg = _write(tmp_path, _run_cfg(analysis={"window": 500.0}))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    rec = json.loads((out / "sync_metrics.json").read_text())["metrics"]
+    assert rec["c_times"] == [] and rec["c_values"] == []
+    assert rec["regime"] == "Indeterminate"
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     bad = _run_cfg()
     bad["params"]["lambda"] = -0.2
@@ -366,6 +376,20 @@ def test_scan_transition_artifact(tmp_path):
         rec["transition"]["omega_p_bar"], rel=1e-9)
 
 
+def test_scan_transition_default_grid_scales_with_omega_q(tmp_path):
+    # the default bracket and grid are in units of omega_q; absolute ones
+    # miss this crossing near omega_p = 2
+    cfg = _write(tmp_path, {"lambda": 0.4, "omega_q": 2.0, "bath": dict(OHMIC)})
+    out = tmp_path / "out"
+    assert main(["scan-transition", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    rec = json.loads((out / "transition.json").read_text())
+    assert rec["predicted_omega_p_bar"] == pytest.approx(1.99684, abs=1e-4)
+    grid = rec["config"]["grid"]
+    assert grid[-1] - grid[0] == pytest.approx(0.6, rel=1e-9)
+    assert abs(rec["difference"]) < 0.01
+
+
 def test_scan_transition_no_crossing(tmp_path, capsys):
     cfg = _write(tmp_path, {
         "lambda": 0.2,
@@ -442,9 +466,62 @@ def test_reconstruct_single_constraint_tabulated(tmp_path, capsys):
     assert "constraint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    ("lambda", "nan"), ("omega_p_bar", "inf"), ("n1", "nan"),
+    ("n2", "-inf"), ("uncertainty", "nan")])
+def test_reconstruct_rejects_non_finite_constraint_row(tmp_path, capsys,
+                                                      column, value):
+    row = {"lambda": "0.2", "omega_p_bar": "1.076", "E1": "1.2606",
+           "E2": "0.8535", "ratio": "2.17", "n1": "0", "n2": "0",
+           "uncertainty": ""}
+    row[column] = value
+    path = tmp_path / "constraints.csv"
+    path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    cfg = _write(tmp_path, {"constraints_file": str(path)})
+    code = main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "constraints_file: row 1:" in capsys.readouterr().err
+
+
 def test_reconstruct_rejects_mixed_modes(tmp_path, capsys):
     cfg = _write(tmp_path, _reconstruct_cfg(constraints_file="x.csv"))
     code = main(["reconstruct", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "constraints_file" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+
+def test_run_tasks_clamps_pool_size(monkeypatch):
+    """The pool never gets more processes than tasks or cores; a fake pool
+    records the request, so no process is started."""
+    from syncprobe import cli
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli, "_sweep_task", lambda t: (t, None))
+    for cores, tasks, workers, expected in ((2, 3, 8, [2]), (4, 2, 8, [2]),
+                                            (4, 3, 3, [3]), (1, 3, 8, []),
+                                            (None, 3, 8, [])):
+        requested.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert cli._run_tasks(list(range(tasks)), workers) == [
+            (t, None) for t in range(tasks)]
+        assert requested == expected, (cores, tasks, workers)

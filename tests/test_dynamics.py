@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprobe import (
     LindbladRates,
@@ -109,6 +111,29 @@ def test_oracle_equivalence_randomized():
                     np.max(np.abs(ta.sx_q - tn.sx_q)),
                     np.max(np.abs(ta.sx_p - tn.sx_p)))
     assert worst < 1e-8, worst
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(omega_p=st.floats(0.3, 2.0), lam=st.floats(0.05, 0.6),
+       T=st.floats(0.05, 3.0), s=st.floats(0.5, 3.0),
+       amps=st.lists(_unit, min_size=8, max_size=8).filter(
+           lambda a: np.linalg.norm(a) > 0.1))
+def test_analytic_matches_numeric_property(omega_p, lam, T, s, amps):
+    """Closed form against both Liouvillian routes, for any pure start."""
+    model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0)
+    p, eig, v, rates = _setup(omega_p, lam=lam, T=T, model=model)
+    vec = np.array(amps[:4]) + 1j * np.array(amps[4:])
+    vec /= np.linalg.norm(vec)
+    rho0c = np.outer(vec, vec.conj())
+    times = default_time_grid(20.0, 0.1)
+    ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times)
+    for paranoia in (False, True):
+        tn = evolve_numeric(p, model, T, rho0c, times, paranoia=paranoia)
+        assert np.max(np.abs(ta.sx_q - tn.sx_q)) < 1e-12
+        assert np.max(np.abs(ta.sx_p - tn.sx_p)) < 1e-12
 
 
 def test_zero_coupling_gives_unitary_beat():

@@ -168,6 +168,21 @@ def test_transition_point_validation():
     with pytest.raises(ValueError):
         TransitionPoint(lam=0.2, omega_p_bar=1.0, E1=1.3, E2=0.9, ratio=2.0,
                         uncertainty=-0.1)
+    good = dict(lam=0.2, omega_p_bar=1.0, E1=1.3, E2=0.9, ratio=2.0,
+                n1=0.0, n2=0.0, uncertainty=0.01)
+    for field in good:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TransitionPoint(**dict(good, **{field: bad}))
+
+
+def test_default_bracket_and_grid_in_units_of_omega_q():
+    # the crossing near omega_p = 2 lies outside an absolute (0.5, 1.5)
+    (analytic,) = collect_constraints(OHMIC, [0.4], method="analytic",
+                                      omega_q=2.0)
+    assert analytic.omega_p_bar == pytest.approx(1.99684, abs=1e-4)
+    (signal,) = collect_constraints(OHMIC, [0.4], method="signal", omega_q=2.0)
+    assert abs(signal.omega_p_bar - analytic.omega_p_bar) < 0.01
 
 
 def test_scan_matches_prediction():

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from syncprobe import (
     ANTI_PHASE,
@@ -150,6 +151,40 @@ def test_windowed_fft_input_validation():
         windowed_fft(sig, times, 0.0, 1.0)
 
 
+def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
+    """Filtering on height=prom keeps exactly the peaks height=floor kept."""
+    real = scipy.signal.find_peaks
+    calls = []
+
+    def recording(x, **kwargs):
+        idx, props = real(x, **kwargs)
+        calls.append((np.array(x), idx))
+        return idx, props
+
+    monkeypatch.setattr(scipy.signal, "find_peaks", recording)
+    rng = np.random.default_rng(11)
+    times = default_time_grid(320.0)
+    _, _, _, traj = _reference(1.2)
+    signals = [
+        (traj.sx_p, 0.0, 110.0), (traj.sx_p, 200.0, 310.0),
+        (traj.sx_q, 100.0, 210.0),
+        (rng.normal(size=times.size), 0.0, 110.0),
+        (np.cos(1.1 * times) + 0.3 * rng.normal(size=times.size), 0.0, 320.0),
+        (sum(np.cos(w * times) for w in (0.5, 0.9, 1.3, 2.2)), 50.0, 150.0),
+        # a weak line just above the prominence floor (5% of the main one)
+        (np.cos(times) + 0.06 * np.cos(1.6 * times), 0.0, 320.0),
+    ]
+    for sig, a, b in signals:
+        windowed_fft(sig, times, a, b)
+    assert len(calls) == len(signals)
+    assert max(idx.size for _, idx in calls) > 2
+    for spec, idx in calls:
+        floor = 5.0 * float(np.median(spec))
+        prom = max(floor, 0.05 * float(np.max(spec)))
+        ref, _ = real(spec, height=floor, prominence=prom)
+        np.testing.assert_array_equal(idx, ref)
+
+
 # -------------------------------------------------------------- peak_linewidth
 
 def test_linewidth_synthetic_long_window():
@@ -287,6 +322,46 @@ def test_detect_sync_window_insensitive_within_factor_two():
         for window in (1.5, 3.0, 6.0):
             m = detect_sync(traj, SyncConfig(window=window))
             assert m.regime == expected, (omega_p, window, m.regime)
+
+
+def _per_window_reference(traj, config):
+    """The one-window-at-a-time sync_measure loop, as a reference."""
+    times = traj.times
+    dt = times[1] - times[0]
+    win_n = max(8, int(round(config.window / dt)))
+    step = config.step if config.step is not None else config.window / 4.0
+    step_n = max(1, int(round(step / dt)))
+    starts = range(0, times.size - win_n + 1, step_n)
+    c_times = np.array([times[s] + 0.5 * config.window for s in starts])
+    c_values = np.array([np.nan if (c := sync_measure(traj.sx_q, traj.sx_p,
+                                                      s, win_n)) is None
+                         else c for s in starts])
+    return c_times, c_values
+
+
+def test_detect_sync_matches_per_window_reference():
+    times = default_time_grid(320.0)
+    # zero-variance stretches in each channel, then constant ones in both
+    sx_q = 0.8 * np.cos(0.9 * times)
+    sx_p = 0.5 * np.cos(0.9 * times + 0.4) * np.exp(-0.01 * times)
+    sx_q[1000:1400] = 0.0
+    sx_p[1700:1900] = 0.0
+    sx_p[2000:2300] = 0.25
+    sx_q[2000:2300] = -0.5
+    flat = Trajectory(times=times, sx_q=sx_q, sx_p=sx_p)
+    cases = [(_reference(w)[3], cfg) for w in (0.8, 1.0, 1.2)
+             for cfg in (SyncConfig(), SyncConfig(window=1.7, step=0.35))]
+    cases += [(flat, SyncConfig()), (flat, SyncConfig(window=0.2, step=0.05))]
+    saw_nan = False
+    for traj, cfg in cases:
+        m = detect_sync(traj, cfg)
+        ref_t, ref_c = _per_window_reference(traj, cfg)
+        np.testing.assert_array_equal(m.c_times, ref_t)
+        nan = np.isnan(ref_c)
+        np.testing.assert_array_equal(np.isnan(m.c_values), nan)
+        assert np.max(np.abs(m.c_values[~nan] - ref_c[~nan])) < 1e-12
+        saw_nan = saw_nan or bool(nan.any())
+    assert saw_nan
 
 
 def test_detect_sync_dead_signal_is_nosync():
