@@ -23,6 +23,7 @@ import json
 import multiprocessing
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -64,6 +65,7 @@ from .signal_analysis import (
     NotResolvableError,
     SyncConfig,
     detect_sync,
+    late_span,
     mutual_information,
     spectrum_to_csv,
     spin_correlator,
@@ -572,14 +574,30 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temporary file beside ``path``, moved onto it once
+    fully written and removed if writing fails: an interrupted run never
+    leaves a truncated artifact, nor a stray file, in ``--out``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
                       default=_json_default)
-    path.write_text(text + "\n", encoding="utf-8", newline="\n")
+    with _replacing(path) as fh:
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -593,7 +611,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     _check_late_window(rc)
     times = default_time_grid(rc.t_max, rc.dt)
     traj, _ = _simulate(rc, times)
-    with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
     metrics = detect_sync(traj, rc.analysis)
     _write_json(out / "sync_metrics.json",
@@ -606,7 +624,10 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
 
 def cmd_sweep(cfg: dict, out: Path, args) -> int:
     spec = parse_sweep_spec(cfg)
+    # Every recordable reads the late window or the steady state, and the
+    # axes never touch the analysis settings: one span serves every point.
     times = default_time_grid(spec.base.t_max, spec.base.dt)
+    times = times[late_span(times, spec.base.analysis)]
     names = [a.name for a in spec.axes]
     points = [(vals,) if len(spec.axes) == 1 else vals
               for vals in _grid_points(spec.axes)]
@@ -654,7 +675,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     for a, b in rc.windows:
         est = windowed_fft(signal, times, a, b)
         name = f"spectrum_{a:g}-{b:g}.csv"
-        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(out / name) as fh:
             spectrum_to_csv(est, fh)
         summary.append({
             "window": [a, b],
@@ -961,9 +982,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker processes for sweeps "
                              "(default: available cores)")
-        sp.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="reserved for stochastic extensions; "
-                             "all current solvers are deterministic")
     return parser
 
 

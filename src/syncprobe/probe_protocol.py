@@ -33,7 +33,13 @@ from .dynamics import (
     plus_plus_state,
     to_eigenmode_basis,
 )
-from .signal_analysis import ANTI_PHASE, IN_PHASE, SyncConfig, detect_sync
+from .signal_analysis import (
+    ANTI_PHASE,
+    IN_PHASE,
+    SyncConfig,
+    detect_sync,
+    late_span,
+)
 from .spin_model import (
     QubitPairParams,
     build_operators,
@@ -159,7 +165,9 @@ class ScanConfig:
     The long default horizon narrows the band around the crossing where the
     two modes decay too similarly for the detector to call a regime; with
     t_max = 2000 the band is a few times 1e-2 wide in omega_p, safely under
-    the default grid step.
+    the default grid step.  A scan evolves only the late span of the
+    (0, t_max, dt) grid that the verdict reads (``late_span``): 6 240 of the
+    40 001 samples with these defaults.
     """
 
     t_max: float = 2000.0
@@ -286,6 +294,10 @@ def scan_transition(model: SpectralDensityModel, lam: float, T: float,
     narrower than config.refine_tol or a midpoint falls in the undecidable
     band; the midpoint of the final bracket is returned with half its width
     as the uncertainty.
+
+    The time grid is cut to its late span once per scan, so every
+    classification evolves and correlates only the samples its verdict
+    reads; the labels are those of the whole grid.
     """
     config = config or ScanConfig()
     grid = np.asarray(omega_p_grid, dtype=float)
@@ -293,8 +305,9 @@ def scan_transition(model: SpectralDensityModel, lam: float, T: float,
         raise ValueError("omega_p_grid must be a 1-d grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("omega_p_grid must be strictly increasing")
-    times = default_time_grid(config.t_max, config.dt)
     sync_cfg = config.sync_config()
+    times = default_time_grid(config.t_max, config.dt)
+    times = times[late_span(times, sync_cfg)]
 
     def classify(w: float) -> int:
         return _classify_point(model, lam, T, w, omega_q, times, sync_cfg,

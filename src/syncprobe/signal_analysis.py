@@ -83,9 +83,13 @@ def sync_measure(f, g, t_index: int, window: int) -> float | None:
 
 
 def _uniform_step(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
+    # The mean step, not the first difference: on a grid that does not start
+    # at 0 one difference is off by up to a few ulps of the absolute time.
+    # On a linspace grid from 0 this is t[1] - t[0] bit for bit.
+    if times.size < 2:
+        raise ValueError("time grid needs at least 2 samples")
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time grid must be uniform")
     return float(dt)
 
@@ -294,6 +298,51 @@ class SyncConfig:
     noise_floor: float = 1e-9
 
 
+def _window_samples(config: SyncConfig, dt: float) -> tuple[int, int]:
+    """(win_n, step_n): correlation window length and stride in samples."""
+    win_n = max(8, int(round(config.window / dt)))
+    step = config.step if config.step is not None else config.window / 4.0
+    return win_n, max(1, int(round(step / dt)))
+
+
+def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
+    """The part of a uniform time grid that ``detect_sync``'s verdict reads.
+
+    Regime, c_floor/c_ceil/c_min_abs, below_floor and omega_sync depend only
+    on the correlation windows centred in ``config.late_window`` and on the
+    late-window samples themselves.  The span starts on a multiple of the
+    window stride, no later than the first late-window sample, so the same
+    windows are computed; it ends after the last late-centred window or
+    once the grid reaches the end of the late window, whichever is later.
+    When no window centre falls in the late window, ``detect_sync`` falls
+    back to the last defined c of the whole trace, so the span is the whole
+    grid.  Transition scans and sweeps evolve only this span; ``evolve`` and
+    ``spectrum`` keep the full grid, since they write every sample and the
+    whole c-trace.
+
+    ``detect_sync`` on the span agrees with the full grid: the same regime
+    and c values, and omega_sync to the rounding of the grid step.  The one
+    exception is a trace whose late windows all have zero variance (signals
+    underflowed to exactly 0 with ``noise_floor`` 0): there the full grid
+    falls back to an earlier c the span may not hold.
+    """
+    times = np.asarray(times, dtype=float)
+    win_n, step_n = _window_samples(config, _uniform_step(times))
+    lo, hi = config.late_window
+    starts = np.arange(0, times.size - win_n + 1, step_n)
+    centres = times[starts] + 0.5 * config.window
+    late = starts[(centres >= lo) & (centres <= hi)]
+    if late.size == 0:
+        return slice(0, times.size)
+    # windowed_fft reads [lo, hi] with a 1e-12 margin; the reach check wants
+    # a sample at or past hi - 1e-9.
+    first = int(np.searchsorted(times, lo - 1e-12))
+    last = int(np.searchsorted(times, hi + 1e-12, side="right"))
+    reach = min(int(np.searchsorted(times, hi - 1e-9)) + 1, times.size)
+    return slice(min(int(late[0]), first - first % step_n),
+                 max(int(late[-1]) + win_n, last, reach))
+
+
 def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetrics:
     """Sliding-window correlation, regime label, probe-only peak frequency.
 
@@ -308,14 +357,16 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
     omega_sync is the tallest late-window spectral peak of the probe signal
     alone (the qubit is assumed unreadable in the intended setting), or None
     when no lock survives.
+
+    Everything but the c-trace itself is read from ``late_span(traj.times,
+    config)``, so transition scans and sweeps pass only that span; the
+    c-trace then covers the span alone.
     """
     times, f, g = traj.times, traj.sx_q, traj.sx_p
     dt = _uniform_step(times)
     if times[-1] < config.late_window[1] - 1e-9:
         raise ValueError("trajectory does not reach the late window")
-    win_n = max(8, int(round(config.window / dt)))
-    step = config.step if config.step is not None else config.window / 4.0
-    step_n = max(1, int(round(step / dt)))
+    win_n, step_n = _window_samples(config, dt)
 
     c_times, c_values = _windowed_correlation(times, f, g, win_n, step_n,
                                               config.window)

@@ -233,6 +233,13 @@ def test_unknown_preset_exit_code(tmp_path, capsys):
     assert "available" in capsys.readouterr().err
 
 
+def test_seed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--preset", "fig1", "--out", str(tmp_path),
+              "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_config_and_preset_are_exclusive(tmp_path):
     with pytest.raises(SystemExit):
         main(["evolve", "--config", "x.json", "--preset", "fig1",
@@ -279,6 +286,28 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
                      "--workers", workers]) == 0
         blobs.append((out / "sweep.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_point_same_row_on_late_span():
+    """A sweep evolves only the late span; each recordable reads the late
+    window or the steady state, so the row is the one the whole grid gives
+    (omega_sync to the rounding of the grid step the span reads)."""
+    from syncprobe import cli
+
+    base = parse_run_config(_run_cfg())
+    full = cli.default_time_grid(base.t_max, base.dt)
+    part = full[cli.late_span(full, base.analysis)]
+    assert part.size == 2250
+    record = ("c", "omega_sync", "regime", "below_floor", "mi", "correlator")
+    regimes = set()
+    for values in ((0.8, 0.2), (1.2, 0.2), (1.0, 0.05), (1.3, 0.45)):
+        a = cli._sweep_point(base, ["omega_p", "lambda"], values, record, full)
+        b = cli._sweep_point(base, ["omega_p", "lambda"], values, record, part)
+        wa, wb = a.pop("omega_sync"), b.pop("omega_sync")
+        assert b == a, values
+        assert (wa is None and wb is None) or abs(wb - wa) <= 1e-15 * wa
+        regimes.add(a["regime"])
+    assert {"InPhase", "AntiPhase"} <= regimes
 
 
 def test_sweep_partial_failure(tmp_path):
@@ -448,6 +477,40 @@ def test_reconstruct_from_constraints_file(tmp_path):
     # full-precision CSV: the replayed fit lands on identical digits
     assert a["reconstruction"]["s"] == b["reconstruction"]["s"]
     assert b["truth"] is None
+
+
+def test_reconstruct_failed_write_keeps_previous_constraints(tmp_path,
+                                                             monkeypatch):
+    """A write that fails midway leaves the last complete constraints.csv
+    and no temporary file in --out."""
+    from syncprobe import cli
+
+    cfg = _write(tmp_path, _reconstruct_cfg())
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_rows(constraints):
+        yield cli._CONSTRAINT_COLUMNS
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_constraints_to_rows", failing_rows)
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_evolve_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    from syncprobe import cli
+
+    def failing_csv(traj, fh):
+        fh.write("t,sx_q,sx_p\n")
+        raise OSError("disk quota exceeded")
+
+    monkeypatch.setattr(cli, "trajectory_to_csv", failing_csv)
+    cfg = _write(tmp_path, _run_cfg())
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_reconstruct_single_constraint_tabulated(tmp_path, capsys):

@@ -24,6 +24,7 @@ from syncprobe.probe_protocol import (
     ResolutionError,
     ScanConfig,
     TransitionPoint,
+    _classify_point,
     collect_constraints,
     fit_spectral_density,
     infer_system_params,
@@ -40,6 +41,7 @@ from syncprobe.signal_analysis import (
     SpectrumEstimate,
     SyncConfig,
     detect_sync,
+    late_span,
     windowed_fft,
 )
 from syncprobe.spin_model import (
@@ -212,6 +214,25 @@ def test_scan_jump_magnitude():
     jump = abs(above.omega_sync - below.omega_sync)
     # two natural FFT bins of the 310-long late window
     assert abs(jump - (eig_bar.E1 - eig_bar.E2)) < 2.0 * 2.0 * np.pi / 310.0
+
+
+@pytest.mark.parametrize("model, lo, hi", [(OHMIC, 0.85, 1.16),
+                                           (QUARTIC, 0.92, 1.24)])
+def test_classify_point_same_label_on_late_span(model, lo, hi):
+    """A scan classifies on the 6 240-sample late span; every label on the
+    test grids is the one the whole 40 001-sample grid gives."""
+    cfg = ScanConfig()
+    sync_cfg = cfg.sync_config()
+    full = default_time_grid(cfg.t_max, cfg.dt)
+    part = full[late_span(full, sync_cfg)]
+    assert (full.size, part.size) == (40001, 6240)
+    labels = []
+    for w in np.arange(lo, hi, 0.05):
+        labels.append(_classify_point(model, 0.2, 0.0, w, 1.0, full,
+                                      sync_cfg, cfg.kappa))
+        assert _classify_point(model, 0.2, 0.0, w, 1.0, part, sync_cfg,
+                               cfg.kappa) == labels[-1], w
+    assert {1, 2} <= set(labels)
 
 
 def test_scan_single_branch_raises():

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprobe import (
     ANTI_PHASE,
@@ -24,6 +26,7 @@ from syncprobe import (
     eigenmode_transform,
     evaluate_J,
     evolve_analytic,
+    late_span,
     lindblad_rates,
     mutual_information,
     peak_linewidth,
@@ -183,6 +186,19 @@ def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
         prom = max(floor, 0.05 * float(np.max(spec)))
         ref, _ = real(spec, height=floor, prominence=prom)
         np.testing.assert_array_equal(idx, ref)
+
+
+def test_windowed_fft_step_from_whole_grid():
+    """An offset slice of a grid gives the frequencies of the grid itself;
+    its first difference alone is a few ulps of t = 1600 off."""
+    times = default_time_grid(2000.0)
+    part = slice(31980, 38220)
+    assert abs((times[31981] - times[31980]) - 0.05) > 1e-13
+    sig = np.cos(1.1 * times)
+    full = windowed_fft(sig, times, 1600.0, 1910.0)
+    cut = windowed_fft(sig[part], times[part], 1600.0, 1910.0)
+    np.testing.assert_array_equal(cut.magnitude, full.magnitude)
+    np.testing.assert_allclose(cut.freqs, full.freqs, rtol=1e-15, atol=0.0)
 
 
 # -------------------------------------------------------------- peak_linewidth
@@ -378,6 +394,124 @@ def test_detect_sync_needs_late_window():
     traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(times))
     with pytest.raises(ValueError):
         detect_sync(traj)
+
+
+# ------------------------------------------------------------------- late_span
+
+def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
+    """detect_sync on the whole grid and on its late span, each evolved on
+    its own grid as the scans and sweeps do."""
+    p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=0.0)
+    eig = diagonalize(p)
+    rates = lindblad_rates(eig, PowerLawCutoff(gamma0=gamma0, s=1.0,
+                                               omega_c=20.0), T=0.0)
+    rho0 = to_eigenmode_basis(plus_plus_state(),
+                              eigenmode_transform(build_operators(p, eig)))
+    span = late_span(times, cfg)
+    full = detect_sync(evolve_analytic(p, eig, rates, rho0, times), cfg)
+    part = detect_sync(evolve_analytic(p, eig, rates, rho0, times[span]), cfg)
+    return full, part, span
+
+
+def _assert_same_verdict(full, part, rtol=1e-15):
+    assert part.regime == full.regime
+    assert part.below_floor == full.below_floor
+    for name in ("c_floor", "c_ceil", "c_min_abs"):
+        assert getattr(part, name) == getattr(full, name), name
+    if full.omega_sync is None:
+        assert part.omega_sync is None
+    else:
+        assert abs(part.omega_sync - full.omega_sync) \
+            <= rtol * abs(full.omega_sync)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(window=st.floats(0.4, 6.0),
+       step_frac=st.one_of(st.none(), st.floats(0.05, 1.5)),
+       dt=st.floats(0.01, 0.2), t_max=st.floats(60.0, 400.0),
+       lo_frac=st.floats(0.0, 0.9), width_frac=st.floats(0.0, 1.0),
+       omega_p=st.floats(0.6, 1.4), gamma0=st.floats(0.005, 0.05))
+def test_late_span_keeps_detect_sync_verdict(window, step_frac, dt, t_max,
+                                             lo_frac, width_frac, omega_p,
+                                             gamma0):
+    """Same windows, regime and c values on the span, bit for bit.
+
+    omega_sync scales with the grid step, which the span reads from its
+    end points t_a and t_b: each carries half an ulp, so the step is good
+    to u (t_a + t_b) / (t_b - t_a), plus a few roundings of the frequency
+    axis.  On the scan and sweep grids that is under 1e-15 (checked
+    there); a narrow late window far from t = 0 allows more.
+    """
+    times = default_time_grid(t_max, dt)
+    end = float(times[-1])
+    lo = lo_frac * end
+    # at least the 64 samples windowed_fft needs, never past the grid
+    width = max(width_frac * (end - lo), 70.0 * dt)
+    hi = min(lo + width, end)
+    lo = min(lo, hi - 70.0 * dt)
+    step = None if step_frac is None else step_frac * window
+    cfg = SyncConfig(window=window, step=step, late_window=(lo, hi))
+    full, part, span = _span_pair(times, cfg, omega_p=omega_p, gamma0=gamma0)
+    t_a, t_b = times[span.start], times[span.stop - 1]
+    u = np.finfo(float).eps / 2
+    _assert_same_verdict(full, part,
+                         rtol=u * ((t_a + t_b) / (t_b - t_a) + 10.0))
+    assert span.start <= np.searchsorted(times, lo - 1e-12)
+    late = [(m.c_times >= lo) & (m.c_times <= hi) for m in (full, part)]
+    np.testing.assert_array_equal(part.c_times[late[1]],
+                                  full.c_times[late[0]])
+    np.testing.assert_array_equal(part.c_values[late[1]],
+                                  full.c_values[late[0]])
+
+
+def test_late_span_without_late_centre_is_whole_grid():
+    # centres at 0.5 + 3k skip the late window: the verdict falls back to
+    # the last defined c of the whole trace
+    times = default_time_grid(20.0, 0.005)
+    cfg = SyncConfig(window=1.0, step=3.0, late_window=(10.6, 11.1))
+    full, part, span = _span_pair(times, cfg)
+    assert span == slice(0, times.size)
+    assert not np.any((full.c_times >= 10.6) & (full.c_times <= 11.1))
+    defined = full.c_values[~np.isnan(full.c_values)]
+    assert full.c_floor == full.c_ceil == defined[-1]
+    _assert_same_verdict(full, part)
+
+
+def test_late_span_window_longer_than_trajectory():
+    times = default_time_grid(400.0)
+    cfg = SyncConfig(window=500.0)
+    full, part, span = _span_pair(times, cfg)
+    assert span == slice(0, times.size)
+    assert full.c_times.size == 0 and full.regime == "Indeterminate"
+    _assert_same_verdict(full, part)
+
+
+def test_late_span_sparse_windows():
+    # step > window / 2: the first late-centred window starts after the
+    # late window opens, so the span starts one stride earlier; the last
+    # one ends before the late window does, so the span runs on to the
+    # first sample past 311.13
+    times = default_time_grid(400.0)
+    cfg = SyncConfig(window=2.0, step=1.6, late_window=(201.05, 311.13))
+    full, part, span = _span_pair(times, cfg)
+    assert span == slice(4000, 6224)
+    _assert_same_verdict(full, part)
+
+
+def test_late_span_late_window_from_start():
+    # late window opens before the first window centre (window / 2)
+    times = default_time_grid(100.0)
+    cfg = SyncConfig(window=3.0, late_window=(0.5, 60.0))
+    full, part, span = _span_pair(times, cfg, gamma0=0.05)
+    assert span.start == 0
+    _assert_same_verdict(full, part)
+
+
+def test_late_span_default_grids():
+    """The scan and sweep defaults evolve 6 240 and 2 250 samples."""
+    scan = SyncConfig(late_window=(1600.0, 1910.0))
+    assert late_span(default_time_grid(2000.0), scan) == slice(31980, 38220)
+    assert late_span(default_time_grid(400.0)) == slice(3975, 6225)
 
 
 def test_regime_agrees_with_rate_comparison():
