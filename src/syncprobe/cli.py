@@ -68,14 +68,14 @@ from .signal_analysis import (
     late_span,
     mutual_information,
     spectrum_to_csv,
-    spin_correlator,
     sync_metrics_to_record,
     windowed_fft,
 )
 from .presets import get_preset
 from .spin_model import (
+    SIGMA_PLUS,
     QubitPairParams,
-    build_operators,
+    build_operators,  # not called; benchmarks/tracing.py wraps this binding
     diagonalize,
     eigenmode_transform,
 )
@@ -464,14 +464,15 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 # simulation helpers
 
 def _simulate(rc: RunConfig, times: np.ndarray, store_states: bool = False):
-    """Evolve rc from its initial state; returns (trajectory, transform)."""
+    """Evolve rc from its initial state; returns (trajectory, transform,
+    rates)."""
     eig = diagonalize(rc.params)
     rates = lindblad_rates(eig, rc.bath, rc.params.temperature, kappa=rc.kappa)
-    v = eigenmode_transform(build_operators(rc.params, eig))
+    v = eigenmode_transform(rc.params, eig)
     rho0 = to_eigenmode_basis(_resolve_initial(rc.initial_state), v)
     traj = evolve_analytic(rc.params, eig, rates, rho0, times,
                            store_states=store_states)
-    return traj, v
+    return traj, v, rates
 
 
 def _apply_axes(base: RunConfig, names, values) -> RunConfig:
@@ -497,13 +498,8 @@ def _sweep_columns(record) -> list[str]:
 
 def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
     rc = _apply_axes(base, names, values)
-    eig = diagonalize(rc.params)
-    rates = lindblad_rates(eig, rc.bath, rc.params.temperature, kappa=rc.kappa)
-    v = eigenmode_transform(build_operators(rc.params, eig))
-    rho0 = to_eigenmode_basis(_resolve_initial(rc.initial_state), v)
-    need_states = "correlator" in record
-    traj = evolve_analytic(rc.params, eig, rates, rho0, times,
-                           store_states=need_states)
+    traj, v, rates = _simulate(rc, times,
+                               store_states="correlator" in record)
     metrics = detect_sync(traj, rc.analysis)
     out = {}
     for q in record:
@@ -521,14 +517,16 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
             # Exact fixed point, not the last sample: at T=0 it is the
             # dressed vacuum, so MI depends on the pair alone and stays
             # smooth across the transition whatever the bath does.
-            rho_ss = steady_state(rc.params, rates, basis="computational")
+            rho_ss = to_computational_basis(steady_state(rc.params, rates), v)
             out["mi"] = mutual_information(rho_ss)
         else:
             lo, hi = rc.analysis.late_window
             sel = (traj.times >= lo) & (traj.times <= hi)
-            vals = [abs(spin_correlator(to_computational_basis(s, v)))
-                    for s in traj.states[sel]]
-            out["correlator"] = float(np.mean(vals))
+            # spin_correlator is Tr(rho op): rotate op into the eigenmode
+            # basis once instead of every state out of it
+            op = v.T @ np.kron(SIGMA_PLUS, SIGMA_PLUS.T) @ v
+            vals = np.einsum("njk,kj->n", traj.states[sel], op)
+            out["correlator"] = float(np.mean(np.abs(vals)))
     return out
 
 
@@ -610,7 +608,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
     _check_late_window(rc)
     times = default_time_grid(rc.t_max, rc.dt)
-    traj, _ = _simulate(rc, times)
+    traj, _, _ = _simulate(rc, times)
     with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
     metrics = detect_sync(traj, rc.analysis)
@@ -669,7 +667,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
         raise ConfigError("windows",
                           "spectrum needs at least one [t_start, t_end] window")
     times = default_time_grid(rc.t_max, rc.dt)
-    traj, _ = _simulate(rc, times)
+    traj, _, _ = _simulate(rc, times)
     signal = traj.sx_p if rc.channel == "probe" else traj.sx_q
     summary = []
     for a, b in rc.windows:

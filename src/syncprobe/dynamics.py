@@ -20,11 +20,11 @@ Fock index order is |00>, |01> (mode-2 quasiparticle), |10> (mode-1), |11>.
 in the Schroedinger picture, with all Hamiltonian phases reinstated.  Stored
 states keep the basis of the input; ``Trajectory.basis`` records which.
 
-Expectation-value weights are closed form in the Bogoliubov angles
-(``fock_observable_weights``).  Conjugating the Pauli matrices with the
-numeric eigenmode transform survives only as the independent check in
-``test_weight_matrices_angle_route_matches_conjugation``.  All rates are plain
-angular frequencies in units of omega_q.
+Expectation-value weights and the eigenmode transform are closed form in the
+Bogoliubov angles (``fock_observable_weights``, ``eigenmode_transform``).  The
+numeric transform, the common null vector of the two annihilators, survives
+only as the test oracle both are held to.  All rates are plain angular
+frequencies in units of omega_q.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ import scipy.linalg
 from .bath import (KAPPA_DEFAULT, LindbladRates, SpectralDensityModel,
                    bose_occupation, evaluate_J)
 from .spin_model import (ID2, SIGMA_X, EigenStructure, QubitPairParams,
-                         build_operators, diagonalize,
-                         direct_diagonalize, eigenmode_transform)
+                         build_operators, diagonalize, direct_diagonalize,
+                         eigenmode_transform, fock_energies,
+                         fock_observable_weights)
 
 
 class StateValidationError(ValueError):
@@ -179,35 +180,6 @@ def _coherences(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
     return rho01, rho23, rho02, rho13
 
 
-def _fock_energies(eig: EigenStructure) -> np.ndarray:
-    half = 0.5 * (eig.E1 + eig.E2)
-    return np.array([-half, 0.5 * (eig.E2 - eig.E1),
-                     0.5 * (eig.E1 - eig.E2), half])
-
-
-def fock_observable_weights(eig: EigenStructure):
-    """(W_q, W_p): sigma_x matrices in the eigenmode basis, from the angles.
-
-    Closed form; the only numeric conjugation of the Pauli matrices left is
-    the test that holds these against it.  sigma^x flips quasiparticle
-    parity, so the only nonzero entries connect the even states {vac, doubly
-    excited} with the odd singly-excited pair.
-    """
-    cs = np.cos(eig.theta_plus + eig.theta_minus)
-    ss = np.sin(eig.theta_plus + eig.theta_minus)
-    cd = np.cos(eig.theta_plus - eig.theta_minus)
-    sd = np.sin(eig.theta_plus - eig.theta_minus)
-    w_q = np.zeros((4, 4))
-    w_q[0, 2] = w_q[1, 3] = cs
-    w_q[0, 1] = ss
-    w_q[2, 3] = -ss
-    w_p = np.zeros((4, 4))
-    w_p[0, 2] = -sd
-    w_p[1, 3] = sd
-    w_p[0, 1] = w_p[2, 3] = -cd
-    return w_q + w_q.T, w_p + w_p.T
-
-
 def _expectation(coherences, w: np.ndarray) -> np.ndarray:
     """Tr(rho W) for a real symmetric parity-odd W: twice the real part of
     the four allowed coherences against their weights."""
@@ -227,7 +199,7 @@ def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
     pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
 
     # the two parity-even coherences only dephase, at the full total rate
-    eps = _fock_energies(eig)
+    eps = fock_energies(eig)
     anti = -0.5 * (rates.g1_total + rates.g2_total)
     rho_t = np.zeros((n, 4, 4), dtype=complex)
     for k in range(4):
@@ -430,10 +402,8 @@ def steady_state(params: QubitPairParams, rates: LindbladRates,
     if basis == "eigenmode":
         return rho
     if basis == "computational":
-        eig = diagonalize(params)
-        ops = build_operators(params, eig)
-        v = eigenmode_transform(ops)
-        return v @ rho @ v.conj().T
+        v = eigenmode_transform(params, diagonalize(params))
+        return to_computational_basis(rho, v)
     raise ValueError(f"unknown basis {basis!r}")
 
 

@@ -42,7 +42,7 @@ from .signal_analysis import (
 )
 from .spin_model import (
     QubitPairParams,
-    build_operators,
+    build_operators,  # not called; benchmarks/tracing.py wraps this binding
     diagonalize,
     eigenmode_transform,
 )
@@ -268,7 +268,7 @@ def _classify_point(model, lam, T, omega_p, omega_q, times, sync_cfg, kappa):
                              temperature=T)
     eig = diagonalize(params)
     rates = lindblad_rates(eig, model, T, kappa)
-    v = eigenmode_transform(build_operators(params, eig))
+    v = eigenmode_transform(params, eig)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     traj = evolve_analytic(params, eig, rates, rho0, times)
     m = detect_sync(traj, sync_cfg)

@@ -50,7 +50,11 @@ Conventions (load-bearing; every sign downstream depends on these)
   eta_i P = -P eta_i: the left-dressed choice is the same operator pair with
   both probe coefficients negated, and no observable depends on which of the
   two is used.  The right-dressed form is the one for which the sx_p identity
-  above holds with these angle signs (checked in build_operators).
+  above holds with these angle signs.  Every eigenmode_transform call checks
+  it, as V^T sx_p V = W_p with W_p from fock_observable_weights.
+* The quasiparticle Fock states are real in the computational basis, so the
+  eigenmode transform is a closed-form rotation in the angles.  The operator
+  matrices of build_operators are needed only by the numeric Liouvillian.
 
 Everything here is a pure function of its inputs; all arrays are fresh and
 safe to share across workers.
@@ -145,10 +149,16 @@ def diagonalize(params: QubitPairParams) -> EigenStructure:
 
 
 def _hamiltonian_matrix(params: QubitPairParams) -> np.ndarray:
-    wq, wp, lam = params.omega_q, params.omega_p, params.lam
-    return (0.5 * wq * np.kron(SIGMA_Z, ID2)
-            + 0.5 * wp * np.kron(ID2, SIGMA_Z)
-            + lam * np.kron(SIGMA_X, SIGMA_X))
+    """H_S in the computational basis, entry by entry.
+
+    Bit for bit the Kronecker-product sum (omega_q/2) sz (x) I
+    + (omega_p/2) I (x) sz + lam sx (x) sx, without forming the products.
+    """
+    a, b, lam = 0.5 * params.omega_q, 0.5 * params.omega_p, params.lam
+    return np.array([[a + b, 0.0, 0.0, lam],
+                     [0.0, a - b, lam, 0.0],
+                     [0.0, lam, b - a, 0.0],
+                     [lam, 0.0, 0.0, -a - b]], dtype=complex)
 
 
 def build_operators(params: QubitPairParams, eig: EigenStructure,
@@ -232,30 +242,77 @@ def direct_diagonalize(params: QubitPairParams):
     return evals, evecs
 
 
-def eigenmode_transform(ops: OperatorSet) -> np.ndarray:
-    """Unitary V whose columns are the quasiparticle Fock states.
+def fock_energies(eig: EigenStructure) -> np.ndarray:
+    """H_S eigenvalues of the Fock states |00>, |01>, |10>, |11>."""
+    half = 0.5 * (eig.E1 + eig.E2)
+    return np.array([-half, 0.5 * (eig.E2 - eig.E1),
+                     0.5 * (eig.E1 - eig.E2), half])
+
+
+def fock_observable_weights(eig: EigenStructure):
+    """(W_q, W_p): sigma_x matrices in the eigenmode basis, from the angles.
+
+    Closed form, from the sx_q and sx_p decompositions in the module
+    docstring.  sigma^x flips quasiparticle parity, so the only nonzero
+    entries connect the even states {vac, doubly excited} with the odd
+    singly-excited pair.
+    """
+    cs = np.cos(eig.theta_plus + eig.theta_minus)
+    ss = np.sin(eig.theta_plus + eig.theta_minus)
+    cd = np.cos(eig.theta_plus - eig.theta_minus)
+    sd = np.sin(eig.theta_plus - eig.theta_minus)
+    w_q = np.zeros((4, 4))
+    w_q[0, 2] = w_q[1, 3] = cs
+    w_q[0, 1] = ss
+    w_q[2, 3] = -ss
+    w_p = np.zeros((4, 4))
+    w_p[0, 2] = -sd
+    w_p[1, 3] = sd
+    w_p[0, 1] = w_p[2, 3] = -cd
+    return w_q + w_q.T, w_p + w_p.T
+
+
+_EYE4 = np.eye(4)
+_SX_Q = np.kron(SIGMA_X, ID2).real
+_SX_P = np.kron(ID2, SIGMA_X).real
+_TRANSFORM_CHECKS = ("V^T V = I", "V^T H_S V = diag(Fock energies)",
+                     "V^T sx_q V = W_q", "V^T sx_p V = W_p")
+
+
+def eigenmode_transform(params: QubitPairParams,
+                        eig: EigenStructure) -> np.ndarray:
+    """Real orthogonal V whose columns are the quasiparticle Fock states.
 
     Column order is |n1 n2> = |00>, |01>, |10>, |11> (quasiparticle vacuum
-    first) expressed in the computational basis, with the phase convention
+    first) in the computational basis, with tp = theta_plus, tm = theta_minus:
 
-        |01> = eta2^dag |00>,  |10> = eta1^dag |00>,  |11> = eta1^dag eta2^dag |00>.
+        |00>                           = (-sin tp, 0, 0, cos tp)
+        |01> = eta2^dag |00>           = (0, sin tm, -cos tm, 0)
+        |10> = eta1^dag |00>           = (0, cos tm, sin tm, 0)
+        |11> = eta1^dag eta2^dag |00>  = (-cos tp, 0, 0, -sin tp)
 
-    A density matrix converts as rho_eig = V^dag rho V.  The vacuum's own
-    phase is fixed by making its largest-magnitude component real positive;
-    that phase is global across the four columns so it drops out of every
-    conversion.
+    The vacuum's largest entry is positive (0 <= tp < pi/4, so cos tp >
+    sin tp); the global sign drops out of every conversion anyway.  A
+    density matrix converts as rho_eig = V^T rho V.
+
+    Raises ConventionError unless, to 1e-10 (build_operators' default
+    check_tol), V^T V = I, V^T H_S V is diagonal in the Fock energies, and
+    V^T sx_q V and V^T sx_p V are the closed-form weights: everything the
+    evolution reads.  A failure means ``eig`` does not belong to ``params``
+    or a branch convention is broken.
     """
-    stacked = np.vstack([ops.eta1, ops.eta2])
-    # Vacuum = null vector of both annihilators; smallest singular direction.
-    _, sing, vh = np.linalg.svd(stacked)
-    if sing[-1] > 1e-10:
-        raise ConventionError("no common null vector for eta1, eta2")
-    vac = vh[-1].conj()
-    k = int(np.argmax(np.abs(vac)))
-    vac = vac * (np.abs(vac[k]) / vac[k])
-    e1d, e2d = ops.eta1.conj().T, ops.eta2.conj().T
-    cols = [vac, e2d @ vac, e1d @ vac, e1d @ (e2d @ vac)]
-    v = np.column_stack(cols)
-    if np.max(np.abs(v.conj().T @ v - np.eye(4))) > 1e-10:
-        raise ConventionError("Fock columns not orthonormal")
+    ctp, stp = np.cos(eig.theta_plus), np.sin(eig.theta_plus)
+    ctm, stm = np.cos(eig.theta_minus), np.sin(eig.theta_minus)
+    v = np.array([[-stp, 0.0, 0.0, -ctp],
+                  [0.0, stm, ctm, 0.0],
+                  [0.0, -ctm, stm, 0.0],
+                  [ctp, 0.0, 0.0, -stp]])
+    w_q, w_p = fock_observable_weights(eig)
+    ops = np.array([_EYE4, _hamiltonian_matrix(params).real, _SX_Q, _SX_P])
+    want = np.array([_EYE4, np.diag(fock_energies(eig)), w_q, w_p])
+    defects = abs(v.T @ ops @ v - want).max(axis=(1, 2))
+    for name, defect in zip(_TRANSFORM_CHECKS, defects):
+        if defect > 1e-10:
+            raise ConventionError(f"eigenmode transform: {name} fails by "
+                                  f"{defect:.3g}")
     return v

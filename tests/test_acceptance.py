@@ -51,7 +51,6 @@ from syncprobe.signal_analysis import (
 )
 from syncprobe.spin_model import (
     QubitPairParams,
-    build_operators,
     diagonalize,
     eigenmode_transform,
 )
@@ -87,7 +86,7 @@ def _sim(omega_p, lam=0.2, model=OHMIC, T=0.0, t_max=400.0):
         params = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
         eig = diagonalize(params)
         rates = lindblad_rates(eig, model, T)
-        v = eigenmode_transform(build_operators(params, eig))
+        v = eigenmode_transform(params, eig)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
         traj = evolve_analytic(params, eig, rates, rho0,
                                default_time_grid(t_max, 0.05),
@@ -130,7 +129,7 @@ def test_criterion_01_oracle_equivalence():
             rho0 = np.outer(psi, psi.conj())
             eig = diagonalize(params)
             rates = lindblad_rates(eig, model, params.temperature)
-            v = eigenmode_transform(build_operators(params, eig))
+            v = eigenmode_transform(params, eig)
             ana = evolve_analytic(params, eig, rates,
                                   to_eigenmode_basis(rho0, v), times)
             num = evolve_numeric(params, model, None, rho0, times)

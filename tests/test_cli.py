@@ -310,6 +310,53 @@ def test_sweep_point_same_row_on_late_span():
     assert {"InPhase", "AntiPhase"} <= regimes
 
 
+def test_sweep_correlator_einsum_matches_state_loop():
+    """The correlator recordable, one einsum against the operator rotated
+    into the eigenmode basis, equals the mean |spin_correlator| of every
+    late-window state rotated back, on figcorr-shaped points."""
+    from syncprobe import cli
+    from syncprobe.signal_analysis import spin_correlator
+
+    base = parse_run_config(get_preset("figcorr")["base"])
+    times = cli.default_time_grid(base.t_max, base.dt)
+    times = times[cli.late_span(times, base.analysis)]
+    lo, hi = base.analysis.late_window
+    for values in ((0.5, 0.7), (1.0, 0.95), (2.0, 1.05), (1.5, 1.3)):
+        row = cli._sweep_point(base, ["s", "omega_p"], values,
+                               ("correlator",), times)
+        rc = cli._apply_axes(base, ["s", "omega_p"], values)
+        traj, v, _ = cli._simulate(rc, times, store_states=True)
+        sel = (traj.times >= lo) & (traj.times <= hi)
+        loop = np.mean([abs(spin_correlator(cli.to_computational_basis(s, v)))
+                        for s in traj.states[sel]])
+        # the correlator is 1e-7 to 3e-4 here, so hold it relatively: that
+        # is far inside 1e-15 absolute
+        assert loop > 0.0
+        assert row["correlator"] == pytest.approx(loop, rel=1e-14, abs=0.0)
+
+
+def test_sweep_and_scan_build_no_operators(tmp_path, monkeypatch):
+    """Per-point work rotates with the closed-form transform; the operator
+    algebra of build_operators is for the numeric Liouvillian only."""
+    from syncprobe import cli, dynamics, probe_protocol
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_operators called on the per-point path")
+
+    for module in (cli, probe_protocol, dynamics):
+        monkeypatch.setattr(module, "build_operators", forbidden)
+    cfg = _write(tmp_path, _small_sweep(
+        record=["c", "omega_sync", "regime", "below_floor", "mi",
+                "correlator"]), "sweep.json")
+    assert main(["sweep", "--config", str(cfg), "--out",
+                 str(tmp_path / "sweep"), "--workers", "1"]) == 0
+    cfg = _write(tmp_path, {"lambda": 0.2, "bath": dict(OHMIC),
+                            "grid": {"lo": 0.93, "hi": 1.07, "steps": 5}},
+                 "scan.json")
+    assert main(["scan-transition", "--config", str(cfg), "--out",
+                 str(tmp_path / "scan"), "--workers", "1"]) == 0
+
+
 def test_sweep_partial_failure(tmp_path):
     # gamma0 = 0 leaves no unique steady state, so recording mi must fail
     # per point while the run itself carries on.

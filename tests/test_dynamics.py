@@ -30,14 +30,15 @@ from syncprobe import (
 )
 from syncprobe.spin_model import ID2, SIGMA_X
 
+from oracles import null_vector_transform
+
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 
 
 def _setup(omega_p, lam=0.2, T=0.0, model=OHMIC):
     p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
     eig = diagonalize(p)
-    ops = build_operators(p, eig)
-    v = eigenmode_transform(ops)
+    v = eigenmode_transform(p, eig)
     rates = lindblad_rates(eig, model, T=T)
     return p, eig, v, rates
 
@@ -339,8 +340,7 @@ def test_weight_matrices_angle_route_matches_conjugation():
         p = QubitPairParams(omega_p=float(rng.uniform(0.2, 2.5)),
                             lam=float(rng.uniform(0.0, 0.8)))
         eig = diagonalize(p)
-        ops = build_operators(p, eig)
-        v = eigenmode_transform(ops)
+        v = null_vector_transform(build_operators(p, eig))
         w_q_num = v.conj().T @ np.kron(SIGMA_X, ID2) @ v
         w_p_num = v.conj().T @ np.kron(ID2, SIGMA_X) @ v
         w_q, w_p = fock_observable_weights(eig)

@@ -46,7 +46,6 @@ from syncprobe.signal_analysis import (
 )
 from syncprobe.spin_model import (
     QubitPairParams,
-    build_operators,
     diagonalize,
     eigenmode_transform,
 )
@@ -82,7 +81,7 @@ def _forward_trajectory(model, omega_p, lam=0.2, T=0.0, t_max=2000.0):
     params = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
     eig = diagonalize(params)
     rates = lindblad_rates(eig, model, T)
-    v = eigenmode_transform(build_operators(params, eig))
+    v = eigenmode_transform(params, eig)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     return params, eig, evolve_analytic(params, eig, rates, rho0,
                                         default_time_grid(t_max))

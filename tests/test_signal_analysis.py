@@ -18,7 +18,6 @@ from syncprobe import (
     Tabulated,
     Trajectory,
     asymptotic_form,
-    build_operators,
     default_time_grid,
     detect_sync,
     diagonalize,
@@ -51,7 +50,7 @@ def _reference(omega_p, gamma0=0.01):
     if key not in _cache:
         p = QubitPairParams(omega_p=omega_p, lam=0.2, temperature=0.0)
         eig = diagonalize(p)
-        v = eigenmode_transform(build_operators(p, eig))
+        v = eigenmode_transform(p, eig)
         model = PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0)
         rates = lindblad_rates(eig, model, T=0.0)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
@@ -406,7 +405,7 @@ def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
     rates = lindblad_rates(eig, PowerLawCutoff(gamma0=gamma0, s=1.0,
                                                omega_c=20.0), T=0.0)
     rho0 = to_eigenmode_basis(plus_plus_state(),
-                              eigenmode_transform(build_operators(p, eig)))
+                              eigenmode_transform(p, eig))
     span = late_span(times, cfg)
     full = detect_sync(evolve_analytic(p, eig, rates, rho0, times), cfg)
     part = detect_sync(evolve_analytic(p, eig, rates, rho0, times[span]), cfg)
@@ -531,7 +530,7 @@ def test_regime_agrees_with_rate_comparison():
                                omega_c=20.0)
         eig = diagonalize(p)
         rates = lindblad_rates(eig, model, T=0.0)
-        v = eigenmode_transform(build_operators(p, eig))
+        v = eigenmode_transform(p, eig)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
         form_q, _ = asymptotic_form(eig, rates, rho0)
         if not form_q.sync_expected:

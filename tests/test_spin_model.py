@@ -1,13 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncprobe.spin_model import (
+    ConventionError,
     QubitPairParams,
+    _hamiltonian_matrix,
     build_operators,
     diagonalize,
     direct_diagonalize,
     eigenmode_transform,
 )
+
+from oracles import null_vector_transform
 
 # Frozen oracle values, computed once by dense diagonalization of the 4x4
 # Hamiltonian and kept as literals so a regression in the closed form cannot
@@ -140,19 +148,74 @@ def test_hamiltonian_reconstruction_fig1():
     assert np.max(np.abs(h_re - ops.h_s)) < 1e-12
 
 
+def _kron_hamiltonian(p):
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (0.5 * p.omega_q * np.kron(sz, np.eye(2))
+            + 0.5 * p.omega_p * np.kron(np.eye(2), sz)
+            + p.lam * np.kron(sx, sx))
+
+
+def test_hamiltonian_matrix_is_the_kronecker_sum():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        p = QubitPairParams(omega_q=rng.uniform(0.1, 5.0),
+                            omega_p=rng.uniform(0.1, 5.0),
+                            lam=rng.uniform(0.0, 2.0))
+        np.testing.assert_array_equal(_hamiltonian_matrix(p),
+                                      _kron_hamiltonian(p))
+
+
 def test_eigenmode_transform_diagonalizes():
     rng = np.random.default_rng(5)
     for _ in range(30):
         p = QubitPairParams(omega_p=rng.uniform(0.2, 2.5),
                             lam=rng.uniform(0.0, 0.8))
         eig = diagonalize(p)
-        ops = build_operators(p, eig)
-        v = eigenmode_transform(ops)
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
-        hd = v.conj().T @ ops.h_s @ v
+        v = eigenmode_transform(p, eig)
+        assert v.dtype == np.float64
+        assert np.max(np.abs(v.T @ v - np.eye(4))) < 1e-14
+        hd = v.T @ _kron_hamiltonian(p) @ v
         want = np.diag([-(eig.E1 + eig.E2) / 2, (eig.E2 - eig.E1) / 2,
                         (eig.E1 - eig.E2) / 2, (eig.E1 + eig.E2) / 2])
-        assert np.max(np.abs(hd - want)) < 1e-10
+        assert np.max(np.abs(hd - want)) < 1e-14
+
+
+_freq = st.floats(0.1, 5.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(omega_q=_freq, omega_p=_freq,
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       resonant=st.booleans())
+@example(omega_q=1.0, omega_p=1.0, lam=0.0, resonant=True)
+@example(omega_q=1.0, omega_p=0.5, lam=0.0, resonant=False)
+@example(omega_q=1.0, omega_p=1.2, lam=0.0, resonant=False)
+@example(omega_q=0.1, omega_p=0.1, lam=2.0, resonant=True)
+def test_closed_form_transform_matches_null_vector_oracle(omega_q, omega_p,
+                                                          lam, resonant):
+    """The closed-form columns are the numeric Fock states, signs included,
+    over the whole parameter box: lam = 0 and omega_p = omega_q too."""
+    if resonant:
+        omega_p = omega_q
+    p = QubitPairParams(omega_q=omega_q, omega_p=omega_p, lam=lam)
+    eig = diagonalize(p)
+    oracle = null_vector_transform(build_operators(p, eig))
+    assert np.max(np.abs(eigenmode_transform(p, eig) - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda e: replace(e, theta_minus=-e.theta_minus),
+    lambda e: replace(e, theta_plus=e.theta_minus, theta_minus=e.theta_plus),
+    lambda e: replace(e, E1=e.E2, E2=e.E1),
+    lambda e: diagonalize(QubitPairParams(omega_p=1.3, lam=0.2)),
+], ids=["theta_minus_flipped", "thetas_swapped", "energies_swapped",
+        "other_params"])
+def test_corrupted_eigenstructure_raises(corrupt):
+    p = QubitPairParams(omega_p=1.2, lam=0.2)
+    bad = corrupt(diagonalize(p))
+    with pytest.raises(ConventionError, match="eigenmode transform"):
+        eigenmode_transform(p, bad)
 
 
 def test_param_validation():
