@@ -34,6 +34,9 @@ class PowerLawCutoff:
     omega_c: float | None = None
 
     def __post_init__(self):
+        for name in ("gamma0", "s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma0 < 0:
             raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
         if not self.s > 0:
@@ -63,6 +66,8 @@ class Tabulated:
             raise ValueError("omega grid must be strictly increasing")
         if np.any(w <= 0):
             raise ValueError("omega grid must be positive")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("J values must be finite")
         if np.any(j < 0):
             raise ValueError("J values must be >= 0")
         object.__setattr__(self, "omegas", w)

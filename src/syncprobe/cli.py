@@ -19,12 +19,13 @@ naming the offending config field.
 
 import argparse
 import csv
+import itertools
 import json
 import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,7 @@ from .probe_protocol import (
     ScanConfig,
     TransitionPoint,
     collect_constraints,
+    default_scan_grid,
     fit_spectral_density,
     predict_transition,
     reconstruction_to_record,
@@ -144,6 +146,37 @@ def _pair(value, path: str) -> tuple[float, float]:
     return a, b
 
 
+def _time_grid(cfg: dict, path: str, t_max: float, dt: float) -> tuple[float, float]:
+    """(t_max, dt) of a time-grid section at ``path``; the arguments are the
+    defaults."""
+    t_max = _number(cfg, "t_max", f"{path}.", default=t_max, minimum=0.0, strict=True)
+    dt = _number(cfg, "dt", f"{path}.", default=dt, minimum=0.0, strict=True)
+    if dt > t_max:
+        raise ConfigError(f"{path}.dt", f"exceeds t_max ({t_max:g})")
+    if t_max / dt > 5e6:
+        raise ConfigError(path, "grid would exceed 5e6 samples")
+    return t_max, dt
+
+
+def _check_end(end: float, t_max: float, path: str) -> None:
+    """A [start, end] time window must end inside the simulated horizon."""
+    if end > t_max + 1e-9:
+        raise ConfigError(path, f"extends past t_max ({t_max:g})")
+
+
+def _range(cfg: dict, path: str, minimum: float, strict: bool,
+           steps=None) -> tuple[float, float, int]:
+    """(lo, hi, steps) of a linspace range; ``steps`` is the default count."""
+    lo = _number(cfg, "lo", f"{path}.", minimum=minimum, strict=strict)
+    hi = _number(cfg, "hi", f"{path}.", minimum=minimum, strict=strict)
+    if hi <= lo:
+        raise ConfigError(f"{path}.hi", f"must be above lo ({lo:g})")
+    steps = cfg.get("steps", steps)
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
+        raise ConfigError(f"{path}.steps", f"must be an integer >= 2, got {steps!r}")
+    return lo, hi, steps
+
+
 # ---------------------------------------------------------------------------
 # run config (evolve / spectrum, and the base of a sweep)
 
@@ -224,22 +257,18 @@ def _analysis_from_config(cfg) -> SyncConfig:
     )
 
 
-def _analysis_to_config(a: SyncConfig) -> dict:
-    return {"window": a.window, "step": a.step,
-            "sync_threshold": a.sync_threshold,
-            "nosync_threshold": a.nosync_threshold,
-            "late_window": [a.late_window[0], a.late_window[1]],
-            "noise_floor": a.noise_floor}
-
-
 def _complex_entry(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
+        z = complex(value)
+    elif (isinstance(value, list) and len(value) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                     for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(path, "entries must be numbers or [re, im] pairs")
+        z = complex(value[0], value[1])
+    else:
+        raise ConfigError(path, "entries must be numbers or [re, im] pairs")
+    if not np.isfinite(z):
+        raise ConfigError(path, f"entries must be finite, got {value!r}")
+    return z
 
 
 def _initial_from_config(value):
@@ -296,12 +325,7 @@ def parse_run_config(cfg) -> RunConfig:
 
     tg = _expect_mapping(cfg.get("time_grid", {}), "time_grid")
     _reject_unknown(tg, {"t_max", "dt"}, "time_grid")
-    t_max = _number(tg, "t_max", "time_grid.", default=400.0, minimum=0.0, strict=True)
-    dt = _number(tg, "dt", "time_grid.", default=0.05, minimum=0.0, strict=True)
-    if dt > t_max:
-        raise ConfigError("time_grid.dt", f"exceeds t_max ({t_max:g})")
-    if t_max / dt > 5e6:
-        raise ConfigError("time_grid", "grid would exceed 5e6 samples")
+    t_max, dt = _time_grid(tg, "time_grid", t_max=400.0, dt=0.05)
 
     channel = cfg.get("channel", "probe")
     if channel not in _CHANNELS:
@@ -317,9 +341,7 @@ def parse_run_config(cfg) -> RunConfig:
         pairs = []
         for i, w in enumerate(raw):
             a, b = _pair(w, f"windows[{i}]")
-            if b > t_max + 1e-9:
-                raise ConfigError(f"windows[{i}]",
-                                  f"extends past t_max ({t_max:g})")
+            _check_end(b, t_max, f"windows[{i}]")
             pairs.append((a, b))
         windows = tuple(pairs)
 
@@ -344,18 +366,12 @@ def run_config_to_dict(rc: RunConfig) -> dict:
         "bath": model_to_config(rc.bath),
         "initial_state": _initial_to_config(rc.initial_state),
         "time_grid": {"t_max": rc.t_max, "dt": rc.dt},
-        "analysis": _analysis_to_config(rc.analysis),
+        "analysis": asdict(rc.analysis),
         "channel": rc.channel,
         "kappa": rc.kappa,
         "windows": None if rc.windows is None
                    else [[a, b] for a, b in rc.windows],
     }
-
-
-def _check_late_window(rc: RunConfig) -> None:
-    if rc.analysis.late_window[1] > rc.t_max + 1e-9:
-        raise ConfigError("analysis.late_window",
-                          f"extends past t_max ({rc.t_max:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +418,7 @@ def _axis_from_config(cfg, i: int) -> SweepAxis:
                        for j, v in enumerate(raw))
         return SweepAxis(name=name, values=values)
     _reject_unknown(cfg, {"name", "lo", "hi", "steps"}, path)
-    lo = _number(cfg, "lo", f"{path}.", minimum=lo_bound, strict=strict)
-    hi = _number(cfg, "hi", f"{path}.", minimum=lo_bound, strict=strict)
-    if hi <= lo:
-        raise ConfigError(f"{path}.hi", f"must be above lo ({lo:g})")
-    steps = cfg.get("steps")
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ConfigError(f"{path}.steps", f"must be an integer >= 2, got {steps!r}")
+    lo, hi, steps = _range(cfg, path, lo_bound, strict)
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     return SweepAxis(name=name, values=values, lo=lo, hi=hi, steps=steps)
 
@@ -420,7 +430,8 @@ def parse_sweep_spec(cfg) -> SweepSpec:
         raise ConfigError("base", "missing required section")
     try:
         base = parse_run_config(cfg["base"])
-        _check_late_window(base)
+        _check_end(base.analysis.late_window[1], base.t_max,
+                   "analysis.late_window")
     except ConfigError as exc:
         raise ConfigError(f"base.{exc.field}", exc.message)
 
@@ -470,8 +481,7 @@ def _simulate(rc: RunConfig, times: np.ndarray, store_states: bool = False):
     rates = lindblad_rates(eig, rc.bath, rc.params.temperature, kappa=rc.kappa)
     v = eigenmode_transform(rc.params, eig)
     rho0 = to_eigenmode_basis(_resolve_initial(rc.initial_state), v)
-    traj = evolve_analytic(rc.params, eig, rates, rho0, times,
-                           store_states=store_states)
+    traj = evolve_analytic(eig, rates, rho0, times, store_states=store_states)
     return traj, v, rates
 
 
@@ -606,7 +616,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
-    _check_late_window(rc)
+    _check_end(rc.analysis.late_window[1], rc.t_max, "analysis.late_window")
     times = default_time_grid(rc.t_max, rc.dt)
     traj, _, _ = _simulate(rc, times)
     with _replacing(out / "trajectory.csv") as fh:
@@ -627,8 +637,7 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     times = default_time_grid(spec.base.t_max, spec.base.dt)
     times = times[late_span(times, spec.base.analysis)]
     names = [a.name for a in spec.axes]
-    points = [(vals,) if len(spec.axes) == 1 else vals
-              for vals in _grid_points(spec.axes)]
+    points = list(itertools.product(*(a.values for a in spec.axes)))
     tasks = [(spec.base, names, p, spec.record, times) for p in points]
     results = _run_tasks(tasks, args.workers)
 
@@ -653,12 +662,6 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     print(f"wrote {out / 'sweep.csv'}: {len(points)} points, "
           f"{failures} failed")
     return 1 if failures else 0
-
-
-def _grid_points(axes):
-    if len(axes) == 1:
-        return list(axes[0].values)
-    return [(u, v) for u in axes[0].values for v in axes[1].values]
 
 
 def cmd_spectrum(cfg: dict, out: Path, args) -> int:
@@ -697,14 +700,8 @@ def _scan_config_from(cfg) -> ScanConfig:
     late = d.late_window
     if "late_window" in cfg:
         late = _pair(cfg["late_window"], "scan.late_window")
-    t_max = _number(cfg, "t_max", "scan.", default=d.t_max, minimum=0.0, strict=True)
-    if late[1] > t_max + 1e-9:
-        raise ConfigError("scan.late_window", f"extends past t_max ({t_max:g})")
-    dt = _number(cfg, "dt", "scan.", default=d.dt, minimum=0.0, strict=True)
-    if dt > t_max:
-        raise ConfigError("scan.dt", f"exceeds t_max ({t_max:g})")
-    if t_max / dt > 5e6:
-        raise ConfigError("scan", "grid would exceed 5e6 samples")
+    t_max, dt = _time_grid(cfg, "scan", t_max=d.t_max, dt=d.dt)
+    _check_end(late[1], t_max, "scan.late_window")
     return ScanConfig(
         t_max=t_max,
         dt=dt,
@@ -716,13 +713,6 @@ def _scan_config_from(cfg) -> ScanConfig:
         kappa=_number(cfg, "kappa", "scan.", default=d.kappa,
                       minimum=0.0, strict=True),
     )
-
-
-def _scan_config_to_dict(sc: ScanConfig) -> dict:
-    return {"t_max": sc.t_max, "dt": sc.dt,
-            "late_window": [sc.late_window[0], sc.late_window[1]],
-            "window": sc.window, "refine_tol": sc.refine_tol,
-            "kappa": sc.kappa}
 
 
 def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
@@ -742,14 +732,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     if cfg.get("grid") is not None:
         g = _expect_mapping(cfg["grid"], "grid")
         _reject_unknown(g, {"lo", "hi", "steps"}, "grid")
-        lo = _number(g, "lo", "grid.", minimum=0.0, strict=True)
-        hi = _number(g, "hi", "grid.", minimum=0.0, strict=True)
-        if hi <= lo:
-            raise ConfigError("grid.hi", f"must be above lo ({lo:g})")
-        steps = g.get("steps", 8)
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-            raise ConfigError("grid.steps",
-                              f"must be an integer >= 2, got {steps!r}")
+        lo, hi, steps = _range(g, "grid", 0.0, strict=True, steps=8)
         grid = np.linspace(lo, hi, steps)
         predicted = None
         try:
@@ -761,7 +744,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         # No grid given: center a default one on the predicted crossing.
         predicted = predict_transition(model, params, T=temperature,
                                        kappa=scan_cfg.kappa)
-        grid = predicted + omega_q * np.linspace(-0.15, 0.15, 7)
+        grid = default_scan_grid(predicted, omega_q)
 
     tp = scan_transition(model, lam, temperature, grid, config=scan_cfg,
                          omega_q=omega_q)
@@ -769,7 +752,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         "config": {"lambda": lam, "temperature": temperature,
                    "omega_q": omega_q, "bath": model_to_config(model),
                    "grid": [float(v) for v in grid],
-                   "scan": _scan_config_to_dict(scan_cfg)},
+                   "scan": asdict(scan_cfg)},
         "transition": transition_point_to_record(tp),
         "predicted_omega_p_bar": predicted,
         "difference": None if predicted is None
@@ -803,23 +786,20 @@ def _constraints_from_csv(path: Path):
                 raise ConfigError("constraints_file",
                                   f"missing column(s): {', '.join(missing)}")
             points = []
-            for i, row in enumerate(reader):
+            for i, row in enumerate(reader, start=1):
+                # DictReader keys surplus cells under None and fills
+                # missing ones with None
+                if None in row or None in row.values():
+                    raise ConfigError("constraints_file", f"row {i}: cell "
+                                      "count differs from the header")
                 try:
-                    points.append(TransitionPoint(
-                        lam=float(row["lambda"]),
-                        omega_p_bar=float(row["omega_p_bar"]),
-                        E1=float(row["E1"]),
-                        E2=float(row["E2"]),
-                        ratio=float(row["ratio"]),
-                        n1=float(row["n1"]),
-                        n2=float(row["n2"]),
-                        uncertainty=(float(row["uncertainty"])
-                                     if row["uncertainty"] else None),
-                    ))
+                    # the columns are in TransitionPoint's field order
+                    points.append(TransitionPoint(*(
+                        None if c == "uncertainty" and not row[c]
+                        else float(row[c]) for c in _CONSTRAINT_COLUMNS)))
                 except ValueError as exc:
-                    raise ConfigError("constraints_file",
-                                      f"row {i + 1}: {exc}")
-    except OSError as exc:
+                    raise ConfigError("constraints_file", f"row {i}: {exc}")
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError("constraints_file", f"cannot read {path}: {exc}")
     if not points:
         raise ConfigError("constraints_file", "no constraint rows")
@@ -877,9 +857,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
     datum = _datum_from_config(cfg.get("datum"))
     fit_echo = {"family": family, "omega_c": omega_c, "grid": grid,
                 "smoothness": smoothness}
-    datum_echo = None if datum is None else {
-        "fwhm": datum.fwhm, "omega": datum.omega, "trig_sq": datum.trig_sq,
-        "occupation": datum.occupation, "kappa": datum.kappa}
+    datum_echo = None if datum is None else asdict(datum)
 
     truth = None
     failures: list[tuple[float, str]] = []
@@ -911,7 +889,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                    _constraints_to_rows(constraints))
         config_echo = {"bath": model_to_config(truth), "lambdas": lams,
                        "temperature": temperature, "omega_q": omega_q,
-                       "method": method, "scan": _scan_config_to_dict(scan_cfg),
+                       "method": method, "scan": asdict(scan_cfg),
                        "fit": fit_echo, "datum": datum_echo}
 
     result = fit_spectral_density(constraints, family=family, datum=datum,
@@ -983,6 +961,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_int(text: str):
+    """A JSON integer; one beyond the float range reads as +-inf, so the
+    finite checks reject it by field name instead of float() overflowing."""
+    value = int(text)
+    return value if abs(value) <= sys.float_info.max else float(text)
+
+
 def _load_config(args) -> dict:
     if args.preset is not None:
         try:
@@ -994,7 +979,7 @@ def _load_config(args) -> dict:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {args.config}: {exc}")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {args.config}: {exc}")
 
@@ -1011,10 +996,7 @@ def main(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args)
     except (ConfigError, NoTransitionError, ResolutionError,
-            NotResolvableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            NotResolvableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

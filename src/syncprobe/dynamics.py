@@ -214,15 +214,15 @@ def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
     return rho_t
 
 
-def evolve_analytic(params: QubitPairParams, eig: EigenStructure,
-                    rates: LindbladRates, rho0: np.ndarray,
-                    times: np.ndarray, store_states: bool = False) -> Trajectory:
+def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
+                    rho0: np.ndarray, times: np.ndarray,
+                    store_states: bool = False) -> Trajectory:
     """Exact block solution; ``rho0`` must be given in the eigenmode basis.
 
     Works on any increasing time grid (the closed form needs no stepping).
     The signals read only the four parity-allowed coherences, evaluated as
     O(n) vectors; the dense (n, 4, 4) states are built only for
-    ``store_states``.  ``params`` is implied by ``eig`` and is not read.
+    ``store_states``.
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
@@ -329,18 +329,15 @@ def evolve_numeric(params: QubitPairParams, model: SpectralDensityModel,
 
 
 def asymptotic_form(eig: EigenStructure, rates: LindbladRates,
-                    rho0: np.ndarray, T: float = 0.0
-                    ) -> tuple[AsymptoticForm, AsymptoticForm]:
+                    rho0: np.ndarray) -> tuple[AsymptoticForm, AsymptoticForm]:
     """Slow-mode projection of the coherence blocks; ``rho0`` eigenmode basis.
 
     Returns the late-time two-term damped-oscillation coefficients for
     (sigma_q^x, sigma_p^x).  After the first transient each coherence block is
     left with its slow eigenprojection only: an oscillation at E1 damped at
     half the mode-1 total rate, and one at E2 damped at half the mode-2 total
-    rate.  Thermal occupation enters through the rates themselves, so ``T`` is
-    informational here.
+    rate.  Thermal occupation enters through the rates themselves.
     """
-    del T
     validate_density_matrix(rho0)
     w_q, w_p = fock_observable_weights(eig)
 
@@ -382,14 +379,13 @@ def asymptotic_form(eig: EigenStructure, rates: LindbladRates,
 
 
 def steady_state(params: QubitPairParams, rates: LindbladRates,
-                 T: float | None = None, basis: str = "eigenmode") -> np.ndarray:
+                 basis: str = "eigenmode") -> np.ndarray:
     """Unique fixed point: product of per-mode thermal occupations.
 
     The occupations are read off the rates through detailed balance, so the
-    result is consistent with whatever bath produced them; ``T`` is accepted
-    for signature symmetry but the rates carry all the information.
+    result is consistent with whatever bath produced them; ``params`` only
+    sets the rotation for ``basis="computational"``.
     """
-    del T
     if rates.g1_total <= 0.0 or rates.g2_total <= 0.0:
         raise NoUniqueSteadyStateError(
             "a mode with zero total rate conserves its occupation; "

@@ -200,9 +200,9 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
                        kappa: float = KAPPA_DEFAULT) -> float:
     """Probe frequency at which the two total mode rates are equal.
 
-    Bisects log(rate1/rate2) in omega_p over ``bracket`` (default
-    (0.5, 1.5) * omega_q; params.omega_p is ignored) down to ~1e-13, far
-    inside the guaranteed 1e-6 * omega_q.  At
+    Roots log(rate1/rate2) in omega_p over ``bracket`` (default
+    (0.5, 1.5) * omega_q; params.omega_p is ignored) with Brent's method
+    down to 1e-13 * omega_q, far inside the guaranteed 1e-6 * omega_q.  At
     T=0 both rates are pure decay, so the root also satisfies the closed-form
     power-law line s = log(tan^2(theta_+ + theta_-)) / log(E1/E2) when J has
     no cutoff.
@@ -217,27 +217,17 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
         return _rate_balance(model, replace(params, omega_p=w), T, kappa)
 
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if f_lo * f_hi > 0:
         raise NoTransitionError(
             f"rate ratio does not change sign on [{lo:g}, {hi:g}] "
             f"(log ratio {f_lo:.3g} -> {f_hi:.3g})")
-    tol = 1e-13 * params.omega_q
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-13 * params.omega_q))
+
+
+def default_scan_grid(root: float, omega_q: float) -> np.ndarray:
+    """The 7-point omega_p grid of half-width 0.15 * omega_q centred on a
+    predicted crossing, used when a signal scan is given no grid."""
+    return root + omega_q * np.linspace(-0.15, 0.15, 7)
 
 
 def transition_point(lam: float, T: float, omega_p_bar: float,
@@ -270,7 +260,7 @@ def _classify_point(model, lam, T, omega_p, omega_q, times, sync_cfg, kappa):
     rates = lindblad_rates(eig, model, T, kappa)
     v = eigenmode_transform(params, eig)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    traj = evolve_analytic(params, eig, rates, rho0, times)
+    traj = evolve_analytic(eig, rates, rho0, times)
     m = detect_sync(traj, sync_cfg)
     if m.omega_sync is None:
         return 0
@@ -478,22 +468,18 @@ def collect_constraints(model: SpectralDensityModel, lams, T: float = 0.0,
     points: list[TransitionPoint] = []
     for lam in sorted(float(v) for v in lams):
         try:
-            if method == "analytic":
+            if method == "signal" and grid is not None:
+                lam_grid = grid
+            else:
                 base = QubitPairParams(omega_q=omega_q, lam=lam, temperature=T)
                 root = predict_transition(model, base, T=T, bracket=bracket,
                                           kappa=config.kappa)
-                points.append(transition_point(lam, T, root, omega_q=omega_q))
-            else:
-                if grid is None:
-                    base = QubitPairParams(omega_q=omega_q, lam=lam,
-                                           temperature=T)
-                    root = predict_transition(model, base, T=T, bracket=bracket,
-                                              kappa=config.kappa)
-                    lam_grid = root + omega_q * np.linspace(-0.15, 0.15, 7)
-                else:
-                    lam_grid = grid
-                points.append(scan_transition(model, lam, T, lam_grid,
-                                              config=config, omega_q=omega_q))
+                if method == "analytic":
+                    points.append(transition_point(lam, T, root, omega_q=omega_q))
+                    continue
+                lam_grid = default_scan_grid(root, omega_q)
+            points.append(scan_transition(model, lam, T, lam_grid,
+                                          config=config, omega_q=omega_q))
         except (NoTransitionError, ResolutionError, DegenerateSpectrumError,
                 ValueError) as exc:
             warnings.warn(f"lam={lam:g}: {exc}", stacklevel=2)

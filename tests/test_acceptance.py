@@ -88,7 +88,7 @@ def _sim(omega_p, lam=0.2, model=OHMIC, T=0.0, t_max=400.0):
         rates = lindblad_rates(eig, model, T)
         v = eigenmode_transform(params, eig)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        traj = evolve_analytic(params, eig, rates, rho0,
+        traj = evolve_analytic(eig, rates, rho0,
                                default_time_grid(t_max, 0.05),
                                store_states=True)
         _BANK[key] = SimpleNamespace(params=params, model=model, eig=eig,
@@ -130,7 +130,7 @@ def test_criterion_01_oracle_equivalence():
             eig = diagonalize(params)
             rates = lindblad_rates(eig, model, params.temperature)
             v = eigenmode_transform(params, eig)
-            ana = evolve_analytic(params, eig, rates,
+            ana = evolve_analytic(eig, rates,
                                   to_eigenmode_basis(rho0, v), times)
             num = evolve_numeric(params, model, None, rho0, times)
             assert np.max(np.abs(ana.sx_q - num.sx_q)) <= 1e-8

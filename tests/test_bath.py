@@ -194,6 +194,27 @@ def test_model_validation():
         PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=-3.0)
 
 
+@pytest.mark.parametrize("gamma0, s, field", [
+    (np.nan, 1.0, "gamma0"), (np.inf, 1.0, "gamma0"),
+    (0.01, np.nan, "s"), (0.01, np.inf, "s")])
+def test_power_law_rejects_non_finite(gamma0, s, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PowerLawCutoff(gamma0=gamma0, s=s, omega_c=20.0)
+
+
+def test_infinite_cutoff_means_no_cutoff():
+    inf = PowerLawCutoff(gamma0=0.02, s=1.5, omega_c=np.inf)
+    bare = PowerLawCutoff(gamma0=0.02, s=1.5, omega_c=None)
+    assert evaluate_J(inf, 1.7) == evaluate_J(bare, 1.7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabulated_rejects_non_finite_j(bad):
+    with pytest.raises(ValueError, match="J values must be finite"):
+        Tabulated(omegas=np.array([0.5, 1.0, 2.0]),
+                  js=np.array([0.1, bad, 0.3]))
+
+
 def test_config_round_trip():
     for m in (PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0),
               PowerLawCutoff(gamma0=0.3, s=2.0, omega_c=None)):

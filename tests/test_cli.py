@@ -72,6 +72,8 @@ def test_run_config_defaults():
      "analysis.nosync_threshold"),
     (lambda c: c.__setitem__("time_grid", {"t_max": 400.0, "dt": 1e-6}),
      "time_grid"),
+    (lambda c: c.__setitem__("time_grid", {"t_max": 10.0, "dt": 20.0}),
+     "time_grid.dt"),
     (lambda c: c.__setitem__("extra", 1), "unknown key"),
 ])
 def test_run_config_field_errors(mutate, field):
@@ -198,6 +200,30 @@ def test_evolve_rejects_short_horizon(tmp_path):
     cfg = _write(tmp_path, _run_cfg(time_grid={"t_max": 100.0, "dt": 0.05}))
     code = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"bath": dict(OHMIC, gamma0=float("nan"))}, "gamma0"),
+    ({"bath": dict(OHMIC, gamma0=float("inf"))}, "gamma0"),
+    ({"bath": dict(OHMIC, s=float("inf"))}, "s"),
+    ({"bath": {"kind": "tabulated",
+               "points": [[0.5, 0.01], [1.0, float("nan")], [2.0, 0.04]]}},
+     "J values"),
+    ({"initial_state": [float("nan"), 1, 0, 0]}, "initial_state"),
+    ({"initial_state": [[1, float("inf")], 0, 0, 0]}, "initial_state"),
+    # integers beyond the float range
+    ({"params": {"omega_p": 1.2, "lambda": 10 ** 400}}, "params.lambda"),
+    ({"bath": dict(OHMIC, gamma0=10 ** 400)}, "gamma0"),
+    ({"initial_state": [-10 ** 400, 1, 0, 0]}, "initial_state"),
+])
+def test_evolve_rejects_non_finite_input(tmp_path, capsys, over, field):
+    # JSON as Python writes it: NaN and Infinity literals, long integers
+    cfg = _write(tmp_path, _run_cfg(**over))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "must be finite" in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_evolve_window_longer_than_trajectory(tmp_path):
@@ -466,6 +492,42 @@ def test_scan_transition_default_grid_scales_with_omega_q(tmp_path):
     assert abs(rec["difference"]) < 0.01
 
 
+@pytest.mark.parametrize("command", ["scan-transition", "reconstruct"])
+@pytest.mark.parametrize("scan, field", [
+    ({"t_max": 100.0, "dt": 200.0, "late_window": [10.0, 50.0]}, "scan.dt"),
+    ({"t_max": 100.0, "dt": 1e-5, "late_window": [10.0, 50.0]}, "scan"),
+    ({"t_max": 1000.0}, "scan.late_window"),
+    ({"late_window": [1600.0, 2100.0]}, "scan.late_window"),
+])
+def test_scan_config_field_errors(tmp_path, capsys, command, scan, field):
+    cfg = ({"lambda": 0.2, "bath": dict(OHMIC), "scan": scan}
+           if command == "scan-transition"
+           else _reconstruct_cfg(method="signal", scan=scan))
+    code = main([command, "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"lo": 1.0, "hi": 1.0}, "grid.hi"),
+    ({"lo": 1.1, "hi": 0.9}, "grid.hi"),
+    ({"lo": 0.9, "hi": 1.1, "steps": 1}, "grid.steps"),
+    ({"lo": 0.9, "hi": 1.1, "steps": True}, "grid.steps"),
+    ({"lo": 0.9, "hi": 1.1, "steps": 2.5}, "grid.steps"),
+    ({"lo": 0.0, "hi": 1.1}, "grid.lo"),
+    ({"lo": -0.5, "hi": 1.1}, "grid.lo"),
+    ({"hi": 1.1}, "grid.lo"),
+    ({"lo": 0.9, "hi": 1.1, "step": 3}, "grid"),
+])
+def test_scan_grid_field_errors(tmp_path, capsys, grid, field):
+    cfg = _write(tmp_path, {"lambda": 0.2, "bath": dict(OHMIC), "grid": grid})
+    code = main(["scan-transition", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_scan_transition_no_crossing(tmp_path, capsys):
     cfg = _write(tmp_path, {
         "lambda": 0.2,
@@ -592,6 +654,24 @@ def test_reconstruct_rejects_non_finite_constraint_row(tmp_path, capsys,
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "constraints_file: row 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_row, message", [
+    (b"0.2,1.0,1.2,0.8", "row 2: cell count"),
+    (b"0.2,1.076,1.2606,0.8535,2.17,0,0,,9", "row 2: cell count"),
+    (b"0.2,1.076,1.2606,0.8535,2.17,0,0," + b"1" * 200_000, "cannot read"),
+    (b"\xff\xfe,1,2", "cannot read"),
+])
+def test_reconstruct_rejects_malformed_constraints_file(tmp_path, capsys,
+                                                       last_row, message):
+    path = tmp_path / "constraints.csv"
+    path.write_bytes(b"lambda,omega_p_bar,E1,E2,ratio,n1,n2,uncertainty\n"
+                     b"0.2,1.076,1.2606,0.8535,2.17,0,0,\n" + last_row + b"\n")
+    cfg = _write(tmp_path, {"constraints_file": str(path)})
+    code = main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"constraints_file: {message}" in capsys.readouterr().err
 
 
 def test_reconstruct_rejects_mixed_modes(tmp_path, capsys):

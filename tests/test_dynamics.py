@@ -53,7 +53,7 @@ def test_ground_state_is_stationary():
     p, eig, v, rates = _setup(1.2)
     rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)  # eigenmode vacuum
     times = default_time_grid(50.0, 0.5)
-    traj = evolve_analytic(p, eig, rates, rho0, times, store_states=True)
+    traj = evolve_analytic(eig, rates, rho0, times, store_states=True)
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
     np.testing.assert_allclose(traj.sx_p, 0.0, atol=1e-14)
     assert np.max(np.abs(traj.states - traj.states[0][None])) < 1e-14
@@ -63,7 +63,7 @@ def test_maximally_mixed_relaxes_without_coherence():
     p, eig, v, rates = _setup(1.2)
     rho0 = 0.25 * np.eye(4, dtype=complex)
     times = default_time_grid(400.0, 1.0)
-    traj = evolve_analytic(p, eig, rates, rho0, times, store_states=True)
+    traj = evolve_analytic(eig, rates, rho0, times, store_states=True)
     # coherence blocks stay identically zero; observables vanish
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
     for n in range(traj.times.size):
@@ -81,7 +81,7 @@ def test_oracle_equivalence_reference_setup():
     p, eig, v, rates = _setup(1.2)
     rho0c = plus_plus_state()
     times = default_time_grid(400.0, 0.05)
-    ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times)
+    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
     tn = evolve_numeric(p, OHMIC, 0.0, rho0c, times)
     assert np.max(np.abs(ta.sx_q - tn.sx_q)) < 1e-8
     assert np.max(np.abs(ta.sx_p - tn.sx_p)) < 1e-8
@@ -91,7 +91,7 @@ def test_oracle_equivalence_paranoia_route():
     p, eig, v, rates = _setup(0.8)
     rho0c = plus_plus_state()
     times = default_time_grid(100.0, 0.05)
-    ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times)
+    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
     tp = evolve_numeric(p, OHMIC, 0.0, rho0c, times, paranoia=True)
     assert np.max(np.abs(ta.sx_q - tp.sx_q)) < 1e-8
     assert np.max(np.abs(ta.sx_p - tp.sx_p)) < 1e-8
@@ -106,7 +106,7 @@ def test_oracle_equivalence_randomized():
         p, eig, v, rates = _setup(float(rng.uniform(0.3, 2.0)),
                                   lam=float(rng.uniform(0.05, 0.6)), T=T)
         rho0c = _random_state(rng)
-        ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times)
+        ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
         tn = evolve_numeric(p, OHMIC, T, rho0c, times)
         worst = max(worst,
                     np.max(np.abs(ta.sx_q - tn.sx_q)),
@@ -130,7 +130,7 @@ def test_analytic_matches_numeric_property(omega_p, lam, T, s, amps):
     vec /= np.linalg.norm(vec)
     rho0c = np.outer(vec, vec.conj())
     times = default_time_grid(20.0, 0.1)
-    ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times)
+    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
     for paranoia in (False, True):
         tn = evolve_numeric(p, model, T, rho0c, times, paranoia=paranoia)
         assert np.max(np.abs(ta.sx_q - tn.sx_q)) < 1e-12
@@ -152,7 +152,7 @@ def test_zero_coupling_gives_unitary_beat():
                          + np.sin(s_ang) * c2 * np.exp(1j * eig.E2 * times))
     np.testing.assert_allclose(tn.sx_q, beat, atol=1e-10)
     # analytic path agrees too (all rates vanish)
-    ta = evolve_analytic(p, eig, rates, rho0e, times)
+    ta = evolve_analytic(eig, rates, rho0e, times)
     np.testing.assert_allclose(ta.sx_q, beat, atol=1e-12)
 
 
@@ -160,7 +160,7 @@ def test_basis_consistency_of_stored_states():
     p, eig, v, rates = _setup(0.8, T=0.5)
     rho0c = plus_plus_state()
     times = default_time_grid(40.0, 0.1)
-    ta = evolve_analytic(p, eig, rates, to_eigenmode_basis(rho0c, v), times,
+    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times,
                          store_states=True)
     tn = evolve_numeric(p, OHMIC, 0.5, rho0c, times, store_states=True)
     assert ta.basis == "eigenmode" and tn.basis == "computational"
@@ -173,7 +173,7 @@ def test_cptp_along_trajectories():
     p, eig, v, rates = _setup(1.2, T=1.0)
     rho0c = plus_plus_state()
     times = default_time_grid(100.0, 0.25)
-    for traj in (evolve_analytic(p, eig, rates,
+    for traj in (evolve_analytic(eig, rates,
                                  to_eigenmode_basis(rho0c, v), times,
                                  store_states=True),
                  evolve_numeric(p, OHMIC, 1.0, rho0c, times,
@@ -244,7 +244,7 @@ def test_steady_state_needs_both_modes_coupled():
 def test_asymptotic_decay_rates_and_frequencies():
     p, eig, v, rates = _setup(0.8)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    form_q, form_p = asymptotic_form(eig, rates, rho0, 0.0)
+    form_q, form_p = asymptotic_form(eig, rates, rho0)
     for form in (form_q, form_p):
         freqs = sorted(t.frequency for t in form.terms)
         np.testing.assert_allclose(freqs, sorted([eig.E1, eig.E2]), rtol=1e-12)
@@ -260,8 +260,8 @@ def test_asymptotic_matches_late_time_waveform():
     p, eig, v, rates = _setup(1.2)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     times = default_time_grid(400.0, 0.05)
-    traj = evolve_analytic(p, eig, rates, rho0, times)
-    form_q, form_p = asymptotic_form(eig, rates, rho0, 0.0)
+    traj = evolve_analytic(eig, rates, rho0, times)
+    form_q, form_p = asymptotic_form(eig, rates, rho0)
     late = times >= 250.0
     assert np.max(np.abs(form_q.evaluate(times[late]) - traj.sx_q[late])) < 1e-7
     # the probe waveform has no fast component at all: exact from t=0
@@ -274,7 +274,7 @@ def test_surviving_mode_amplitude_ratio_signs():
     for omega_p, expect_freq, expect_sign in ((1.2, "E1", +1), (0.8, "E2", -1)):
         p, eig, v, rates = _setup(omega_p)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        form_q, form_p = asymptotic_form(eig, rates, rho0, 0.0)
+        form_q, form_p = asymptotic_form(eig, rates, rho0)
         dom_q, dom_p = form_q.dominant(), form_p.dominant()
         target = eig.E1 if expect_freq == "E1" else eig.E2
         np.testing.assert_allclose(dom_q.frequency, target, rtol=1e-12)
@@ -296,7 +296,7 @@ def test_surviving_mode_amplitude_ratio_signs():
 def test_near_degenerate_rates_flagged():
     p, eig, v, rates = _setup(1.0)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    form_q, _ = asymptotic_form(eig, rates, rho0, 0.0)
+    form_q, _ = asymptotic_form(eig, rates, rho0)
     assert not form_q.sync_expected
 
 
@@ -306,8 +306,8 @@ def test_finite_temperature_sync_persists():
     assert abs(rates.g1_total - rates.g2_total) > 0.05 * rates.g1_total
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     times = default_time_grid(300.0, 0.05)
-    traj = evolve_analytic(p, eig, rates, rho0, times)
-    form_q, form_p = asymptotic_form(eig, rates, rho0, 1.0)
+    traj = evolve_analytic(eig, rates, rho0, times)
+    form_q, form_p = asymptotic_form(eig, rates, rho0)
     late = times >= 200.0
     # late probe signal is the surviving single damped cosine
     dom = form_p.dominant()
@@ -324,8 +324,8 @@ def test_kappa_rescales_envelopes_only():
     model = OHMIC
     rates2 = lindblad_rates(eig, model, T=0.0, kappa=4.0 * np.pi)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    fq1, fp1 = asymptotic_form(eig, rates1, rho0, 0.0)
-    fq2, fp2 = asymptotic_form(eig, rates2, rho0, 0.0)
+    fq1, fp1 = asymptotic_form(eig, rates1, rho0)
+    fq2, fp2 = asymptotic_form(eig, rates2, rho0)
     for t1, t2 in zip(fq1.terms, fq2.terms):
         np.testing.assert_allclose(t1.frequency, t2.frequency, rtol=1e-12)
         np.testing.assert_allclose(2.0 * t1.decay, t2.decay, rtol=1e-12)
@@ -359,9 +359,9 @@ def test_temperature_default_comes_from_params():
 def test_analytic_accepts_nonuniform_grid():
     p, eig, v, rates = _setup(1.2)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    dense = evolve_analytic(p, eig, rates, rho0, default_time_grid(40.0, 0.05))
+    dense = evolve_analytic(eig, rates, rho0, default_time_grid(40.0, 0.05))
     sparse_times = np.array([0.0, 1.0, 2.5, 7.0, 20.0, 40.0])
-    sparse = evolve_analytic(p, eig, rates, rho0, sparse_times)
+    sparse = evolve_analytic(eig, rates, rho0, sparse_times)
     for t, q in zip(sparse_times, sparse.sx_q):
         i = int(round(t / 0.05))
         np.testing.assert_allclose(q, dense.sx_q[i], atol=1e-12)
@@ -390,7 +390,7 @@ def test_state_validation():
 def test_trajectory_csv_round_trip():
     p, eig, v, rates = _setup(1.2)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    traj = evolve_analytic(p, eig, rates, rho0, default_time_grid(5.0, 0.5))
+    traj = evolve_analytic(eig, rates, rho0, default_time_grid(5.0, 0.5))
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
     lines = buf.getvalue().splitlines()

@@ -83,7 +83,7 @@ def _forward_trajectory(model, omega_p, lam=0.2, T=0.0, t_max=2000.0):
     rates = lindblad_rates(eig, model, T)
     v = eigenmode_transform(params, eig)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    return params, eig, evolve_analytic(params, eig, rates, rho0,
+    return params, eig, evolve_analytic(eig, rates, rho0,
                                         default_time_grid(t_max))
 
 

@@ -54,7 +54,7 @@ def _reference(omega_p, gamma0=0.01):
         model = PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0)
         rates = lindblad_rates(eig, model, T=0.0)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        traj = evolve_analytic(p, eig, rates, rho0, default_time_grid(320.0))
+        traj = evolve_analytic(eig, rates, rho0, default_time_grid(320.0))
         _cache[key] = (p, eig, rates, traj)
     return _cache[key]
 
@@ -407,8 +407,8 @@ def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
     rho0 = to_eigenmode_basis(plus_plus_state(),
                               eigenmode_transform(p, eig))
     span = late_span(times, cfg)
-    full = detect_sync(evolve_analytic(p, eig, rates, rho0, times), cfg)
-    part = detect_sync(evolve_analytic(p, eig, rates, rho0, times[span]), cfg)
+    full = detect_sync(evolve_analytic(eig, rates, rho0, times), cfg)
+    part = detect_sync(evolve_analytic(eig, rates, rho0, times[span]), cfg)
     return full, part, span
 
 
@@ -539,7 +539,7 @@ def test_regime_agrees_with_rate_comparison():
         t_star = min(12.0 / gap, 20000.0)
         n = int(round((t_star + 115.0) / 0.1))
         times = np.linspace(0.0, n * 0.1, n + 1)
-        traj = evolve_analytic(p, eig, rates, rho0, times)
+        traj = evolve_analytic(eig, rates, rho0, times)
         m = detect_sync(traj, SyncConfig(late_window=(t_star, t_star + 110.0),
                                          noise_floor=0.0))
         want = IN_PHASE if rates.g1_total < rates.g2_total else ANTI_PHASE
