@@ -34,18 +34,15 @@ from .bath import (
     KAPPA_DEFAULT,
     PowerLawCutoff,
     SpectralDensityModel,
-    lindblad_rates,
     model_from_config,
     model_to_config,
 )
 from .dynamics import (
     StateValidationError,
     default_time_grid,
-    evolve_analytic,
     plus_plus_state,
     steady_state,
     to_computational_basis,
-    to_eigenmode_basis,
     trajectory_to_csv,
     validate_density_matrix,
 )
@@ -61,8 +58,12 @@ from .probe_protocol import (
     predict_transition,
     reconstruction_to_record,
     scan_transition,
+    simulate,
     transition_point_to_record,
 )
+# Not called here: benchmarks/tracing.py wraps these bindings of this module.
+from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
+                             evolve_analytic, lindblad_rates)
 from .signal_analysis import (
     NotResolvableError,
     SyncConfig,
@@ -74,13 +75,7 @@ from .signal_analysis import (
     windowed_fft,
 )
 from .presets import get_preset
-from .spin_model import (
-    SIGMA_PLUS,
-    QubitPairParams,
-    build_operators,  # not called; benchmarks/tracing.py wraps this binding
-    diagonalize,
-    eigenmode_transform,
-)
+from .spin_model import SIGMA_PLUS, QubitPairParams
 
 
 class ConfigError(ValueError):
@@ -200,6 +195,12 @@ class RunConfig:
     kappa: float = KAPPA_DEFAULT
     windows: "tuple[tuple[float, float], ...] | None" = None
 
+    @property
+    def rho0(self) -> np.ndarray:
+        """Computational-basis density matrix of ``initial_state``."""
+        state = self.initial_state
+        return INITIAL_STATES[state]() if isinstance(state, str) else state
+
 
 def _params_from_config(cfg) -> QubitPairParams:
     cfg = _expect_mapping(cfg, "params")
@@ -303,13 +304,6 @@ def _initial_to_config(value):
     if isinstance(value, str):
         return value
     return [[[float(x.real), float(x.imag)] for x in row] for row in value]
-
-
-def _resolve_initial(value) -> np.ndarray:
-    """Computational-basis density matrix for a parsed initial_state."""
-    if isinstance(value, str):
-        return INITIAL_STATES[value]()
-    return value
 
 
 def parse_run_config(cfg) -> RunConfig:
@@ -474,17 +468,6 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 # ---------------------------------------------------------------------------
 # simulation helpers
 
-def _simulate(rc: RunConfig, times: np.ndarray, store_states: bool = False):
-    """Evolve rc from its initial state; returns (trajectory, transform,
-    rates)."""
-    eig = diagonalize(rc.params)
-    rates = lindblad_rates(eig, rc.bath, rc.params.temperature, kappa=rc.kappa)
-    v = eigenmode_transform(rc.params, eig)
-    rho0 = to_eigenmode_basis(_resolve_initial(rc.initial_state), v)
-    traj = evolve_analytic(eig, rates, rho0, times, store_states=store_states)
-    return traj, v, rates
-
-
 def _apply_axes(base: RunConfig, names, values) -> RunConfig:
     params, bath = base.params, base.bath
     for name, val in zip(names, values):
@@ -508,9 +491,9 @@ def _sweep_columns(record) -> list[str]:
 
 def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
     rc = _apply_axes(base, names, values)
-    traj, v, rates = _simulate(rc, times,
-                               store_states="correlator" in record)
-    metrics = detect_sync(traj, rc.analysis)
+    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa,
+                   store_states="correlator" in record)
+    metrics = detect_sync(sim.traj, rc.analysis)
     out = {}
     for q in record:
         if q == "c":
@@ -527,15 +510,17 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
             # Exact fixed point, not the last sample: at T=0 it is the
             # dressed vacuum, so MI depends on the pair alone and stays
             # smooth across the transition whatever the bath does.
-            rho_ss = to_computational_basis(steady_state(rc.params, rates), v)
+            rho_ss = to_computational_basis(steady_state(sim.rates),
+                                            sim.transform)
             out["mi"] = mutual_information(rho_ss)
         else:
             lo, hi = rc.analysis.late_window
-            sel = (traj.times >= lo) & (traj.times <= hi)
+            sel = (sim.traj.times >= lo) & (sim.traj.times <= hi)
             # spin_correlator is Tr(rho op): rotate op into the eigenmode
             # basis once instead of every state out of it
-            op = v.T @ np.kron(SIGMA_PLUS, SIGMA_PLUS.T) @ v
-            vals = np.einsum("njk,kj->n", traj.states[sel], op)
+            op = (sim.transform.T @ np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
+                  @ sim.transform)
+            vals = np.einsum("njk,kj->n", sim.traj.states[sel], op)
             out["correlator"] = float(np.mean(np.abs(vals)))
     return out
 
@@ -618,7 +603,7 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
     _check_end(rc.analysis.late_window[1], rc.t_max, "analysis.late_window")
     times = default_time_grid(rc.t_max, rc.dt)
-    traj, _, _ = _simulate(rc, times)
+    traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
     metrics = detect_sync(traj, rc.analysis)
@@ -670,7 +655,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
         raise ConfigError("windows",
                           "spectrum needs at least one [t_start, t_end] window")
     times = default_time_grid(rc.t_max, rc.dt)
-    traj, _, _ = _simulate(rc, times)
+    traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     signal = traj.sx_p if rc.channel == "probe" else traj.sx_q
     summary = []
     for a, b in rc.windows:

@@ -14,8 +14,9 @@ the tests:
 
 Bases and picture
 -----------------
-``evolve_analytic`` expects the initial state in the eigenmode basis; its
-Fock index order is |00>, |01> (mode-2 quasiparticle), |10> (mode-1), |11>.
+``evolve_analytic``, ``asymptotic_form`` and ``steady_state`` work in the
+eigenmode basis, Fock order |00>, |01> (mode 2), |10> (mode 1), |11>; only
+``probe_protocol.simulate`` rotates a computational-basis state into it.
 ``evolve_numeric`` expects the computational basis.  Both report observables
 in the Schroedinger picture, with all Hamiltonian phases reinstated.  Stored
 states keep the basis of the input; ``Trajectory.basis`` records which.
@@ -38,8 +39,7 @@ from .bath import (KAPPA_DEFAULT, LindbladRates, SpectralDensityModel,
                    bose_occupation, evaluate_J)
 from .spin_model import (ID2, SIGMA_X, EigenStructure, QubitPairParams,
                          build_operators, diagonalize, direct_diagonalize,
-                         eigenmode_transform, fock_energies,
-                         fock_observable_weights)
+                         fock_energies, fock_observable_weights)
 
 
 class StateValidationError(ValueError):
@@ -378,13 +378,13 @@ def asymptotic_form(eig: EigenStructure, rates: LindbladRates,
     return form_q, form_p
 
 
-def steady_state(params: QubitPairParams, rates: LindbladRates,
-                 basis: str = "eigenmode") -> np.ndarray:
-    """Unique fixed point: product of per-mode thermal occupations.
+def steady_state(rates: LindbladRates) -> np.ndarray:
+    """Unique fixed point, in the eigenmode basis: product of per-mode
+    thermal occupations.
 
     The occupations are read off the rates through detailed balance, so the
-    result is consistent with whatever bath produced them; ``params`` only
-    sets the rotation for ``basis="computational"``.
+    result is consistent with whatever bath produced them.  Rotate it to
+    the computational basis with ``simulate(...).transform``.
     """
     if rates.g1_total <= 0.0 or rates.g2_total <= 0.0:
         raise NoUniqueSteadyStateError(
@@ -394,13 +394,7 @@ def steady_state(params: QubitPairParams, rates: LindbladRates,
     q2 = rates.g2_up / rates.g2_total
     diag = np.array([(1 - q1) * (1 - q2), (1 - q1) * q2,
                      q1 * (1 - q2), q1 * q2])
-    rho = np.diag(diag).astype(complex)
-    if basis == "eigenmode":
-        return rho
-    if basis == "computational":
-        v = eigenmode_transform(params, diagonalize(params))
-        return to_computational_basis(rho, v)
-    raise ValueError(f"unknown basis {basis!r}")
+    return np.diag(diag).astype(complex)
 
 
 def plus_plus_state() -> np.ndarray:
@@ -425,5 +419,8 @@ def default_time_grid(t_max: float = 400.0, dt: float = 0.05) -> np.ndarray:
 def trajectory_to_csv(traj: Trajectory, fh) -> None:
     """Write t, sx_q, sx_p rows in full double precision."""
     fh.write("t,sx_q,sx_p\n")
-    for t, q, p in zip(traj.times, traj.sx_q, traj.sx_p):
-        fh.write(f"{t:.17g},{q:.17g},{p:.17g}\n")
+    # Python floats format faster than numpy scalars; chunks bound the copies
+    cols = (traj.times, traj.sx_q, traj.sx_p)
+    for i in range(0, traj.times.size, 65536):
+        for row in zip(*(c[i:i + 65536].tolist() for c in cols)):
+            fh.write("%.17g,%.17g,%.17g\n" % row)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -20,6 +21,7 @@ import scipy.optimize
 from .bath import (
     KAPPA_DEFAULT,
     DegenerateSpectrumError,
+    LindbladRates,
     PowerLawCutoff,
     SpectralDensityModel,
     Tabulated,
@@ -28,6 +30,7 @@ from .bath import (
     model_to_config,
 )
 from .dynamics import (
+    Trajectory,
     default_time_grid,
     evolve_analytic,
     plus_plus_state,
@@ -41,6 +44,7 @@ from .signal_analysis import (
     late_span,
 )
 from .spin_model import (
+    EigenStructure,
     QubitPairParams,
     build_operators,  # not called; benchmarks/tracing.py wraps this binding
     diagonalize,
@@ -252,19 +256,44 @@ def transition_point(lam: float, T: float, omega_p_bar: float,
                            uncertainty=uncertainty)
 
 
+class Simulation(NamedTuple):
+    """One closed-form run: the pair's eigenstructure, its rates, the
+    rotation into the eigenmode basis, and the trajectory."""
+
+    eig: EigenStructure
+    rates: LindbladRates
+    transform: np.ndarray
+    traj: Trajectory
+
+
+# Here, not in dynamics, because benchmarks/tracing.py times each layer
+# through the bindings of this module (and of cli).
+def simulate(params: QubitPairParams, model: SpectralDensityModel,
+             times: np.ndarray, rho0: np.ndarray | None = None,
+             kappa: float = KAPPA_DEFAULT,
+             store_states: bool = False) -> Simulation:
+    """Closed-form evolution of ``rho0`` (computational basis; None means
+    |++>) at ``params.temperature``: the one path from a setup to signals.
+    Stored states stay in the eigenmode basis; ``transform`` rotates them
+    back."""
+    eig = diagonalize(params)
+    rates = lindblad_rates(eig, model, params.temperature, kappa)
+    v = eigenmode_transform(params, eig)
+    rho0 = plus_plus_state() if rho0 is None else rho0
+    traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times,
+                           store_states=store_states)
+    return Simulation(eig, rates, v, traj)
+
+
 def _classify_point(model, lam, T, omega_p, omega_q, times, sync_cfg, kappa):
     """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable."""
     params = QubitPairParams(omega_q=omega_q, omega_p=omega_p, lam=lam,
                              temperature=T)
-    eig = diagonalize(params)
-    rates = lindblad_rates(eig, model, T, kappa)
-    v = eigenmode_transform(params, eig)
-    rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    traj = evolve_analytic(eig, rates, rho0, times)
-    m = detect_sync(traj, sync_cfg)
+    sim = simulate(params, model, times, kappa=kappa)
+    m = detect_sync(sim.traj, sync_cfg)
     if m.omega_sync is None:
         return 0
-    on_e1 = abs(m.omega_sync - eig.E1) < abs(m.omega_sync - eig.E2)
+    on_e1 = abs(m.omega_sync - sim.eig.E1) < abs(m.omega_sync - sim.eig.E2)
     if m.regime == IN_PHASE and on_e1:
         return 1
     if m.regime == ANTI_PHASE and not on_e1:
@@ -513,12 +542,26 @@ def _fit_power_law(constraints, datum, omega_c, diagnostics):
         s_fit = s_lin
         diagnostics["method"] = "closed-form"
     else:
-        sol = scipy.optimize.least_squares(
-            lambda x: residuals(x[0]), x0=[max(s_lin, 1e-3)],
-            bounds=([1e-8], [np.inf]))
-        s_fit = float(sol.x[0])
-        diagnostics["method"] = "least-squares"
-        diagnostics["nfev"] = int(sol.nfev)
+        # Root the gradient of sum(residuals^2) to the last bits, so s does
+        # not depend on a solver tolerance; d/ds log c = -2 log(w) (1 - c).
+        def gradient(s):
+            c1 = _cutoff_factor(e1, s, omega_c)
+            c2 = _cutoff_factor(e2, s, omega_c)
+            slope = l_k - 2.0 * (np.log(e1) * (1 - c1) - np.log(e2) * (1 - c2))
+            return float(residuals(s) @ slope)
+
+        lo = hi = max(s_lin, 1e-3)
+        for _ in range(8):
+            lo, hi = 0.5 * lo, 2.0 * hi
+            if gradient(lo) < 0.0 < gradient(hi):
+                break
+        else:
+            raise InversionError(f"no exponent in [{lo:.3g}, {hi:.3g}] "
+                                 "minimizes the ratio residuals")
+        s_fit, info = scipy.optimize.brentq(gradient, lo, hi, xtol=1e-300,
+                                            full_output=True)
+        diagnostics["method"] = "brentq"
+        diagnostics["nfev"] = info.function_calls
     if not s_fit > 0:
         raise InversionError(
             f"ratio constraints imply a non-positive exponent ({s_fit:.3g}); "

@@ -413,8 +413,8 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
 
 def spectrum_to_csv(est: SpectrumEstimate, fh) -> None:
     fh.write("freq,magnitude\n")
-    for f, m in zip(est.freqs, est.magnitude):
-        fh.write(f"{f:.17g},{m:.17g}\n")
+    for row in zip(est.freqs.tolist(), est.magnitude.tolist()):
+        fh.write("%.17g,%.17g\n" % row)
 
 
 def sync_metrics_to_record(metrics: SyncMetrics) -> dict:

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,12 +24,10 @@ from syncprobe.bath import (
 from syncprobe.cli import main as cli_main
 from syncprobe.dynamics import (
     default_time_grid,
-    evolve_analytic,
     evolve_numeric,
     plus_plus_state,
     steady_state,
     to_computational_basis,
-    to_eigenmode_basis,
 )
 from syncprobe.probe_protocol import (
     LinewidthDatum,
@@ -39,6 +36,7 @@ from syncprobe.probe_protocol import (
     infer_system_params,
     predict_transition,
     scan_transition,
+    simulate,
 )
 from syncprobe.signal_analysis import (
     NotResolvableError,
@@ -84,22 +82,15 @@ def _sim(omega_p, lam=0.2, model=OHMIC, T=0.0, t_max=400.0):
     key = (omega_p, lam, model, T, t_max)
     if key not in _BANK:
         params = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
-        eig = diagonalize(params)
-        rates = lindblad_rates(eig, model, T)
-        v = eigenmode_transform(params, eig)
-        rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        traj = evolve_analytic(eig, rates, rho0,
-                               default_time_grid(t_max, 0.05),
-                               store_states=True)
-        _BANK[key] = SimpleNamespace(params=params, model=model, eig=eig,
-                                     rates=rates, v=v, traj=traj)
+        _BANK[key] = simulate(params, model, default_time_grid(t_max, 0.05),
+                              store_states=True)
     return _BANK[key]
 
 
 def _late_corr(entry):
     sel = (entry.traj.times >= 200.0) & (entry.traj.times <= 310.0)
     return float(np.mean([
-        abs(spin_correlator(to_computational_basis(rho, entry.v)))
+        abs(spin_correlator(to_computational_basis(rho, entry.transform)))
         for rho in entry.traj.states[sel]]))
 
 
@@ -110,7 +101,8 @@ def test_criterion_01_oracle_equivalence():
                       "solver to 1e-8"):
         t0 = time.perf_counter()
         fig1 = _sim(1.2)
-        numeric = evolve_numeric(fig1.params, OHMIC, 0.0, plus_plus_state(),
+        numeric = evolve_numeric(QubitPairParams(omega_p=1.2, lam=0.2),
+                                 OHMIC, 0.0, plus_plus_state(),
                                  fig1.traj.times)
         assert np.max(np.abs(fig1.traj.sx_q - numeric.sx_q)) <= 1e-8
         assert np.max(np.abs(fig1.traj.sx_p - numeric.sx_p)) <= 1e-8
@@ -127,11 +119,7 @@ def test_criterion_01_oracle_equivalence():
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
             rho0 = np.outer(psi, psi.conj())
-            eig = diagonalize(params)
-            rates = lindblad_rates(eig, model, params.temperature)
-            v = eigenmode_transform(params, eig)
-            ana = evolve_analytic(eig, rates,
-                                  to_eigenmode_basis(rho0, v), times)
+            ana = simulate(params, model, times, rho0).traj
             num = evolve_numeric(params, model, None, rho0, times)
             assert np.max(np.abs(ana.sx_q - num.sx_q)) <= 1e-8
             assert np.max(np.abs(ana.sx_p - num.sx_p)) <= 1e-8
@@ -322,13 +310,14 @@ def test_criterion_10_negative_controls():
         # MI of the T = 0 fixed point must not care which bath drove it there
         params = QubitPairParams(omega_p=0.9, lam=0.2)
         eig = diagonalize(params)
+        v = eigenmode_transform(params, eig)
         baths = (OHMIC, QUARTIC,
                  Tabulated(omegas=[0.5, 1.0, 2.0], js=[0.01, 0.02, 0.03]))
         mis = []
         for model in baths:
             rates = lindblad_rates(eig, model, 0.0)
             mis.append(mutual_information(
-                steady_state(params, rates, basis="computational")))
+                to_computational_basis(steady_state(rates), v)))
         assert max(mis) - min(mis) <= 1e-12
 
         # continuity across the transition, against a jumping omega_sync
@@ -337,9 +326,10 @@ def test_criterion_10_negative_controls():
         mi_line = []
         for omega_p in grid:
             p = QubitPairParams(omega_p=omega_p, lam=0.2)
-            r = lindblad_rates(diagonalize(p), QUARTIC, 0.0)
-            mi_line.append(mutual_information(
-                steady_state(p, r, basis="computational")))
+            eig_p = diagonalize(p)
+            r = lindblad_rates(eig_p, QUARTIC, 0.0)
+            mi_line.append(mutual_information(to_computational_basis(
+                steady_state(r), eigenmode_transform(p, eig_p))))
         assert np.max(np.abs(np.diff(mi_line))) < 0.05
         m_below = detect_sync(_sim(root - 0.02, model=QUARTIC,
                                    t_max=2000.0).traj, LONG)

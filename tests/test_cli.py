@@ -351,7 +351,8 @@ def test_sweep_correlator_einsum_matches_state_loop():
         row = cli._sweep_point(base, ["s", "omega_p"], values,
                                ("correlator",), times)
         rc = cli._apply_axes(base, ["s", "omega_p"], values)
-        traj, v, _ = cli._simulate(rc, times, store_states=True)
+        _, _, v, traj = cli.simulate(rc.params, rc.bath, times, rc.rho0,
+                                     rc.kappa, store_states=True)
         sel = (traj.times >= lo) & (traj.times <= hi)
         loop = np.mean([abs(spin_correlator(cli.to_computational_basis(s, v)))
                         for s in traj.states[sel]])

@@ -11,17 +11,17 @@ from syncprobe import (
     PowerLawCutoff,
     QubitPairParams,
     StateValidationError,
+    Trajectory,
     asymptotic_form,
     build_operators,
     default_time_grid,
     diagonalize,
     direct_diagonalize,
-    eigenmode_transform,
     evolve_analytic,
     evolve_numeric,
     fock_observable_weights,
-    lindblad_rates,
     plus_plus_state,
+    simulate,
     steady_state,
     to_computational_basis,
     to_eigenmode_basis,
@@ -35,12 +35,15 @@ from oracles import null_vector_transform
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 
 
-def _setup(omega_p, lam=0.2, T=0.0, model=OHMIC):
+# for tests that read only the eigenstructure, rates or transform
+SHORT = default_time_grid(1.0, 0.5)
+
+
+def _setup(omega_p, lam=0.2, T=0.0, model=OHMIC, times=SHORT, rho0=None,
+           store_states=False):
+    """The pair and its simulation."""
     p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
-    eig = diagonalize(p)
-    v = eigenmode_transform(p, eig)
-    rates = lindblad_rates(eig, model, T=T)
-    return p, eig, v, rates
+    return p, simulate(p, model, times, rho0, store_states=store_states)
 
 
 def _random_state(rng):
@@ -50,20 +53,22 @@ def _random_state(rng):
 
 
 def test_ground_state_is_stationary():
-    p, eig, v, rates = _setup(1.2)
+    _, sim = _setup(1.2)
     rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)  # eigenmode vacuum
     times = default_time_grid(50.0, 0.5)
-    traj = evolve_analytic(eig, rates, rho0, times, store_states=True)
+    traj = evolve_analytic(sim.eig, sim.rates, rho0, times,
+                           store_states=True)
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
     np.testing.assert_allclose(traj.sx_p, 0.0, atol=1e-14)
     assert np.max(np.abs(traj.states - traj.states[0][None])) < 1e-14
 
 
 def test_maximally_mixed_relaxes_without_coherence():
-    p, eig, v, rates = _setup(1.2)
+    _, sim = _setup(1.2)
     rho0 = 0.25 * np.eye(4, dtype=complex)
     times = default_time_grid(400.0, 1.0)
-    traj = evolve_analytic(eig, rates, rho0, times, store_states=True)
+    traj = evolve_analytic(sim.eig, sim.rates, rho0, times,
+                           store_states=True)
     # coherence blocks stay identically zero; observables vanish
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
     for n in range(traj.times.size):
@@ -78,21 +83,20 @@ def test_maximally_mixed_relaxes_without_coherence():
 
 
 def test_oracle_equivalence_reference_setup():
-    p, eig, v, rates = _setup(1.2)
-    rho0c = plus_plus_state()
     times = default_time_grid(400.0, 0.05)
-    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
-    tn = evolve_numeric(p, OHMIC, 0.0, rho0c, times)
+    p, sim = _setup(1.2, times=times)
+    ta = sim.traj
+    tn = evolve_numeric(p, OHMIC, 0.0, plus_plus_state(), times)
     assert np.max(np.abs(ta.sx_q - tn.sx_q)) < 1e-8
     assert np.max(np.abs(ta.sx_p - tn.sx_p)) < 1e-8
 
 
 def test_oracle_equivalence_paranoia_route():
-    p, eig, v, rates = _setup(0.8)
-    rho0c = plus_plus_state()
     times = default_time_grid(100.0, 0.05)
-    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
-    tp = evolve_numeric(p, OHMIC, 0.0, rho0c, times, paranoia=True)
+    p, sim = _setup(0.8, times=times)
+    ta = sim.traj
+    tp = evolve_numeric(p, OHMIC, 0.0, plus_plus_state(), times,
+                        paranoia=True)
     assert np.max(np.abs(ta.sx_q - tp.sx_q)) < 1e-8
     assert np.max(np.abs(ta.sx_p - tp.sx_p)) < 1e-8
 
@@ -103,10 +107,11 @@ def test_oracle_equivalence_randomized():
     worst = 0.0
     for _ in range(24):
         T = float(rng.choice([0.0, 0.5, 2.0]))
-        p, eig, v, rates = _setup(float(rng.uniform(0.3, 2.0)),
-                                  lam=float(rng.uniform(0.05, 0.6)), T=T)
+        omega_p = float(rng.uniform(0.3, 2.0))
+        lam = float(rng.uniform(0.05, 0.6))
         rho0c = _random_state(rng)
-        ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
+        p, sim = _setup(omega_p, lam=lam, T=T, times=times, rho0=rho0c)
+        ta = sim.traj
         tn = evolve_numeric(p, OHMIC, T, rho0c, times)
         worst = max(worst,
                     np.max(np.abs(ta.sx_q - tn.sx_q)),
@@ -125,12 +130,13 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False)
 def test_analytic_matches_numeric_property(omega_p, lam, T, s, amps):
     """Closed form against both Liouvillian routes, for any pure start."""
     model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0)
-    p, eig, v, rates = _setup(omega_p, lam=lam, T=T, model=model)
     vec = np.array(amps[:4]) + 1j * np.array(amps[4:])
     vec /= np.linalg.norm(vec)
     rho0c = np.outer(vec, vec.conj())
     times = default_time_grid(20.0, 0.1)
-    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times)
+    p, sim = _setup(omega_p, lam=lam, T=T, model=model, times=times,
+                    rho0=rho0c)
+    ta = sim.traj
     for paranoia in (False, True):
         tn = evolve_numeric(p, model, T, rho0c, times, paranoia=paranoia)
         assert np.max(np.abs(ta.sx_q - tn.sx_q)) < 1e-12
@@ -139,10 +145,11 @@ def test_analytic_matches_numeric_property(omega_p, lam, T, s, amps):
 
 def test_zero_coupling_gives_unitary_beat():
     dead = PowerLawCutoff(gamma0=0.0, s=1.0, omega_c=None)
-    p, eig, v, rates = _setup(1.2, model=dead)
-    rho0c = plus_plus_state()
-    rho0e = to_eigenmode_basis(rho0c, v)
     times = default_time_grid(60.0, 0.03)
+    p, sim = _setup(1.2, model=dead, times=times)
+    eig = sim.eig
+    rho0c = plus_plus_state()
+    rho0e = to_eigenmode_basis(rho0c, sim.transform)
     tn = evolve_numeric(p, dead, 0.0, rho0c, times)
     # closed-form two-frequency beat from the initial eigenmode coherences
     s_ang = eig.theta_plus + eig.theta_minus
@@ -152,31 +159,26 @@ def test_zero_coupling_gives_unitary_beat():
                          + np.sin(s_ang) * c2 * np.exp(1j * eig.E2 * times))
     np.testing.assert_allclose(tn.sx_q, beat, atol=1e-10)
     # analytic path agrees too (all rates vanish)
-    ta = evolve_analytic(eig, rates, rho0e, times)
-    np.testing.assert_allclose(ta.sx_q, beat, atol=1e-12)
+    np.testing.assert_allclose(sim.traj.sx_q, beat, atol=1e-12)
 
 
 def test_basis_consistency_of_stored_states():
-    p, eig, v, rates = _setup(0.8, T=0.5)
-    rho0c = plus_plus_state()
     times = default_time_grid(40.0, 0.1)
-    ta = evolve_analytic(eig, rates, to_eigenmode_basis(rho0c, v), times,
-                         store_states=True)
-    tn = evolve_numeric(p, OHMIC, 0.5, rho0c, times, store_states=True)
+    p, sim = _setup(0.8, T=0.5, times=times, store_states=True)
+    ta = sim.traj
+    tn = evolve_numeric(p, OHMIC, 0.5, plus_plus_state(), times,
+                        store_states=True)
     assert ta.basis == "eigenmode" and tn.basis == "computational"
     for n in range(times.size):
-        back = to_computational_basis(ta.states[n], v)
+        back = to_computational_basis(ta.states[n], sim.transform)
         assert np.max(np.abs(back - tn.states[n])) < 1e-10
 
 
 def test_cptp_along_trajectories():
-    p, eig, v, rates = _setup(1.2, T=1.0)
-    rho0c = plus_plus_state()
     times = default_time_grid(100.0, 0.25)
-    for traj in (evolve_analytic(eig, rates,
-                                 to_eigenmode_basis(rho0c, v), times,
-                                 store_states=True),
-                 evolve_numeric(p, OHMIC, 1.0, rho0c, times,
+    p, sim = _setup(1.2, T=1.0, times=times, store_states=True)
+    for traj in (sim.traj,
+                 evolve_numeric(p, OHMIC, 1.0, plus_plus_state(), times,
                                 store_states=True)):
         for s in traj.states:
             assert abs(np.trace(s) - 1.0) < 1e-10
@@ -185,8 +187,8 @@ def test_cptp_along_trajectories():
 
 
 def test_monotone_relaxation_to_steady_state():
-    p, eig, v, rates = _setup(1.2, T=0.5)
-    target = steady_state(p, rates, basis="computational")
+    p, sim = _setup(1.2, T=0.5)
+    target = to_computational_basis(steady_state(sim.rates), sim.transform)
     times = default_time_grid(400.0, 1.0)
     traj = evolve_numeric(p, OHMIC, 0.5, plus_plus_state(), times,
                           store_states=True)
@@ -198,11 +200,11 @@ def test_monotone_relaxation_to_steady_state():
 
 
 def test_steady_state_zero_temperature_is_ground_state():
-    p, eig, v, rates = _setup(1.2)
-    ss_e = steady_state(p, rates)
+    p, sim = _setup(1.2)
+    ss_e = steady_state(sim.rates)
     np.testing.assert_allclose(ss_e, np.diag([1.0, 0, 0, 0]), atol=1e-14)
     # computational-basis version is the projector on the H_S ground state
-    ss_c = steady_state(p, rates, basis="computational")
+    ss_c = to_computational_basis(ss_e, sim.transform)
     evals, evecs = direct_diagonalize(p)
     ground = evecs[:, 0]
     np.testing.assert_allclose(ground.conj() @ ss_c @ ground, 1.0, atol=1e-12)
@@ -210,8 +212,8 @@ def test_steady_state_zero_temperature_is_ground_state():
 
 def test_steady_state_is_gibbs_at_finite_T():
     T = 1.0
-    p, eig, v, rates = _setup(1.2, T=T)
-    ss = steady_state(p, rates)
+    _, (eig, rates, _, _) = _setup(1.2, T=T)
+    ss = steady_state(rates)
     pops = np.real(np.diag(ss))
     boltz = np.array([1.0,
                       np.exp(-eig.E2 / T),
@@ -229,20 +231,19 @@ def test_steady_state_is_gibbs_at_finite_T():
 
 
 def test_steady_state_high_T_is_maximally_mixed():
-    p, eig, v, rates = _setup(1.2, T=1e6)
-    ss = steady_state(p, rates)
+    _, sim = _setup(1.2, T=1e6)
+    ss = steady_state(sim.rates)
     assert 0.5 * np.sum(np.abs(np.linalg.eigvalsh(ss - 0.25 * np.eye(4)))) < 1e-3
 
 
 def test_steady_state_needs_both_modes_coupled():
-    p = QubitPairParams(omega_p=1.2, lam=0.2)
     dead = LindbladRates(g1_down=0.1, g1_up=0.0, g2_down=0.0, g2_up=0.0)
     with pytest.raises(NoUniqueSteadyStateError):
-        steady_state(p, dead)
+        steady_state(dead)
 
 
 def test_asymptotic_decay_rates_and_frequencies():
-    p, eig, v, rates = _setup(0.8)
+    _, (eig, rates, v, _) = _setup(0.8)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     form_q, form_p = asymptotic_form(eig, rates, rho0)
     for form in (form_q, form_p):
@@ -257,10 +258,9 @@ def test_asymptotic_decay_rates_and_frequencies():
 
 
 def test_asymptotic_matches_late_time_waveform():
-    p, eig, v, rates = _setup(1.2)
-    rho0 = to_eigenmode_basis(plus_plus_state(), v)
     times = default_time_grid(400.0, 0.05)
-    traj = evolve_analytic(eig, rates, rho0, times)
+    _, (eig, rates, v, traj) = _setup(1.2, times=times)
+    rho0 = to_eigenmode_basis(plus_plus_state(), v)
     form_q, form_p = asymptotic_form(eig, rates, rho0)
     late = times >= 250.0
     assert np.max(np.abs(form_q.evaluate(times[late]) - traj.sx_q[late])) < 1e-7
@@ -272,7 +272,7 @@ def test_surviving_mode_amplitude_ratio_signs():
     # rate-asymmetry selects E1 above resonance, E2 below; the probe/qubit
     # amplitude ratio of the surviving term fixes in-phase vs antiphase
     for omega_p, expect_freq, expect_sign in ((1.2, "E1", +1), (0.8, "E2", -1)):
-        p, eig, v, rates = _setup(omega_p)
+        _, (eig, rates, v, _) = _setup(omega_p)
         rho0 = to_eigenmode_basis(plus_plus_state(), v)
         form_q, form_p = asymptotic_form(eig, rates, rho0)
         dom_q, dom_p = form_q.dominant(), form_p.dominant()
@@ -294,7 +294,7 @@ def test_surviving_mode_amplitude_ratio_signs():
 
 
 def test_near_degenerate_rates_flagged():
-    p, eig, v, rates = _setup(1.0)
+    _, (eig, rates, v, _) = _setup(1.0)
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     form_q, _ = asymptotic_form(eig, rates, rho0)
     assert not form_q.sync_expected
@@ -302,11 +302,10 @@ def test_near_degenerate_rates_flagged():
 
 def test_finite_temperature_sync_persists():
     # moderate temperature broadens but does not equalize the two rates
-    p, eig, v, rates = _setup(0.8, T=1.0)
+    times = default_time_grid(300.0, 0.05)
+    _, (eig, rates, v, traj) = _setup(0.8, T=1.0, times=times)
     assert abs(rates.g1_total - rates.g2_total) > 0.05 * rates.g1_total
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    times = default_time_grid(300.0, 0.05)
-    traj = evolve_analytic(eig, rates, rho0, times)
     form_q, form_p = asymptotic_form(eig, rates, rho0)
     late = times >= 200.0
     # late probe signal is the surviving single damped cosine
@@ -320,9 +319,8 @@ def test_finite_temperature_sync_persists():
 
 
 def test_kappa_rescales_envelopes_only():
-    p, eig, v, rates1 = _setup(1.2)
-    model = OHMIC
-    rates2 = lindblad_rates(eig, model, T=0.0, kappa=4.0 * np.pi)
+    p, (eig, rates1, v, _) = _setup(1.2)
+    rates2 = simulate(p, OHMIC, SHORT, kappa=4.0 * np.pi).rates
     rho0 = to_eigenmode_basis(plus_plus_state(), v)
     fq1, fp1 = asymptotic_form(eig, rates1, rho0)
     fq2, fp2 = asymptotic_form(eig, rates2, rho0)
@@ -357,11 +355,9 @@ def test_temperature_default_comes_from_params():
 
 
 def test_analytic_accepts_nonuniform_grid():
-    p, eig, v, rates = _setup(1.2)
-    rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    dense = evolve_analytic(eig, rates, rho0, default_time_grid(40.0, 0.05))
     sparse_times = np.array([0.0, 1.0, 2.5, 7.0, 20.0, 40.0])
-    sparse = evolve_analytic(eig, rates, rho0, sparse_times)
+    dense = _setup(1.2, times=default_time_grid(40.0, 0.05))[1].traj
+    sparse = _setup(1.2, times=sparse_times)[1].traj
     for t, q in zip(sparse_times, sparse.sx_q):
         i = int(round(t / 0.05))
         np.testing.assert_allclose(q, dense.sx_q[i], atol=1e-12)
@@ -388,9 +384,7 @@ def test_state_validation():
 
 
 def test_trajectory_csv_round_trip():
-    p, eig, v, rates = _setup(1.2)
-    rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    traj = evolve_analytic(eig, rates, rho0, default_time_grid(5.0, 0.5))
+    traj = _setup(1.2, times=default_time_grid(5.0, 0.5))[1].traj
     buf = io.StringIO()
     trajectory_to_csv(traj, buf)
     lines = buf.getvalue().splitlines()
@@ -399,6 +393,20 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(data[:, 0], traj.times)
     np.testing.assert_array_equal(data[:, 1], traj.sx_q)
     np.testing.assert_array_equal(data[:, 2], traj.sx_p)
+
+
+def test_trajectory_csv_keeps_reference_format():
+    """Rows are the '%.17g' text of each value, also across the writer's
+    65 536-row chunks and for signed zero and subnormals."""
+    times = np.linspace(0.0, 7000.0, 70001)
+    sx = np.random.default_rng(3).uniform(-1.0, 1.0, times.size)
+    sx[:4] = [-0.0, 5e-324, 1.0, -1e-300]
+    traj = Trajectory(times=times, sx_q=sx, sx_p=sx[::-1].copy())
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    assert buf.getvalue() == "t,sx_q,sx_p\n" + "".join(
+        f"{t:.17g},{q:.17g},{p:.17g}\n"
+        for t, q, p in zip(traj.times, traj.sx_q, traj.sx_p))
 
 
 def test_default_time_grid_shape():

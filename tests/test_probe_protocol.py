@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,7 @@ from syncprobe.bath import (
     lindblad_rates,
     model_from_config,
 )
-from syncprobe.dynamics import (
-    default_time_grid,
-    evolve_analytic,
-    plus_plus_state,
-    to_eigenmode_basis,
-)
+from syncprobe.dynamics import default_time_grid
 from syncprobe.probe_protocol import (
     InsufficientSpectrumError,
     InversionError,
@@ -31,6 +27,7 @@ from syncprobe.probe_protocol import (
     predict_transition,
     reconstruction_to_record,
     scan_transition,
+    simulate,
     transition_point,
     transition_point_to_record,
 )
@@ -44,11 +41,7 @@ from syncprobe.signal_analysis import (
     late_span,
     windowed_fft,
 )
-from syncprobe.spin_model import (
-    QubitPairParams,
-    diagonalize,
-    eigenmode_transform,
-)
+from syncprobe.spin_model import QubitPairParams, diagonalize
 
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 QUARTIC = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)
@@ -77,14 +70,9 @@ def _scan(model_key):
     return _scans[model_key]
 
 
-def _forward_trajectory(model, omega_p, lam=0.2, T=0.0, t_max=2000.0):
-    params = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
-    eig = diagonalize(params)
-    rates = lindblad_rates(eig, model, T)
-    v = eigenmode_transform(params, eig)
-    rho0 = to_eigenmode_basis(plus_plus_state(), v)
-    return params, eig, evolve_analytic(eig, rates, rho0,
-                                        default_time_grid(t_max))
+def _forward(model, omega_p, t_max=2000.0):
+    return simulate(QubitPairParams(omega_p=omega_p, lam=0.2), model,
+                    default_time_grid(t_max))
 
 
 def _closed_form_exponent(omega_p, lam):
@@ -202,9 +190,8 @@ def test_scan_jump_magnitude():
     sides = {}
     for key, wp in (("below", tp.omega_p_bar - 0.02),
                     ("above", tp.omega_p_bar + 0.02)):
-        _, eig, traj = _forward_trajectory(OHMIC, wp)
-        m = detect_sync(traj, cfg)
-        sides[key] = (m, eig)
+        sim = _forward(OHMIC, wp)
+        sides[key] = (detect_sync(sim.traj, cfg), sim.eig)
     below, above = sides["below"][0], sides["above"][0]
     assert below.regime == ANTI_PHASE
     assert above.regime == IN_PHASE
@@ -283,7 +270,7 @@ def test_inversion_needs_two_peaks():
 
 
 def test_inversion_from_simulated_spectrum():
-    _, _, traj = _forward_trajectory(OHMIC, 1.2, t_max=320.0)
+    traj = _forward(OHMIC, 1.2, t_max=320.0).traj
     spec = windowed_fft(traj.sx_p, traj.times, 0.0, 110.0)
     wq, lam = infer_system_params(spec, 1.2)
     assert abs(wq - 1.0) < 0.02
@@ -293,7 +280,7 @@ def test_inversion_from_simulated_spectrum():
 def test_inversion_joint_two_settings():
     spectra, settings = [], []
     for wp in (1.2, 0.8):
-        _, _, traj = _forward_trajectory(OHMIC, wp, t_max=320.0)
+        traj = _forward(OHMIC, wp, t_max=320.0).traj
         spectra.append(windowed_fft(traj.sx_p, traj.times, 0.0, 110.0))
         settings.append(wp)
     wq, lam = infer_system_params(spectra, settings)
@@ -360,6 +347,18 @@ def test_power_law_fit_closed_loop():
     assert fit_pure.diagnostics["method"] == "closed-form"
 
 
+def test_cutoff_fit_is_a_function_of_the_ratios():
+    """With omega_c given, s moves by rounding only when the ratios move by
+    one part in 1e15, also when the constraints do not fit exactly."""
+    pts = collect_constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                              method="analytic")
+    noisy = [replace(c, ratio=c.ratio * np.exp(0.01 * (-1) ** k))
+             for k, c in enumerate(pts)]
+    bumped = [replace(c, ratio=c.ratio * (1.0 + 1e-15)) for c in noisy]
+    s_fit = fit_spectral_density(noisy, omega_c=20.0).s
+    assert abs(fit_spectral_density(bumped, omega_c=20.0).s - s_fit) <= 1e-13
+
+
 def test_fit_is_kappa_invariant():
     base = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     other = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic",
@@ -399,6 +398,8 @@ def test_fit_input_validation():
                               ratio=0.5)
     with pytest.raises(InversionError):
         fit_spectral_density([falling])
+    with pytest.raises(InversionError):
+        fit_spectral_density([falling], omega_c=20.0)
 
 
 def test_tabulated_fit_tracks_truth():

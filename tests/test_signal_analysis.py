@@ -17,25 +17,23 @@ from syncprobe import (
     SyncConfig,
     Tabulated,
     Trajectory,
-    asymptotic_form,
     default_time_grid,
     detect_sync,
     diagonalize,
     direct_diagonalize,
     eigenmode_transform,
     evaluate_J,
-    evolve_analytic,
     late_span,
     lindblad_rates,
     mutual_information,
     peak_linewidth,
-    plus_plus_state,
+    simulate,
     spectrum_to_csv,
     spin_correlator,
     steady_state,
     sync_measure,
     sync_metrics_to_record,
-    to_eigenmode_basis,
+    to_computational_basis,
     windowed_fft,
 )
 
@@ -45,17 +43,13 @@ _cache: dict = {}
 
 
 def _reference(omega_p, gamma0=0.01):
-    """Trajectory of the shared demo setup, memoized across tests."""
+    """Simulation of the shared demo setup, memoized across tests."""
     key = (omega_p, gamma0)
     if key not in _cache:
-        p = QubitPairParams(omega_p=omega_p, lam=0.2, temperature=0.0)
-        eig = diagonalize(p)
-        v = eigenmode_transform(p, eig)
-        model = PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0)
-        rates = lindblad_rates(eig, model, T=0.0)
-        rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        traj = evolve_analytic(eig, rates, rho0, default_time_grid(320.0))
-        _cache[key] = (p, eig, rates, traj)
+        _cache[key] = simulate(
+            QubitPairParams(omega_p=omega_p, lam=0.2, temperature=0.0),
+            PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0),
+            default_time_grid(320.0))
     return _cache[key]
 
 
@@ -128,7 +122,7 @@ def test_two_synthetic_modes_sorted_by_height():
 
 
 def test_early_window_shows_both_modes():
-    _, eig, _, traj = _reference(1.2)
+    eig, _, _, traj = _reference(1.2)
     est = windowed_fft(traj.sx_p, traj.times, 0.0, 110.0)
     assert len(est.peaks) == 2
     found = sorted(p.frequency for p in est.peaks)
@@ -137,7 +131,7 @@ def test_early_window_shows_both_modes():
 
 
 def test_late_window_single_surviving_mode():
-    _, eig, _, traj = _reference(1.2)
+    eig, _, _, traj = _reference(1.2)
     est = windowed_fft(traj.sx_p, traj.times, 200.0, 310.0)
     assert len(est.peaks) == 1
     assert est.peaks[0].frequency == pytest.approx(eig.E1, abs=0.02)
@@ -236,7 +230,7 @@ def test_linewidth_two_mode_early_window_not_resolvable():
 
 
 def test_linewidth_matches_surviving_rate():
-    _, _, rates, traj = _reference(1.2, gamma0=2.5e-2)
+    _, rates, _, traj = _reference(1.2, gamma0=2.5e-2)
     est = windowed_fft(traj.sx_p, traj.times, 200.0, 310.0)
     fwhm = peak_linewidth(est, 0)
     slowest = min(rates.g1_total, rates.g2_total)
@@ -287,7 +281,8 @@ def test_steady_state_mi_ignores_bath_model():
     mis = []
     for model in models:
         rates = lindblad_rates(eig, model, T=0.0)
-        rho = steady_state(p, rates, basis="computational")
+        rho = to_computational_basis(steady_state(rates),
+                                     eigenmode_transform(p, eig))
         mis.append(mutual_information(rho))
     assert max(mis) - min(mis) < 1e-12
     # the T=0 steady state is the ground state of the coupled pair
@@ -307,8 +302,8 @@ def test_spin_correlator_reference_values():
 # ----------------------------------------------------------------- detect_sync
 
 def test_detect_sync_reference_regimes():
-    _, eig12, _, traj12 = _reference(1.2)
-    _, eig08, _, traj08 = _reference(0.8)
+    eig12, _, _, traj12 = _reference(1.2)
+    eig08, _, _, traj08 = _reference(0.8)
     _, _, _, traj10 = _reference(1.0)
 
     m12 = detect_sync(traj12)
@@ -401,14 +396,10 @@ def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
     """detect_sync on the whole grid and on its late span, each evolved on
     its own grid as the scans and sweeps do."""
     p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=0.0)
-    eig = diagonalize(p)
-    rates = lindblad_rates(eig, PowerLawCutoff(gamma0=gamma0, s=1.0,
-                                               omega_c=20.0), T=0.0)
-    rho0 = to_eigenmode_basis(plus_plus_state(),
-                              eigenmode_transform(p, eig))
+    model = PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0)
     span = late_span(times, cfg)
-    full = detect_sync(evolve_analytic(eig, rates, rho0, times), cfg)
-    part = detect_sync(evolve_analytic(eig, rates, rho0, times[span]), cfg)
+    full = detect_sync(simulate(p, model, times).traj, cfg)
+    part = detect_sync(simulate(p, model, times[span]).traj, cfg)
     return full, part, span
 
 
@@ -528,18 +519,15 @@ def test_regime_agrees_with_rate_comparison():
         model = PowerLawCutoff(gamma0=rng.uniform(0.01, 0.02),
                                s=float(rng.choice([0.5, 1.0, 1.5, 2.0])),
                                omega_c=20.0)
-        eig = diagonalize(p)
-        rates = lindblad_rates(eig, model, T=0.0)
-        v = eigenmode_transform(p, eig)
-        rho0 = to_eigenmode_basis(plus_plus_state(), v)
-        form_q, _ = asymptotic_form(eig, rates, rho0)
-        if not form_q.sync_expected:
-            continue
+        rates = lindblad_rates(diagonalize(p), model, T=0.0)
         gap = abs(rates.g1_total - rates.g2_total)
+        # asymptotic_form's sync_expected: the rates differ by over 5 %
+        if not gap > 0.05 * max(rates.g1_total, rates.g2_total):
+            continue
         t_star = min(12.0 / gap, 20000.0)
         n = int(round((t_star + 115.0) / 0.1))
         times = np.linspace(0.0, n * 0.1, n + 1)
-        traj = evolve_analytic(eig, rates, rho0, times)
+        traj = simulate(p, model, times).traj
         m = detect_sync(traj, SyncConfig(late_window=(t_star, t_star + 110.0),
                                          noise_floor=0.0))
         want = IN_PHASE if rates.g1_total < rates.g2_total else ANTI_PHASE
@@ -562,6 +550,8 @@ def test_spectrum_csv_roundtrip():
     f9, m9 = map(float, lines[9].split(","))
     assert f9 == est.freqs[8]
     assert m9 == est.magnitude[8]
+    assert lines[1:] == [f"{f:.17g},{m:.17g}"
+                         for f, m in zip(est.freqs, est.magnitude)]
 
 
 def test_sync_metrics_record_is_json_ready():
