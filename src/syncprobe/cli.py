@@ -21,6 +21,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -65,6 +66,7 @@ from .probe_protocol import (
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
                              evolve_analytic, lindblad_rates)
 from .signal_analysis import (
+    MIN_SPECTRUM_SAMPLES,
     NotResolvableError,
     SyncConfig,
     detect_sync,
@@ -72,6 +74,7 @@ from .signal_analysis import (
     mutual_information,
     spectrum_to_csv,
     sync_metrics_to_record,
+    window_mask,
     windowed_fft,
 )
 from .presets import get_preset
@@ -153,10 +156,20 @@ def _time_grid(cfg: dict, path: str, t_max: float, dt: float) -> tuple[float, fl
     return t_max, dt
 
 
-def _check_end(end: float, t_max: float, path: str) -> None:
-    """A [start, end] time window must end inside the simulated horizon."""
-    if end > t_max + 1e-9:
+def _check_window(window, times: np.ndarray, t_max: float, path: str) -> None:
+    """A [start, end] time window must end inside the simulated horizon and
+    hold the samples of ``times`` a spectrum needs, counted as
+    ``windowed_fft`` counts them."""
+    if window[1] > t_max + 1e-9:
         raise ConfigError(path, f"extends past t_max ({t_max:g})")
+    n = int(np.count_nonzero(window_mask(times, *window)))
+    if n < MIN_SPECTRUM_SAMPLES:
+        raise ConfigError(path, f"holds {n} samples of the time grid, "
+                                f"need >= {MIN_SPECTRUM_SAMPLES}")
+
+
+# Points one sweep or scan grid may hold, about 40 times the fig3b map.
+_MAX_GRID_POINTS = 100_000
 
 
 def _range(cfg: dict, path: str, minimum: float, strict: bool,
@@ -167,8 +180,10 @@ def _range(cfg: dict, path: str, minimum: float, strict: bool,
     if hi <= lo:
         raise ConfigError(f"{path}.hi", f"must be above lo ({lo:g})")
     steps = cfg.get("steps", steps)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise ConfigError(f"{path}.steps", f"must be an integer >= 2, got {steps!r}")
+    if (not isinstance(steps, int) or isinstance(steps, bool)
+            or not 2 <= steps <= _MAX_GRID_POINTS):
+        raise ConfigError(f"{path}.steps", "must be an integer in "
+                          f"[2, {_MAX_GRID_POINTS}], got {steps!r}")
     return lo, hi, steps
 
 
@@ -332,11 +347,11 @@ def parse_run_config(cfg) -> RunConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("windows", "expected a non-empty list of "
                                          "[t_start, t_end] pairs")
+        times = default_time_grid(t_max, dt)
         pairs = []
         for i, w in enumerate(raw):
-            a, b = _pair(w, f"windows[{i}]")
-            _check_end(b, t_max, f"windows[{i}]")
-            pairs.append((a, b))
+            pairs.append(_pair(w, f"windows[{i}]"))
+            _check_window(pairs[-1], times, t_max, f"windows[{i}]")
         windows = tuple(pairs)
 
     return RunConfig(
@@ -424,8 +439,9 @@ def parse_sweep_spec(cfg) -> SweepSpec:
         raise ConfigError("base", "missing required section")
     try:
         base = parse_run_config(cfg["base"])
-        _check_end(base.analysis.late_window[1], base.t_max,
-                   "analysis.late_window")
+        _check_window(base.analysis.late_window,
+                      default_time_grid(base.t_max, base.dt), base.t_max,
+                      "analysis.late_window")
     except ConfigError as exc:
         raise ConfigError(f"base.{exc.field}", exc.message)
 
@@ -439,6 +455,10 @@ def parse_sweep_spec(cfg) -> SweepSpec:
                           if names[0] == names[-1] else "duplicate axis names")
     if "s" in names and not isinstance(base.bath, PowerLawCutoff):
         raise ConfigError("axes", "an s axis needs a power-law bath in base")
+    points = math.prod(len(a.values) for a in axes)
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError("axes", f"{points} grid points, more than "
+                                  f"{_MAX_GRID_POINTS}")
 
     raw_rec = cfg.get("record")
     if not isinstance(raw_rec, list) or not raw_rec:
@@ -601,8 +621,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
-    _check_end(rc.analysis.late_window[1], rc.t_max, "analysis.late_window")
     times = default_time_grid(rc.t_max, rc.dt)
+    _check_window(rc.analysis.late_window, times, rc.t_max,
+                  "analysis.late_window")
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
@@ -686,7 +707,7 @@ def _scan_config_from(cfg) -> ScanConfig:
     if "late_window" in cfg:
         late = _pair(cfg["late_window"], "scan.late_window")
     t_max, dt = _time_grid(cfg, "scan", t_max=d.t_max, dt=d.dt)
-    _check_end(late[1], t_max, "scan.late_window")
+    _check_window(late, default_time_grid(t_max, dt), t_max, "scan.late_window")
     return ScanConfig(
         t_max=t_max,
         dt=dt,
@@ -721,18 +742,16 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         grid = np.linspace(lo, hi, steps)
         predicted = None
         try:
-            predicted = predict_transition(model, params, T=temperature,
-                                           bracket=(lo, hi), kappa=scan_cfg.kappa)
+            predicted = predict_transition(model, params, bracket=(lo, hi),
+                                           kappa=scan_cfg.kappa)
         except (NoTransitionError, ValueError):
             pass
     else:
         # No grid given: center a default one on the predicted crossing.
-        predicted = predict_transition(model, params, T=temperature,
-                                       kappa=scan_cfg.kappa)
+        predicted = predict_transition(model, params, kappa=scan_cfg.kappa)
         grid = default_scan_grid(predicted, omega_q)
 
-    tp = scan_transition(model, lam, temperature, grid, config=scan_cfg,
-                         omega_q=omega_q)
+    tp = scan_transition(model, params, grid, config=scan_cfg)
     record = {
         "config": {"lambda": lam, "temperature": temperature,
                    "omega_q": omega_q, "bath": model_to_config(model),
@@ -868,8 +887,9 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                               f"must be analytic or signal, got {method!r}")
         scan_cfg = _scan_config_from(cfg.get("scan"))
         constraints = collect_constraints(
-            truth, lams, T=temperature, config=scan_cfg, method=method,
-            omega_q=omega_q, failures=failures)
+            truth, lams, QubitPairParams(omega_q=omega_q, omega_p=omega_q,
+                                         temperature=temperature),
+            config=scan_cfg, method=method, failures=failures)
         _write_csv(out / "constraints.csv", _CONSTRAINT_COLUMNS,
                    _constraints_to_rows(constraints))
         config_echo = {"bath": model_to_config(truth), "lambdas": lams,

@@ -189,9 +189,9 @@ class ScanConfig:
 
 
 def _rate_balance(model: SpectralDensityModel, params: QubitPairParams,
-                  T: float, kappa: float) -> float:
+                  kappa: float) -> float:
     """log of the ratio of the two total mode rates; sign flips at the crossing."""
-    rates = lindblad_rates(diagonalize(params), model, T, kappa)
+    rates = lindblad_rates(diagonalize(params), model, params.temperature, kappa)
     if not (rates.g1_total > 0 and rates.g2_total > 0):
         raise NoTransitionError(
             "a mode has zero total rate (dark mode); the rate ratio has no crossing")
@@ -199,18 +199,21 @@ def _rate_balance(model: SpectralDensityModel, params: QubitPairParams,
 
 
 def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
-                       T: float = 0.0,
+                       T: float | None = None,
                        bracket: tuple[float, float] | None = None,
                        kappa: float = KAPPA_DEFAULT) -> float:
     """Probe frequency at which the two total mode rates are equal.
 
     Roots log(rate1/rate2) in omega_p over ``bracket`` (default
     (0.5, 1.5) * omega_q; params.omega_p is ignored) with Brent's method
-    down to 1e-13 * omega_q, far inside the guaranteed 1e-6 * omega_q.  At
-    T=0 both rates are pure decay, so the root also satisfies the closed-form
+    down to 1e-13 * omega_q, far inside the guaranteed 1e-6 * omega_q.
+    ``T=None`` means params.temperature; a number overrides it.  At T=0 both
+    rates are pure decay, so the root also satisfies the closed-form
     power-law line s = log(tan^2(theta_+ + theta_-)) / log(E1/E2) when J has
     no cutoff.
     """
+    if T is not None:
+        params = replace(params, temperature=T)
     if bracket is None:
         bracket = (0.5 * params.omega_q, 1.5 * params.omega_q)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -218,7 +221,7 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
 
     def f(w: float) -> float:
-        return _rate_balance(model, replace(params, omega_p=w), T, kappa)
+        return _rate_balance(model, replace(params, omega_p=w), kappa)
 
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi > 0:
@@ -234,25 +237,22 @@ def default_scan_grid(root: float, omega_q: float) -> np.ndarray:
     return root + omega_q * np.linspace(-0.15, 0.15, 7)
 
 
-def transition_point(lam: float, T: float, omega_p_bar: float,
-                     omega_q: float = 1.0,
+def transition_point(params: QubitPairParams,
                      uncertainty: float | None = None) -> TransitionPoint:
-    """Dress a located crossing with the constraint it implies.
+    """Dress the crossing located at params.omega_p with its constraint.
 
     At the crossing kappa cancels and
     J(E1) (1 + 2 n(E1)) cos^2(Sigma) = J(E2) (1 + 2 n(E2)) sin^2(Sigma),
     so the implied ratio is tan^2(Sigma) times the occupation correction;
     at T=0 it is tan^2(Sigma) alone.
     """
-    params = QubitPairParams(omega_q=omega_q, omega_p=omega_p_bar, lam=lam,
-                             temperature=T)
     eig = diagonalize(params)
     sigma = eig.theta_plus + eig.theta_minus
-    n1 = bose_occupation(eig.E1, T)
-    n2 = bose_occupation(eig.E2, T)
+    n1 = bose_occupation(eig.E1, params.temperature)
+    n2 = bose_occupation(eig.E2, params.temperature)
     ratio = float(np.tan(sigma) ** 2 * (1.0 + 2.0 * n2) / (1.0 + 2.0 * n1))
-    return TransitionPoint(lam=lam, omega_p_bar=omega_p_bar, E1=eig.E1,
-                           E2=eig.E2, ratio=ratio, n1=n1, n2=n2,
+    return TransitionPoint(lam=params.lam, omega_p_bar=params.omega_p,
+                           E1=eig.E1, E2=eig.E2, ratio=ratio, n1=n1, n2=n2,
                            uncertainty=uncertainty)
 
 
@@ -285,10 +285,8 @@ def simulate(params: QubitPairParams, model: SpectralDensityModel,
     return Simulation(eig, rates, v, traj)
 
 
-def _classify_point(model, lam, T, omega_p, omega_q, times, sync_cfg, kappa):
+def _classify_point(model, params, times, sync_cfg, kappa):
     """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable."""
-    params = QubitPairParams(omega_q=omega_q, omega_p=omega_p, lam=lam,
-                             temperature=T)
     sim = simulate(params, model, times, kappa=kappa)
     m = detect_sync(sim.traj, sync_cfg)
     if m.omega_sync is None:
@@ -301,10 +299,26 @@ def _classify_point(model, lam, T, omega_p, omega_q, times, sync_cfg, kappa):
     return 0
 
 
-def scan_transition(model: SpectralDensityModel, lam: float, T: float,
-                    omega_p_grid, config: ScanConfig | None = None,
-                    omega_q: float = 1.0) -> TransitionPoint:
-    """Locate the regime jump from simulated probe signals alone.
+def _bisect(classify, a: float, label_a: int, b: float, label_b: int,
+            tol: float) -> tuple[float, float, float | None]:
+    """Halve [a, b], labelled label_a and label_b, down to ``tol``; stop
+    early, returning the midpoint as third item, on any other label."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        side = classify(mid)
+        if side == label_a:
+            a = mid
+        elif side == label_b:
+            b = mid
+        else:
+            return a, b, mid
+    return a, b, None
+
+
+def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
+                    omega_p_grid, config: ScanConfig | None = None) -> TransitionPoint:
+    """Locate the regime jump from simulated probe signals alone (each grid
+    point replaces params.omega_p).
 
     Every grid point is forward-simulated from the all-plus product state and
     fed to the synchronization detector; the jump sits between the last grid
@@ -329,8 +343,8 @@ def scan_transition(model: SpectralDensityModel, lam: float, T: float,
     times = times[late_span(times, sync_cfg)]
 
     def classify(w: float) -> int:
-        return _classify_point(model, lam, T, w, omega_q, times, sync_cfg,
-                               config.kappa)
+        return _classify_point(model, replace(params, omega_p=w), times,
+                               sync_cfg, config.kappa)
 
     labels = np.array([classify(w) for w in grid])
     decided = np.flatnonzero(labels != 0)
@@ -353,46 +367,27 @@ def scan_transition(model: SpectralDensityModel, lam: float, T: float,
 
     lo, hi = float(grid[i]), float(grid[j])
     side_lo, side_hi = int(labels[i]), int(labels[j])
-    u_lo = u_hi = float(grid[i + 1]) if band_points == 1 else None
-
-    while u_lo is None and hi - lo > config.refine_tol:
-        mid = 0.5 * (lo + hi)
-        side = classify(mid)
-        if side == side_lo:
-            lo = mid
-        elif side == side_hi:
-            hi = mid
-        else:
-            u_lo = u_hi = mid
-    if u_lo is None:
-        # Clean crossing, never saw the undecidable band.
-        return transition_point(lam, T, 0.5 * (lo + hi), omega_q=omega_q,
-                                uncertainty=0.5 * (hi - lo))
+    tol = config.refine_tol
+    if band_points == 1:
+        u_lo = float(grid[i + 1])
+    else:
+        lo, hi, u_lo = _bisect(classify, lo, side_lo, hi, side_hi, tol)
+        if u_lo is None:
+            # Clean crossing, never saw the undecidable band.
+            return transition_point(replace(params, omega_p=0.5 * (lo + hi)),
+                                    uncertainty=0.5 * (hi - lo))
 
     # Bisect both band edges so the reported point is the band midpoint.
-    while u_lo - lo > config.refine_tol:
-        mid = 0.5 * (lo + u_lo)
-        side = classify(mid)
-        if side == side_lo:
-            lo = mid
-        elif side == 0:
-            u_lo = mid
-        else:
-            hi, u_hi = mid, min(u_hi, mid)
-            break
-    while hi - u_hi > config.refine_tol:
-        mid = 0.5 * (u_hi + hi)
-        side = classify(mid)
-        if side == side_hi:
-            hi = mid
-        elif side == 0:
-            u_hi = mid
-        else:
-            lo, u_lo = mid, max(u_lo, mid)
-            break
+    u_hi = u_lo
+    lo, u_lo, far = _bisect(classify, lo, side_lo, u_lo, 0, tol)
+    if far is not None:
+        hi, u_hi = far, min(u_hi, far)
+    u_hi, hi, far = _bisect(classify, u_hi, 0, hi, side_hi, tol)
+    if far is not None:
+        lo, u_lo = far, max(u_lo, far)
     edge_lo = 0.5 * (lo + u_lo)
     edge_hi = 0.5 * (u_hi + hi)
-    return transition_point(lam, T, 0.5 * (edge_lo + edge_hi), omega_q=omega_q,
+    return transition_point(replace(params, omega_p=0.5 * (edge_lo + edge_hi)),
                             uncertainty=0.5 * (edge_hi - edge_lo))
 
 
@@ -474,18 +469,17 @@ def infer_system_params(spectrum, omega_p) -> tuple[float, float]:
     return float(sol.x[0]), float(sol.x[1])
 
 
-def collect_constraints(model: SpectralDensityModel, lams, T: float = 0.0,
+def collect_constraints(model: SpectralDensityModel, lams,
+                        params: QubitPairParams = QubitPairParams(),
                         config: ScanConfig | None = None,
-                        method: str = "signal", omega_q: float = 1.0,
-                        grid=None, bracket: tuple[float, float] | None = None,
+                        method: str = "signal",
                         failures: list | None = None) -> list[TransitionPoint]:
     """One TransitionPoint per coupling, aggregated in sorted-lam order.
 
-    method="signal" runs the full scan per lam (grid=None centers a default
-    7-point grid of half-width 0.15 * omega_q on the predicted crossing; pass
-    an explicit grid to scan blind).  ``bracket`` defaults to
-    (0.5, 1.5) * omega_q.  method="analytic" skips simulation and roots the
-    rate balance
+    Each coupling replaces params.lam; omega_q and the temperature come
+    from ``params``, and params.omega_p is ignored.  method="signal" scans a
+    7-point grid of half-width 0.15 * omega_q centred on the predicted
+    crossing; method="analytic" skips simulation and roots the rate balance
     directly.  Failures for individual lam values are warned about and
     appended to ``failures`` as (lam, message); the call raises only when no
     lam yields a constraint.
@@ -497,18 +491,14 @@ def collect_constraints(model: SpectralDensityModel, lams, T: float = 0.0,
     points: list[TransitionPoint] = []
     for lam in sorted(float(v) for v in lams):
         try:
-            if method == "signal" and grid is not None:
-                lam_grid = grid
+            pair = replace(params, lam=lam)
+            root = predict_transition(model, pair, kappa=config.kappa)
+            if method == "analytic":
+                points.append(transition_point(replace(pair, omega_p=root)))
             else:
-                base = QubitPairParams(omega_q=omega_q, lam=lam, temperature=T)
-                root = predict_transition(model, base, T=T, bracket=bracket,
-                                          kappa=config.kappa)
-                if method == "analytic":
-                    points.append(transition_point(lam, T, root, omega_q=omega_q))
-                    continue
-                lam_grid = default_scan_grid(root, omega_q)
-            points.append(scan_transition(model, lam, T, lam_grid,
-                                          config=config, omega_q=omega_q))
+                points.append(scan_transition(
+                    model, pair, default_scan_grid(root, pair.omega_q),
+                    config=config))
         except (NoTransitionError, ResolutionError, DegenerateSpectrumError,
                 ValueError) as exc:
             warnings.warn(f"lam={lam:g}: {exc}", stacklevel=2)

@@ -94,6 +94,15 @@ def _uniform_step(times: np.ndarray) -> float:
     return float(dt)
 
 
+# Fewest samples a spectral window may hold.
+MIN_SPECTRUM_SAMPLES = 64
+
+
+def window_mask(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
+    """The samples of ``times`` that ``windowed_fft`` reads for [t_start, t_end]."""
+    return (times >= t_start - 1e-12) & (times <= t_end + 1e-12)
+
+
 def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimate:
     """Spectrum of the mean-subtracted, Hann-tapered segment [t_start, t_end].
 
@@ -103,10 +112,10 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     signal = np.asarray(signal, dtype=float)
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
-    sel = (times >= t_start - 1e-12) & (times <= t_end + 1e-12)
-    seg = signal[sel]
-    if seg.size < 64:
-        raise ValueError(f"window holds {seg.size} samples, need >= 64")
+    seg = signal[window_mask(times, t_start, t_end)]
+    if seg.size < MIN_SPECTRUM_SAMPLES:
+        raise ValueError(f"window holds {seg.size} samples, "
+                         f"need >= {MIN_SPECTRUM_SAMPLES}")
     seg = seg - seg.mean()
     taper = np.hanning(seg.size)
     padded = np.zeros(4 * seg.size)
@@ -263,28 +272,33 @@ def spin_correlator(rho: np.ndarray) -> complex:
     return complex(np.trace(np.asarray(rho) @ op))
 
 
+# Window samples per signal that _windowed_correlation copies at once (8 MB).
+_CORRELATION_BLOCK = 1 << 20
+
+
 def _windowed_correlation(times, f, g, win_n: int, step_n: int,
                           window: float):
-    """``sync_measure`` at every ``step_n``-th window start, in one pass.
+    """``sync_measure`` at every ``step_n``-th window start, in blocks of
+    starts whose windows hold at most _CORRELATION_BLOCK samples.
 
     Returns (window-center times, correlations); NaN where a window has zero
     variance, and both empty when the window is longer than the signals.
     """
     starts = np.arange(0, times.size - win_n + 1, step_n)
     c_times = times[starts] + 0.5 * window
-    if starts.size == 0:
-        return c_times, np.empty(0)
-    da = np.lib.stride_tricks.sliding_window_view(f, win_n)[starts]
-    db = np.lib.stride_tricks.sliding_window_view(g, win_n)[starts]
-    da -= da.mean(axis=1, keepdims=True)
-    db -= db.mean(axis=1, keepdims=True)
-    na = np.sqrt(np.einsum("ij,ij->i", da, da))
-    nb = np.sqrt(np.einsum("ij,ij->i", db, db))
-    num = np.einsum("ij,ij->i", da, db)
-    defined = (na != 0.0) & (nb != 0.0)
     c_values = np.full(starts.size, np.nan)
-    c_values[defined] = np.clip(num[defined] / (na[defined] * nb[defined]),
-                                -1.0, 1.0)
+    rows = max(1, _CORRELATION_BLOCK // win_n)
+    for k in range(0, starts.size, rows):
+        da = np.lib.stride_tricks.sliding_window_view(f, win_n)[starts[k:k + rows]]
+        db = np.lib.stride_tricks.sliding_window_view(g, win_n)[starts[k:k + rows]]
+        da -= da.mean(axis=1, keepdims=True)
+        db -= db.mean(axis=1, keepdims=True)
+        na = np.sqrt(np.einsum("ij,ij->i", da, da))
+        nb = np.sqrt(np.einsum("ij,ij->i", db, db))
+        num = np.einsum("ij,ij->i", da, db)
+        defined = (na != 0.0) & (nb != 0.0)
+        c_values[k:k + rows][defined] = np.clip(
+            num[defined] / (na[defined] * nb[defined]), -1.0, 1.0)
     return c_times, c_values
 
 

@@ -147,7 +147,7 @@ def test_criterion_03_transition_line():
         for s in (0.5, 1.0, 1.5, 2.0):
             model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0)
             root = predict_transition(model, probe)
-            tp = scan_transition(model, 0.2, 0.0,
+            tp = scan_transition(model, probe,
                                  root + np.linspace(-0.15, 0.15, 7))
             assert abs(tp.omega_p_bar - root) <= 0.05
 

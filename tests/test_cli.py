@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from syncprobe import cli
 from syncprobe.cli import (
     ConfigError,
     main,
@@ -147,6 +148,24 @@ def test_sweep_spec_errors(mutate, field):
     with pytest.raises(ConfigError) as err:
         parse_sweep_spec(cfg)
     assert field in str(err.value)
+
+
+def test_grid_steps_are_capped():
+    cap = cli._MAX_GRID_POINTS
+    assert cli._range({"lo": 0.9, "hi": 1.1, "steps": cap}, "grid", 0.0,
+                      True) == (0.9, 1.1, cap)
+    with pytest.raises(ConfigError, match=r"^grid\.steps: "):
+        cli._range({"lo": 0.9, "hi": 1.1, "steps": 10 ** 9}, "grid", 0.0, True)
+    with pytest.raises(ConfigError, match=r"^axes\[0\]\.steps: "):
+        parse_sweep_spec(_sweep_cfg(axes=[
+            {"name": "omega_p", "lo": 0.5, "hi": 1.5, "steps": cap + 1}]))
+    # each axis under the cap, their product over it
+    axes = [{"name": "omega_p", "lo": 0.5, "hi": 1.5, "steps": 1000},
+            {"name": "lambda", "values": [0.1] * 100}]
+    assert len(parse_sweep_spec(_sweep_cfg(axes=axes)).axes[1].values) == 100
+    axes[1]["values"].append(0.2)
+    with pytest.raises(ConfigError, match=r"^axes: "):
+        parse_sweep_spec(_sweep_cfg(axes=axes))
 
 
 def test_sweep_s_axis_needs_power_law():
@@ -457,6 +476,45 @@ def test_spectrum_window_validated_before_run(tmp_path):
     assert code == 2
     # nothing half-written: validation fired before any simulation
     assert not list(out.glob("spectrum_*.csv"))
+
+
+# Windows of 64 and 63 samples on a dt = 0.05 grid, counted as
+# windowed_fft counts them; 64 is the fewest a spectrum takes.
+FULL_WINDOW, SHORT_WINDOW = [200.0, 203.15], [200.0, 203.1]
+
+
+def test_window_sample_counts_match_windowed_fft():
+    times = cli.default_time_grid(400.0, 0.05)
+    signal = np.cos(times)
+    cli.windowed_fft(signal, times, *FULL_WINDOW)
+    with pytest.raises(ValueError, match="holds 63 samples"):
+        cli.windowed_fft(signal, times, *SHORT_WINDOW)
+
+
+@pytest.mark.parametrize("parse, field", [
+    (lambda w: parse_run_config(_run_cfg(windows=[[0.0, 110.0], w])),
+     "windows[1]"),
+    (lambda w: parse_sweep_spec(_sweep_cfg(base=_run_cfg(
+        analysis={"late_window": w}))), "base.analysis.late_window"),
+    (lambda w: cli._scan_config_from({"t_max": 400.0, "late_window": w}),
+     "scan.late_window"),
+])
+def test_window_sample_floor_checked_when_parsed(parse, field):
+    parse(FULL_WINDOW)
+    with pytest.raises(ConfigError) as err:
+        parse(SHORT_WINDOW)
+    assert str(err.value).startswith(f"{field}: holds 63 samples")
+
+
+def test_evolve_checks_late_window_samples_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _run_cfg(analysis={"late_window": SHORT_WINDOW}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: analysis.late_window: holds 63 samples")
+    assert not (out / "trajectory.csv").exists()
+    cfg = _write(tmp_path, _run_cfg(analysis={"late_window": FULL_WINDOW}))
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------------------

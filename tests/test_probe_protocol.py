@@ -11,6 +11,7 @@ from syncprobe.bath import (
     model_from_config,
 )
 from syncprobe.dynamics import default_time_grid
+from syncprobe import probe_protocol
 from syncprobe.probe_protocol import (
     InsufficientSpectrumError,
     InversionError,
@@ -65,7 +66,7 @@ def _scan(model_key):
             "ohmic": (OHMIC, 0.85, 1.16),
             "quartic": (QUARTIC, 0.92, 1.24),
         }[model_key]
-        _scans[model_key] = scan_transition(model, 0.2, 0.0,
+        _scans[model_key] = scan_transition(model, QubitPairParams(lam=0.2),
                                             np.arange(lo, hi, 0.05))
     return _scans[model_key]
 
@@ -138,8 +139,17 @@ def test_finite_temperature_root_uses_total_rates():
     assert abs(rates.g1_down - rates.g2_down) > 1e-4 * rates.g1_down
 
 
+def test_temperature_defaults_to_the_pair():
+    """Without T the root is that of params.temperature; a T overrides it."""
+    warm = QubitPairParams(omega_p=1.0, lam=0.2, temperature=1.0)
+    assert predict_transition(QUARTIC, warm) == \
+        pytest.approx(ROOT_S2_CUT_T1, abs=1e-9)
+    assert predict_transition(QUARTIC, warm, T=0.0) == \
+        pytest.approx(ROOT_S2_CUT, abs=1e-9)
+
+
 def test_transition_point_ratio_is_tan_squared_at_t0():
-    tp = transition_point(0.2, 0.0, ROOT_S2_CUT)
+    tp = transition_point(QubitPairParams(omega_p=ROOT_S2_CUT, lam=0.2))
     eig = diagonalize(QubitPairParams(omega_p=ROOT_S2_CUT, lam=0.2))
     sigma = eig.theta_plus + eig.theta_minus
     assert tp.ratio == pytest.approx(np.tan(sigma) ** 2, rel=1e-12)
@@ -167,10 +177,10 @@ def test_transition_point_validation():
 
 def test_default_bracket_and_grid_in_units_of_omega_q():
     # the crossing near omega_p = 2 lies outside an absolute (0.5, 1.5)
-    (analytic,) = collect_constraints(OHMIC, [0.4], method="analytic",
-                                      omega_q=2.0)
+    pair = QubitPairParams(omega_q=2.0)
+    (analytic,) = collect_constraints(OHMIC, [0.4], pair, method="analytic")
     assert analytic.omega_p_bar == pytest.approx(1.99684, abs=1e-4)
-    (signal,) = collect_constraints(OHMIC, [0.4], method="signal", omega_q=2.0)
+    (signal,) = collect_constraints(OHMIC, [0.4], pair, method="signal")
     assert abs(signal.omega_p_bar - analytic.omega_p_bar) < 0.01
 
 
@@ -214,29 +224,88 @@ def test_classify_point_same_label_on_late_span(model, lo, hi):
     assert (full.size, part.size) == (40001, 6240)
     labels = []
     for w in np.arange(lo, hi, 0.05):
-        labels.append(_classify_point(model, 0.2, 0.0, w, 1.0, full,
-                                      sync_cfg, cfg.kappa))
-        assert _classify_point(model, 0.2, 0.0, w, 1.0, part, sync_cfg,
+        pair = QubitPairParams(omega_p=w, lam=0.2)
+        labels.append(_classify_point(model, pair, full, sync_cfg, cfg.kappa))
+        assert _classify_point(model, pair, part, sync_cfg,
                                cfg.kappa) == labels[-1], w
     assert {1, 2} <= set(labels)
 
 
 def test_scan_single_branch_raises():
     with pytest.raises(NoTransitionError):
-        scan_transition(QUARTIC, 0.2, 0.0, np.array([1.15, 1.20, 1.25]))
+        scan_transition(QUARTIC, QubitPairParams(lam=0.2),
+                        np.array([1.15, 1.20, 1.25]))
 
 
 def test_scan_band_below_grid_step_raises():
     grid = ROOT_S2_CUT + 0.008 * np.arange(-3, 4)
     with pytest.raises(ResolutionError):
-        scan_transition(QUARTIC, 0.2, 0.0, grid)
+        scan_transition(QUARTIC, QubitPairParams(lam=0.2), grid)
 
 
 def test_scan_grid_validation():
     with pytest.raises(ValueError):
-        scan_transition(OHMIC, 0.2, 0.0, np.array([1.0]))
+        scan_transition(OHMIC, QubitPairParams(lam=0.2), np.array([1.0]))
     with pytest.raises(ValueError):
-        scan_transition(OHMIC, 0.2, 0.0, np.array([1.0, 0.9, 1.1]))
+        scan_transition(OHMIC, QubitPairParams(lam=0.2),
+                        np.array([1.0, 0.9, 1.1]))
+
+
+# Fake classifiers for scan_transition: (edge, label) steps in omega_p /
+# omega_q, label 1 above the last edge.  Expected values were recorded on
+# the three-loop bisection this scan replaced.
+FAKE_GRID = np.array([0.9, 0.95, 1.0, 1.05, 1.1])
+FAKE_SCANS = {
+    "clean crossing": ([(1.0123, 2)],
+                       1.01171875, 0.0007812500000000666, 10),
+    "band found by bisection": ([(1.01, 2), (1.016, 0)],
+                                1.01328125, 0.0031250000000000444, 13),
+    "band on the grid": ([(1.04, 2), (1.06, 0)],
+                         1.05, 0.010156249999999867, 15),
+    # a mode-1 pocket below the band ends the search for its lower edge
+    "far side below the band": ([(1.005, 2), (1.0075, 1), (1.01, 2),
+                                 (1.016, 0)],
+                                1.00625, 0.0, 8),
+    # a mode-2 pocket above the band ends the search for its upper edge
+    "far side above the band": ([(1.01, 2), (1.016, 0), (1.018, 1),
+                                 (1.02, 2)],
+                                1.0187499999999998, 0.0, 11),
+}
+
+
+def _fake_classifier(monkeypatch, edges):
+    seen = []
+
+    def classify(model, params, times, sync_cfg, kappa):
+        seen.append(params)
+        for edge, label in edges:
+            if params.omega_p / params.omega_q < edge:
+                return label
+        return 1
+
+    monkeypatch.setattr(probe_protocol, "_classify_point", classify)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(FAKE_SCANS))
+def test_scan_bisection_paths(monkeypatch, case):
+    edges, omega_p_bar, uncertainty, calls = FAKE_SCANS[case]
+    seen = _fake_classifier(monkeypatch, edges)
+    tp = scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+    assert (tp.omega_p_bar, tp.uncertainty, len(seen)) == \
+        (omega_p_bar, uncertainty, calls)
+
+
+def test_scan_passes_the_pair_to_every_classification(monkeypatch):
+    seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
+    pair = QubitPairParams(omega_q=2.0, omega_p=7.0, lam=0.3, temperature=0.4)
+    tp = scan_transition(QUARTIC, pair, 2.0 * FAKE_GRID)
+    assert {replace(p, omega_p=1.0) for p in seen} == \
+        {replace(pair, omega_p=1.0)}
+    assert len(seen) == 15
+    assert (tp.lam, tp.omega_p_bar, tp.uncertainty, tp.ratio) == \
+        (0.3, 2.02578125, 0.006250000000000089, 1.4984763338547995)
+    assert (tp.n1, tp.n2) == (0.0029217165942381, 0.01324736069656609)
 
 
 def _fake_spectrum(peak_freqs):
@@ -393,7 +462,8 @@ def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit_spectral_density([])
     with pytest.raises(ValueError):
-        fit_spectral_density([transition_point(0.2, 0.0, 1.0)], family="spline")
+        fit_spectral_density([transition_point(QubitPairParams(lam=0.2))],
+                             family="spline")
     falling = TransitionPoint(lam=0.2, omega_p_bar=1.0, E1=1.3, E2=0.9,
                               ratio=0.5)
     with pytest.raises(InversionError):

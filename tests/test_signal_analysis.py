@@ -7,6 +7,7 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncprobe import signal_analysis
 from syncprobe import (
     ANTI_PHASE,
     IN_PHASE,
@@ -372,6 +373,32 @@ def test_detect_sync_matches_per_window_reference():
         assert np.max(np.abs(m.c_values[~nan] - ref_c[~nan])) < 1e-12
         saw_nan = saw_nan or bool(nan.any())
     assert saw_nan
+
+
+@pytest.mark.parametrize("block", [500, 10])
+def test_correlation_blocks_match_per_window_reference(monkeypatch, block):
+    """Window starts processed a few (or, below one window, one) per block
+    give sync_measure at every start and the single-block values bit for
+    bit."""
+    times = default_time_grid(320.0)
+    sx_q = 0.8 * np.cos(0.9 * times)
+    sx_p = 0.5 * np.cos(0.9 * times + 0.4) * np.exp(-0.01 * times)
+    sx_q[1000:1400] = 0.0
+    sx_p[2000:2300] = 0.25
+    traj = Trajectory(times=times, sx_q=sx_q, sx_p=sx_p)
+    cfg = SyncConfig(window=3.0, step=0.05)
+    whole = detect_sync(traj, cfg).c_values
+    monkeypatch.setattr(signal_analysis, "_CORRELATION_BLOCK", block)
+    m = detect_sync(traj, cfg)
+    win_n = int(round(cfg.window / 0.05))
+    assert m.c_values.size > 4 * max(1, block // win_n)
+    np.testing.assert_array_equal(m.c_values, whole)
+    ref_t, ref_c = _per_window_reference(traj, cfg)
+    np.testing.assert_array_equal(m.c_times, ref_t)
+    nan = np.isnan(ref_c)
+    assert nan.any()
+    np.testing.assert_array_equal(np.isnan(m.c_values), nan)
+    assert np.max(np.abs(m.c_values[~nan] - ref_c[~nan])) < 1e-12
 
 
 def test_detect_sync_dead_signal_is_nosync():

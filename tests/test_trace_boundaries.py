@@ -14,6 +14,7 @@ from syncprobe import cli, probe_protocol, signal_analysis
 from syncprobe.bath import PowerLawCutoff
 from syncprobe.dynamics import default_time_grid
 from syncprobe.presets import get_preset
+from syncprobe.spin_model import QubitPairParams
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -72,6 +73,6 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
     times = default_time_grid(scan.t_max, scan.dt)
     times = times[signal_analysis.late_span(times, sync_cfg)]
     model = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)
-    probe_protocol._classify_point(model, 0.2, 0.0, 1.1, 1.0, times,
-                                   sync_cfg, scan.kappa)
+    pair = QubitPairParams(omega_p=1.1, lam=0.2)
+    probe_protocol._classify_point(model, pair, times, sync_cfg, scan.kappa)
     assert _layer_spans(tracer, first) == LAYER_SPANS
