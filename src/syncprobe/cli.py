@@ -66,9 +66,9 @@ from .probe_protocol import (
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
                              evolve_analytic, lindblad_rates)
 from .signal_analysis import (
-    MIN_SPECTRUM_SAMPLES,
     NotResolvableError,
     SyncConfig,
+    check_window,
     detect_sync,
     late_span,
     mutual_information,
@@ -156,16 +156,12 @@ def _time_grid(cfg: dict, path: str, t_max: float, dt: float) -> tuple[float, fl
     return t_max, dt
 
 
-def _check_window(window, times: np.ndarray, t_max: float, path: str) -> None:
-    """A [start, end] time window must end inside the simulated horizon and
-    hold the samples of ``times`` a spectrum needs, counted as
-    ``windowed_fft`` counts them."""
-    if window[1] > t_max + 1e-9:
-        raise ConfigError(path, f"extends past t_max ({t_max:g})")
-    n = int(np.count_nonzero(window_mask(times, *window)))
-    if n < MIN_SPECTRUM_SAMPLES:
-        raise ConfigError(path, f"holds {n} samples of the time grid, "
-                                f"need >= {MIN_SPECTRUM_SAMPLES}")
+def _check_window(window, times: np.ndarray, path: str) -> None:
+    """``check_window`` on the grid a run will build, naming the field."""
+    try:
+        check_window(times, *window)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 # Points one sweep or scan grid may hold, about 40 times the fig3b map.
@@ -196,6 +192,7 @@ INITIAL_STATES = {
 }
 
 _CHANNELS = ("probe", "qubit")
+_SPECTRUM_FILE = "spectrum_{:g}-{:g}.csv"   # the file of one spectrum window
 
 
 @dataclass
@@ -348,10 +345,14 @@ def parse_run_config(cfg) -> RunConfig:
             raise ConfigError("windows", "expected a non-empty list of "
                                          "[t_start, t_end] pairs")
         times = default_time_grid(t_max, dt)
-        pairs = []
+        pairs, files = [], {}
         for i, w in enumerate(raw):
             pairs.append(_pair(w, f"windows[{i}]"))
-            _check_window(pairs[-1], times, t_max, f"windows[{i}]")
+            _check_window(pairs[-1], times, f"windows[{i}]")
+            name = _SPECTRUM_FILE.format(*pairs[-1])
+            if files.setdefault(name, i) != i:
+                raise ConfigError(f"windows[{i}]", f"writes the same file as "
+                                  f"windows[{files[name]}] ({name})")
         windows = tuple(pairs)
 
     return RunConfig(
@@ -439,9 +440,8 @@ def parse_sweep_spec(cfg) -> SweepSpec:
         raise ConfigError("base", "missing required section")
     try:
         base = parse_run_config(cfg["base"])
-        _check_window(base.analysis.late_window,
-                      default_time_grid(base.t_max, base.dt), base.t_max,
-                      "analysis.late_window")
+        times = default_time_grid(base.t_max, base.dt)
+        _check_window(base.analysis.late_window, times, "analysis.late_window")
     except ConfigError as exc:
         raise ConfigError(f"base.{exc.field}", exc.message)
 
@@ -534,8 +534,7 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
                                             sim.transform)
             out["mi"] = mutual_information(rho_ss)
         else:
-            lo, hi = rc.analysis.late_window
-            sel = (sim.traj.times >= lo) & (sim.traj.times <= hi)
+            sel = window_mask(sim.traj.times, *rc.analysis.late_window)
             # spin_correlator is Tr(rho op): rotate op into the eigenmode
             # basis once instead of every state out of it
             op = (sim.transform.T @ np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
@@ -622,8 +621,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
     times = default_time_grid(rc.t_max, rc.dt)
-    _check_window(rc.analysis.late_window, times, rc.t_max,
-                  "analysis.late_window")
+    _check_window(rc.analysis.late_window, times, "analysis.late_window")
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
@@ -681,7 +679,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     summary = []
     for a, b in rc.windows:
         est = windowed_fft(signal, times, a, b)
-        name = f"spectrum_{a:g}-{b:g}.csv"
+        name = _SPECTRUM_FILE.format(a, b)
         with _replacing(out / name) as fh:
             spectrum_to_csv(est, fh)
         summary.append({
@@ -707,7 +705,7 @@ def _scan_config_from(cfg) -> ScanConfig:
     if "late_window" in cfg:
         late = _pair(cfg["late_window"], "scan.late_window")
     t_max, dt = _time_grid(cfg, "scan", t_max=d.t_max, dt=d.dt)
-    _check_window(late, default_time_grid(t_max, dt), t_max, "scan.late_window")
+    _check_window(late, default_time_grid(t_max, dt), "scan.late_window")
     return ScanConfig(
         t_max=t_max,
         dt=dt,

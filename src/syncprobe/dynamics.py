@@ -50,20 +50,18 @@ class NoUniqueSteadyStateError(ValueError):
     """A mode is completely decoupled from the bath; fixed point not unique."""
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12,
-                            eig_floor: float = -1e-10) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise StateValidationError(f"expected a 4x4 matrix, got {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise StateValidationError(f"Hermiticity defect {herm:.3g} > {herm_tol:g}")
+    if herm > 1e-12:
+        raise StateValidationError(f"Hermiticity defect {herm:.3g} > 1e-12")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
+    if tr > 1e-12:
         raise StateValidationError(f"trace deviates from 1 by {tr:.3g}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < eig_floor:
+    if lo < -1e-10:
         raise StateValidationError(f"negative eigenvalue {lo:.3g}")
 
 

@@ -302,7 +302,8 @@ def _classify_point(model, params, times, sync_cfg, kappa):
 def _bisect(classify, a: float, label_a: int, b: float, label_b: int,
             tol: float) -> tuple[float, float, float | None]:
     """Halve [a, b], labelled label_a and label_b, down to ``tol``; stop
-    early, returning the midpoint as third item, on any other label."""
+    early, returning the midpoint as third item, on label 0 (undecidable);
+    raise ResolutionError on the third mode's label (not monotone)."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         side = classify(mid)
@@ -310,8 +311,12 @@ def _bisect(classify, a: float, label_a: int, b: float, label_b: int,
             a = mid
         elif side == label_b:
             b = mid
-        else:
+        elif side == 0:
             return a, b, mid
+        else:
+            raise ResolutionError(
+                f"omega_p = {mid:g} locks on mode {side} between labels "
+                f"{label_a} at {a:g} and {label_b} at {b:g}: not monotone")
     return a, b, None
 
 
@@ -326,7 +331,8 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
     other.  Local bisection then tightens the bracket until either it is
     narrower than config.refine_tol or a midpoint falls in the undecidable
     band; the midpoint of the final bracket is returned with half its width
-    as the uncertainty.
+    as the uncertainty.  A lock on the other mode inside a band edge's
+    bracket raises ResolutionError: the labels are not monotone there.
 
     The time grid is cut to its late span once per scan, so every
     classification evolves and correlates only the samples its verdict
@@ -379,12 +385,8 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
 
     # Bisect both band edges so the reported point is the band midpoint.
     u_hi = u_lo
-    lo, u_lo, far = _bisect(classify, lo, side_lo, u_lo, 0, tol)
-    if far is not None:
-        hi, u_hi = far, min(u_hi, far)
-    u_hi, hi, far = _bisect(classify, u_hi, 0, hi, side_hi, tol)
-    if far is not None:
-        lo, u_lo = far, max(u_lo, far)
+    lo, u_lo, _ = _bisect(classify, lo, side_lo, u_lo, 0, tol)
+    u_hi, hi, _ = _bisect(classify, u_hi, 0, hi, side_hi, tol)
     edge_lo = 0.5 * (lo + u_lo)
     edge_hi = 0.5 * (u_hi + hi)
     return transition_point(replace(params, omega_p=0.5 * (edge_lo + edge_hi)),

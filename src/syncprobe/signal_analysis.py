@@ -96,11 +96,24 @@ def _uniform_step(times: np.ndarray) -> float:
 
 # Fewest samples a spectral window may hold.
 MIN_SPECTRUM_SAMPLES = 64
+_REACH_TOL = 1e-9   # how far a window may end past its grid's last sample
 
 
 def window_mask(times: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
-    """The samples of ``times`` that ``windowed_fft`` reads for [t_start, t_end]."""
+    """The samples (or window centres) of ``times`` in [t_start, t_end]."""
     return (times >= t_start - 1e-12) & (times <= t_end + 1e-12)
+
+
+def check_window(times: np.ndarray, t_start: float, t_end: float) -> None:
+    """Raise ValueError unless [t_start, t_end] ends by ``times[-1]`` (to 1e-9)
+    and holds MIN_SPECTRUM_SAMPLES samples by ``window_mask``: the one fit
+    rule of ``windowed_fft``, ``detect_sync`` and the CLI's parsers."""
+    if t_end > times[-1] + _REACH_TOL:
+        raise ValueError(f"ends past the time grid's last sample ({times[-1]:g})")
+    n = int(np.count_nonzero(window_mask(times, t_start, t_end)))
+    if n < MIN_SPECTRUM_SAMPLES:
+        raise ValueError(f"holds {n} samples of the time grid, "
+                         f"need >= {MIN_SPECTRUM_SAMPLES}")
 
 
 def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimate:
@@ -112,10 +125,8 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     signal = np.asarray(signal, dtype=float)
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
+    check_window(times, t_start, t_end)
     seg = signal[window_mask(times, t_start, t_end)]
-    if seg.size < MIN_SPECTRUM_SAMPLES:
-        raise ValueError(f"window holds {seg.size} samples, "
-                         f"need >= {MIN_SPECTRUM_SAMPLES}")
     seg = seg - seg.mean()
     taper = np.hanning(seg.size)
     padded = np.zeros(4 * seg.size)
@@ -276,16 +287,9 @@ def spin_correlator(rho: np.ndarray) -> complex:
 _CORRELATION_BLOCK = 1 << 20
 
 
-def _windowed_correlation(times, f, g, win_n: int, step_n: int,
-                          window: float):
-    """``sync_measure`` at every ``step_n``-th window start, in blocks of
-    starts whose windows hold at most _CORRELATION_BLOCK samples.
-
-    Returns (window-center times, correlations); NaN where a window has zero
-    variance, and both empty when the window is longer than the signals.
-    """
-    starts = np.arange(0, times.size - win_n + 1, step_n)
-    c_times = times[starts] + 0.5 * window
+def _windowed_correlation(f, g, win_n: int, starts: np.ndarray) -> np.ndarray:
+    """``sync_measure`` at each of ``starts``, NaN on zero variance, in blocks
+    of starts whose windows hold at most _CORRELATION_BLOCK samples."""
     c_values = np.full(starts.size, np.nan)
     rows = max(1, _CORRELATION_BLOCK // win_n)
     for k in range(0, starts.size, rows):
@@ -299,7 +303,7 @@ def _windowed_correlation(times, f, g, win_n: int, step_n: int,
         defined = (na != 0.0) & (nb != 0.0)
         c_values[k:k + rows][defined] = np.clip(
             num[defined] / (na[defined] * nb[defined]), -1.0, 1.0)
-    return c_times, c_values
+    return c_values
 
 
 @dataclass(frozen=True)
@@ -312,11 +316,14 @@ class SyncConfig:
     noise_floor: float = 1e-9
 
 
-def _window_samples(config: SyncConfig, dt: float) -> tuple[int, int]:
-    """(win_n, step_n): correlation window length and stride in samples."""
+def _correlation_windows(times: np.ndarray, config: SyncConfig):
+    """(win_n, step_n, window starts, window centre times) on ``times``."""
+    dt = _uniform_step(times)
     win_n = max(8, int(round(config.window / dt)))
     step = config.step if config.step is not None else config.window / 4.0
-    return win_n, max(1, int(round(step / dt)))
+    step_n = max(1, int(round(step / dt)))
+    starts = np.arange(0, times.size - win_n + 1, step_n)
+    return win_n, step_n, starts, times[starts] + 0.5 * config.window
 
 
 def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
@@ -324,10 +331,11 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
 
     Regime, c_floor/c_ceil/c_min_abs, below_floor and omega_sync depend only
     on the correlation windows centred in ``config.late_window`` and on the
-    late-window samples themselves.  The span starts on a multiple of the
-    window stride, no later than the first late-window sample, so the same
-    windows are computed; it ends after the last late-centred window or
-    once the grid reaches the end of the late window, whichever is later.
+    late-window samples themselves, both as ``window_mask`` picks them.  The
+    span starts on a multiple of the window stride, no later than the first
+    late-window sample, so the same windows are computed; it ends after the
+    last late-centred window or at ``check_window``'s end sample, whichever
+    is later, so the check passes on the span iff it does on the grid.
     When no window centre falls in the late window, ``detect_sync`` falls
     back to the last defined c of the whole trace, so the span is the whole
     grid.  Transition scans and sweeps evolve only this span; ``evolve`` and
@@ -341,18 +349,15 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
     falls back to an earlier c the span may not hold.
     """
     times = np.asarray(times, dtype=float)
-    win_n, step_n = _window_samples(config, _uniform_step(times))
+    win_n, step_n, starts, centres = _correlation_windows(times, config)
     lo, hi = config.late_window
-    starts = np.arange(0, times.size - win_n + 1, step_n)
-    centres = times[starts] + 0.5 * config.window
-    late = starts[(centres >= lo) & (centres <= hi)]
+    late = starts[window_mask(centres, lo, hi)]
     if late.size == 0:
         return slice(0, times.size)
-    # windowed_fft reads [lo, hi] with a 1e-12 margin; the reach check wants
-    # a sample at or past hi - 1e-9.
-    first = int(np.searchsorted(times, lo - 1e-12))
-    last = int(np.searchsorted(times, hi + 1e-12, side="right"))
-    reach = min(int(np.searchsorted(times, hi - 1e-9)) + 1, times.size)
+    # first/last late sample (whole grid if none); check_window's end sample
+    mask = window_mask(times, lo, hi)
+    first, last = int(np.argmax(mask)), times.size - int(np.argmax(mask[::-1]))
+    reach = min(int(np.searchsorted(times, hi - _REACH_TOL)) + 1, times.size)
     return slice(min(int(late[0]), first - first % step_n),
                  max(int(late[-1]) + win_n, last, reach))
 
@@ -374,30 +379,26 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
 
     Everything but the c-trace itself is read from ``late_span(traj.times,
     config)``, so transition scans and sweeps pass only that span; the
-    c-trace then covers the span alone.
+    c-trace then covers the span alone.  ValueError unless ``check_window``
+    accepts the late window; ``window_mask`` picks its samples and windows.
     """
     times, f, g = traj.times, traj.sx_q, traj.sx_p
-    dt = _uniform_step(times)
-    if times[-1] < config.late_window[1] - 1e-9:
-        raise ValueError("trajectory does not reach the late window")
-    win_n, step_n = _window_samples(config, dt)
+    lo, hi = config.late_window
+    win_n, _, starts, c_times = _correlation_windows(times, config)
+    check_window(times, lo, hi)
+    c_values = _windowed_correlation(f, g, win_n, starts)
 
-    c_times, c_values = _windowed_correlation(times, f, g, win_n, step_n,
-                                              config.window)
-
-    late = (times >= config.late_window[0]) & (times <= config.late_window[1])
-    if np.max(np.abs(g[late])) < config.noise_floor:
+    if np.max(np.abs(g[window_mask(times, lo, hi)])) < config.noise_floor:
         # Dead channel, not an unlocked one: the pair never got to show its
         # late-time phase relation at measurable amplitude.
         return SyncMetrics(c_times=c_times, c_values=c_values,
                            omega_sync=None, regime=NO_SYNC,
                            window=config.window, below_floor=True)
 
-    est = windowed_fft(g, times, *config.late_window)
+    est = windowed_fft(g, times, lo, hi)
     omega = est.peaks[0].frequency if est.peaks else None
 
-    late_c = (c_times >= config.late_window[0]) & (c_times <= config.late_window[1])
-    vals = c_values[late_c]
+    vals = c_values[window_mask(c_times, lo, hi)]
     vals = vals[~np.isnan(vals)]
     if vals.size == 0:
         tail = c_values[~np.isnan(c_values)]

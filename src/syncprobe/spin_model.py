@@ -161,12 +161,11 @@ def _hamiltonian_matrix(params: QubitPairParams) -> np.ndarray:
                      [lam, 0.0, 0.0, -a - b]], dtype=complex)
 
 
-def build_operators(params: QubitPairParams, eig: EigenStructure,
-                    check_tol: float = 1e-10) -> OperatorSet:
+def build_operators(params: QubitPairParams, eig: EigenStructure) -> OperatorSet:
     """Construct eta_i, parity, and the Pauli/Hamiltonian matrices.
 
     Raises ConventionError if the canonical anticommutation relations or the
-    H_S reconstruction identity fail at check_tol (that would mean a
+    H_S reconstruction identity fail at _CHECK_TOL (that would mean a
     branch-sign bug, not a numerical accident: all formulas are closed-form).
     """
     c1 = np.kron(SIGMA_PLUS, ID2)
@@ -209,11 +208,11 @@ def build_operators(params: QubitPairParams, eig: EigenStructure,
         "{eta2,eta2d}-I": _anti(eta2, eta2d) - eye,
     }
     for name, mat in defects.items():
-        if np.max(np.abs(mat)) > check_tol:
+        if np.max(np.abs(mat)) > _CHECK_TOL:
             raise ConventionError(f"anticommutation failed: {name}")
 
     h_rebuilt = eig.E1 * (n1 - 0.5 * eye) + eig.E2 * (n2 - 0.5 * eye)
-    if np.max(np.abs(h_rebuilt - h_s)) > check_tol:
+    if np.max(np.abs(h_rebuilt - h_s)) > _CHECK_TOL:
         raise ConventionError(
             "H_S != E1 (n1 - 1/2) + E2 (n2 - 1/2); branch convention broken")
 
@@ -221,11 +220,11 @@ def build_operators(params: QubitPairParams, eig: EigenStructure,
     d_ang = eig.theta_plus - eig.theta_minus
     sxq_rebuilt = (np.cos(s_ang) * (eta1d + eta1)
                    + np.sin(s_ang) * (eta2d + eta2))
-    if np.max(np.abs(sxq_rebuilt - sx_q)) > check_tol:
+    if np.max(np.abs(sxq_rebuilt - sx_q)) > _CHECK_TOL:
         raise ConventionError("sx_q quasiparticle decomposition broken")
     sxp_rebuilt = (np.sin(d_ang) * (eta1_tilde.conj().T + eta1_tilde)
                    + np.cos(d_ang) * (eta2_tilde.conj().T + eta2_tilde))
-    if np.max(np.abs(sxp_rebuilt - sx_p)) > check_tol:
+    if np.max(np.abs(sxp_rebuilt - sx_p)) > _CHECK_TOL:
         raise ConventionError("sx_p parity-dressed decomposition broken")
 
     return OperatorSet(eta1=eta1, eta2=eta2, eta1_tilde=eta1_tilde,
@@ -272,6 +271,7 @@ def fock_observable_weights(eig: EigenStructure):
     return w_q + w_q.T, w_p + w_p.T
 
 
+_CHECK_TOL = 1e-10   # of the convention self-checks
 _EYE4 = np.eye(4)
 _SX_Q = np.kron(SIGMA_X, ID2).real
 _SX_P = np.kron(ID2, SIGMA_X).real
@@ -295,11 +295,11 @@ def eigenmode_transform(params: QubitPairParams,
     sin tp); the global sign drops out of every conversion anyway.  A
     density matrix converts as rho_eig = V^T rho V.
 
-    Raises ConventionError unless, to 1e-10 (build_operators' default
-    check_tol), V^T V = I, V^T H_S V is diagonal in the Fock energies, and
-    V^T sx_q V and V^T sx_p V are the closed-form weights: everything the
-    evolution reads.  A failure means ``eig`` does not belong to ``params``
-    or a branch convention is broken.
+    Raises ConventionError unless, to _CHECK_TOL (as in build_operators),
+    V^T V = I, V^T H_S V is diagonal in the Fock energies, and V^T sx_q V
+    and V^T sx_p V are the closed-form weights: everything the evolution
+    reads.  A failure means ``eig`` does not belong to ``params`` or a
+    branch convention is broken.
     """
     ctp, stp = np.cos(eig.theta_plus), np.sin(eig.theta_plus)
     ctm, stm = np.cos(eig.theta_minus), np.sin(eig.theta_minus)
@@ -312,7 +312,7 @@ def eigenmode_transform(params: QubitPairParams,
     want = np.array([_EYE4, np.diag(fock_energies(eig)), w_q, w_p])
     defects = abs(v.T @ ops @ v - want).max(axis=(1, 2))
     for name, defect in zip(_TRANSFORM_CHECKS, defects):
-        if defect > 1e-10:
+        if defect > _CHECK_TOL:
             raise ConventionError(f"eigenmode transform: {name} fails by "
                                   f"{defect:.3g}")
     return v

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprobe import cli
 from syncprobe.cli import (
@@ -16,6 +18,7 @@ from syncprobe.cli import (
     run_config_to_dict,
     sweep_spec_to_dict,
 )
+from syncprobe.dynamics import Trajectory
 from syncprobe.presets import PRESETS, get_preset
 
 OHMIC = {"kind": "power-law", "gamma0": 0.01, "s": 1.0, "omega_c": 20.0}
@@ -478,6 +481,21 @@ def test_spectrum_window_validated_before_run(tmp_path):
     assert not list(out.glob("spectrum_*.csv"))
 
 
+@pytest.mark.parametrize("windows", [
+    [[0.0, 110.0000001], [0.0, 110.0000002]],
+    [[0.0, 110.0], [200.0, 310.0], [0.0, 110.0]],
+])
+def test_spectrum_file_name_collision_rejected(tmp_path, capsys, windows):
+    cfg = _write(tmp_path, _run_cfg(windows=windows))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    j = len(windows) - 1
+    assert capsys.readouterr().err == (
+        f"error: windows[{j}]: writes the same file as windows[0] "
+        "(spectrum_0-110.csv)\n")
+    assert not list(out.iterdir())
+
+
 # Windows of 64 and 63 samples on a dt = 0.05 grid, counted as
 # windowed_fft counts them; 64 is the fewest a spectrum takes.
 FULL_WINDOW, SHORT_WINDOW = [200.0, 203.15], [200.0, 203.1]
@@ -515,6 +533,78 @@ def test_evolve_checks_late_window_samples_before_writing(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
     cfg = _write(tmp_path, _run_cfg(analysis={"late_window": FULL_WINDOW}))
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+# t_max a fraction of a step past the grid's last sample, round(t_max/dt)*dt:
+# 400.0, or 2000.0 for the scans.  Each config takes the window's end as an
+# offset from that sample.
+_OFF_GRID = {
+    "evolve": (lambda off: _run_cfg(
+        time_grid={"t_max": 400.02, "dt": 0.05},
+        analysis={"late_window": [200.0, 400.0 + off]}), "analysis.late_window"),
+    "sweep": (lambda off: _sweep_cfg(base=_run_cfg(
+        time_grid={"t_max": 400.02, "dt": 0.05},
+        analysis={"late_window": [200.0, 400.0 + off]})),
+        "base.analysis.late_window"),
+    "spectrum": (lambda off: _run_cfg(
+        time_grid={"t_max": 400.02, "dt": 0.05},
+        windows=[[300.0, 400.0 + off]]), "windows[0]"),
+    "scan-transition": (lambda off: {
+        "lambda": 0.2, "bath": dict(OHMIC),
+        "scan": {"t_max": 2000.02, "late_window": [1600.0, 2000.0 + off]}},
+        "scan.late_window"),
+    "reconstruct": (lambda off: _reconstruct_cfg(method="signal", scan={
+        "t_max": 2000.02, "late_window": [1600.0, 2000.0 + off]}),
+        "scan.late_window"),
+}
+
+
+@pytest.mark.parametrize("command", list(_OFF_GRID))
+def test_window_past_grid_end_rejected_when_parsed(tmp_path, capsys, command):
+    """A window ending between the grid's last sample and t_max fails at
+    parse time, naming the field; one ending on that sample runs."""
+    make, field = _OFF_GRID[command]
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, make(0.01))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {field}: ends past the time grid's last sample (")
+    assert not list(out.iterdir())
+    cfg = _write(tmp_path, make(0.0))
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--workers", "1"]) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dt=st.floats(0.01, 0.2), n=st.integers(70, 400),
+       frac=st.one_of(st.just(0.0), st.floats(-0.49, 0.49)),
+       width=st.floats(55.0, 80.0),
+       end=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       nudge=st.sampled_from([0.0, 5e-9, -5e-9, 5e-11, -5e-11]))
+def test_parse_time_window_check_matches_detect_sync(dt, n, frac, width, end,
+                                                     nudge):
+    """The parse-time check accepts a late window exactly when detect_sync
+    runs on the grid the run builds, and on that grid's late span.  t_max
+    is ``frac`` steps off the dt lattice; the window ends ``end`` steps plus
+    ``nudge`` from the grid's last sample and spans ``width`` steps, about
+    the 64 samples a spectrum needs."""
+    times = cli.default_time_grid((n + frac) * dt, dt)
+    hi = times[-1] + end * dt + nudge
+    cfg = cli.SyncConfig(window=8.0 * dt,
+                         late_window=(max(0.0, hi - width * dt), hi))
+    try:
+        cli._check_window(cfg.late_window, times, "late_window")
+        accepted = True
+    except ConfigError:
+        accepted = False
+    for grid in (times, times[cli.late_span(times, cfg)]):
+        traj = Trajectory(times=grid, sx_q=np.cos(grid), sx_p=np.cos(1.1 * grid))
+        try:
+            cli.detect_sync(traj, cfg)
+            ran = True
+        except ValueError:
+            ran = False
+        assert ran == accepted
 
 
 # ---------------------------------------------------------------------------

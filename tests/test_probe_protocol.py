@@ -253,7 +253,8 @@ def test_scan_grid_validation():
 
 # Fake classifiers for scan_transition: (edge, label) steps in omega_p /
 # omega_q, label 1 above the last edge.  Expected values were recorded on
-# the three-loop bisection this scan replaced.
+# the three-loop bisection this scan replaced; a lock on the far side's mode
+# inside a band-edge bracket raises ResolutionError instead.
 FAKE_GRID = np.array([0.9, 0.95, 1.0, 1.05, 1.1])
 FAKE_SCANS = {
     "clean crossing": ([(1.0123, 2)],
@@ -262,14 +263,16 @@ FAKE_SCANS = {
                                 1.01328125, 0.0031250000000000444, 13),
     "band on the grid": ([(1.04, 2), (1.06, 0)],
                          1.05, 0.010156249999999867, 15),
-    # a mode-1 pocket below the band ends the search for its lower edge
+    # a mode-1 pocket below the band leaves its lower edge undefined
     "far side below the band": ([(1.005, 2), (1.0075, 1), (1.01, 2),
                                  (1.016, 0)],
-                                1.00625, 0.0, 8),
-    # a mode-2 pocket above the band ends the search for its upper edge
+                                "1.00625 locks on mode 1 between labels "
+                                "2 at 1 and 0 at 1.0125", None, 8),
+    # a mode-2 pocket above the band leaves its upper edge undefined
     "far side above the band": ([(1.01, 2), (1.016, 0), (1.018, 1),
                                  (1.02, 2)],
-                                1.0187499999999998, 0.0, 11),
+                                "1.01875 locks on mode 2 between labels "
+                                "0 at 1.0125 and 1 at 1.025", None, 11),
 }
 
 
@@ -291,6 +294,12 @@ def _fake_classifier(monkeypatch, edges):
 def test_scan_bisection_paths(monkeypatch, case):
     edges, omega_p_bar, uncertainty, calls = FAKE_SCANS[case]
     seen = _fake_classifier(monkeypatch, edges)
+    if isinstance(omega_p_bar, str):
+        # a far-side lock stops the scan at that classification
+        with pytest.raises(ResolutionError, match=omega_p_bar):
+            scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+        assert len(seen) == calls
+        return
     tp = scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
     assert (tp.omega_p_bar, tp.uncertainty, len(seen)) == \
         (omega_p_bar, uncertainty, calls)
