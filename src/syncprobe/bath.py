@@ -8,6 +8,7 @@ this module is a pure function; models are frozen dataclasses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,16 @@ class PowerLawCutoff:
             raise ValueError(f"s must be > 0, got {self.s}")
         if self.omega_c is not None and not self.omega_c > 0:
             raise ValueError(f"omega_c must be > 0 or None, got {self.omega_c}")
+        object.__setattr__(self, "omega_c", normalize_cutoff(self.omega_c))
+
+
+def normalize_cutoff(omega_c: float | None) -> float | None:
+    """``omega_c``, or None (no cutoff) where it is inf or its square
+    overflows: wc^2 / (wc^2 + w^(2s)) is exactly 1.0 in doubles there for
+    any w^(2s) below about 1e292."""
+    if omega_c is not None and math.isinf(float(omega_c) * float(omega_c)):
+        return None
+    return omega_c
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ def evaluate_J(model: SpectralDensityModel, omega):
         raise ValueError("omega must be >= 0")
     if isinstance(model, PowerLawCutoff):
         base = 2.0 * model.gamma0 * np.power(w, model.s)
-        if model.omega_c is not None and np.isfinite(model.omega_c):
+        if model.omega_c is not None:
             wc2 = model.omega_c ** 2
             base = base * wc2 / (wc2 + np.power(w, 2.0 * model.s))
         return base if base.ndim else float(base)
@@ -162,11 +173,8 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
 def model_to_config(model: SpectralDensityModel) -> dict:
     """JSON-ready dict; inverse of model_from_config."""
     if isinstance(model, PowerLawCutoff):
-        omega_c = model.omega_c
-        if omega_c is not None and not np.isfinite(omega_c):
-            omega_c = None
         return {"kind": "power-law", "gamma0": model.gamma0, "s": model.s,
-                "omega_c": omega_c}
+                "omega_c": model.omega_c}
     if isinstance(model, Tabulated):
         points = [[float(w), float(j)]
                   for w, j in zip(model.omegas, model.js)]

@@ -26,7 +26,7 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,7 @@ from .probe_protocol import (
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
                              evolve_analytic, lindblad_rates)
 from .signal_analysis import (
+    CORRELATOR_OP,
     NotResolvableError,
     SyncConfig,
     check_window,
@@ -78,7 +79,7 @@ from .signal_analysis import (
     windowed_fft,
 )
 from .presets import get_preset
-from .spin_model import SIGMA_PLUS, QubitPairParams
+from .spin_model import QubitPairParams
 
 
 class ConfigError(ValueError):
@@ -90,19 +91,10 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-_MISSING = object()
-
-
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected a JSON object")
     return value
-
-
-def _reject_unknown(cfg: dict, allowed, path: str) -> None:
-    extra = sorted(set(cfg) - set(allowed))
-    if extra:
-        raise ConfigError(path, f"unknown key(s): {', '.join(extra)}")
 
 
 def _check_number(v, path: str, minimum=None, strict=False, maximum=None) -> float:
@@ -120,16 +112,40 @@ def _check_number(v, path: str, minimum=None, strict=False, maximum=None) -> flo
     return v
 
 
-def _number(cfg: dict, key: str, path: str, default=_MISSING,
-            minimum=None, strict=False, maximum=None, allow_none=False):
-    if key not in cfg or cfg[key] is None:
-        if key in cfg and allow_none:
-            return None
-        if default is not _MISSING:
-            return default
-        raise ConfigError(f"{path}{key}", "missing required number")
-    return _check_number(cfg[key], f"{path}{key}", minimum=minimum,
-                         strict=strict, maximum=maximum)
+def _section(cfg, path: str, spec: dict, defaults: dict, extra=()) -> dict:
+    """The numbers of the config section at ``path`` ("" for the top level).
+
+    ``spec`` maps each number's key to its bounds, (minimum, strict) or
+    (minimum, strict, maximum); a key left out or null takes its value in
+    ``defaults``, and is required if it has none.  ``extra`` names the
+    section's other keys, which the caller parses; any further key is an
+    error.
+    """
+    cfg = _expect_mapping(cfg, path or "config")
+    unknown = sorted(set(cfg) - set(spec) - set(extra))
+    if unknown:
+        raise ConfigError(path or "config", f"unknown key(s): {', '.join(unknown)}")
+    out = {}
+    for key, bounds in spec.items():
+        field_path = f"{path}.{key}" if path else key
+        if cfg.get(key) is not None:
+            out[key] = _check_number(cfg[key], field_path, *bounds)
+        elif key in defaults:
+            out[key] = defaults[key]
+        else:
+            raise ConfigError(field_path, "missing required number")
+    return out
+
+
+def _defaults(cls) -> dict:
+    """The default of each field of dataclass ``cls`` that has one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# Shared by every section that names the pair, and by every time grid.
+_PAIR = {"omega_q": (0.0, True), "temperature": (0.0, False)}
+_PAIR_DEFAULTS = {"omega_q": 1.0, "temperature": 0.0}
+_GRID = {"t_max": (0.0, True), "dt": (0.0, True)}
 
 
 def _pair(value, path: str) -> tuple[float, float]:
@@ -144,16 +160,14 @@ def _pair(value, path: str) -> tuple[float, float]:
     return a, b
 
 
-def _time_grid(cfg: dict, path: str, t_max: float, dt: float) -> tuple[float, float]:
-    """(t_max, dt) of a time-grid section at ``path``; the arguments are the
-    defaults."""
-    t_max = _number(cfg, "t_max", f"{path}.", default=t_max, minimum=0.0, strict=True)
-    dt = _number(cfg, "dt", f"{path}.", default=dt, minimum=0.0, strict=True)
+def _time_grid(section: dict, path: str) -> np.ndarray:
+    """The time grid of a parsed section's ``_GRID`` numbers, checked."""
+    t_max, dt = section["t_max"], section["dt"]
     if dt > t_max:
         raise ConfigError(f"{path}.dt", f"exceeds t_max ({t_max:g})")
     if t_max / dt > 5e6:
         raise ConfigError(path, "grid would exceed 5e6 samples")
-    return t_max, dt
+    return default_time_grid(t_max, dt)
 
 
 def _check_window(window, times: np.ndarray, path: str) -> None:
@@ -168,11 +182,13 @@ def _check_window(window, times: np.ndarray, path: str) -> None:
 _MAX_GRID_POINTS = 100_000
 
 
-def _range(cfg: dict, path: str, minimum: float, strict: bool,
-           steps=None) -> tuple[float, float, int]:
-    """(lo, hi, steps) of a linspace range; ``steps`` is the default count."""
-    lo = _number(cfg, "lo", f"{path}.", minimum=minimum, strict=strict)
-    hi = _number(cfg, "hi", f"{path}.", minimum=minimum, strict=strict)
+def _range(cfg, path: str, minimum: float, strict: bool, steps=None,
+           extra=()) -> tuple[float, float, int]:
+    """(lo, hi, steps) of a linspace range section; ``steps`` is the default
+    count and ``extra`` the section's other keys."""
+    bounds = (minimum, strict)
+    lo, hi = _section(cfg, path, {"lo": bounds, "hi": bounds}, {},
+                      extra=("steps", *extra)).values()
     if hi <= lo:
         raise ConfigError(f"{path}.hi", f"must be above lo ({lo:g})")
     steps = cfg.get("steps", steps)
@@ -215,14 +231,11 @@ class RunConfig:
 
 
 def _params_from_config(cfg) -> QubitPairParams:
-    cfg = _expect_mapping(cfg, "params")
-    _reject_unknown(cfg, {"omega_q", "omega_p", "lambda", "temperature"}, "params")
-    return QubitPairParams(
-        omega_q=_number(cfg, "omega_q", "params.", default=1.0, minimum=0.0, strict=True),
-        omega_p=_number(cfg, "omega_p", "params.", minimum=0.0, strict=True),
-        lam=_number(cfg, "lambda", "params.", default=0.0, minimum=0.0),
-        temperature=_number(cfg, "temperature", "params.", default=0.0, minimum=0.0),
-    )
+    p = _section(cfg, "params", {**_PAIR, "omega_p": (0.0, True),
+                                 "lambda": (0.0, False)},
+                 {**_PAIR_DEFAULTS, "lambda": 0.0})
+    return QubitPairParams(omega_q=p["omega_q"], omega_p=p["omega_p"],
+                           lam=p["lambda"], temperature=p["temperature"])
 
 
 def _params_to_config(p: QubitPairParams) -> dict:
@@ -243,31 +256,16 @@ def _bath_from_config(cfg) -> SpectralDensityModel:
 def _analysis_from_config(cfg) -> SyncConfig:
     if cfg is None:
         return SyncConfig()
-    cfg = _expect_mapping(cfg, "analysis")
-    _reject_unknown(cfg, {"window", "step", "sync_threshold", "nosync_threshold",
-                          "late_window", "noise_floor"}, "analysis")
-    d = SyncConfig()
-    sync_thr = _number(cfg, "sync_threshold", "analysis.", default=d.sync_threshold,
-                       minimum=0.0, strict=True, maximum=1.0)
-    nosync_thr = _number(cfg, "nosync_threshold", "analysis.",
-                         default=d.nosync_threshold, minimum=0.0, maximum=1.0)
-    if nosync_thr >= sync_thr:
+    a = _section(cfg, "analysis", {
+        "window": (0.0, True), "step": (0.0, True),
+        "sync_threshold": (0.0, True, 1.0), "nosync_threshold": (0.0, False, 1.0),
+        "noise_floor": (0.0, False)}, _defaults(SyncConfig), extra=("late_window",))
+    if a["nosync_threshold"] >= a["sync_threshold"]:
         raise ConfigError("analysis.nosync_threshold",
-                          f"must be below sync_threshold ({sync_thr:g})")
-    late = d.late_window
+                          f"must be below sync_threshold ({a['sync_threshold']:g})")
     if "late_window" in cfg:
-        late = _pair(cfg["late_window"], "analysis.late_window")
-    return SyncConfig(
-        window=_number(cfg, "window", "analysis.", default=d.window,
-                       minimum=0.0, strict=True),
-        step=_number(cfg, "step", "analysis.", default=None, allow_none=True,
-                     minimum=0.0, strict=True),
-        sync_threshold=sync_thr,
-        nosync_threshold=nosync_thr,
-        late_window=late,
-        noise_floor=_number(cfg, "noise_floor", "analysis.", default=d.noise_floor,
-                            minimum=0.0),
-    )
+        a["late_window"] = _pair(cfg["late_window"], "analysis.late_window")
+    return SyncConfig(**a)
 
 
 def _complex_entry(value, path: str) -> complex:
@@ -319,19 +317,17 @@ def _initial_to_config(value):
 
 
 def parse_run_config(cfg) -> RunConfig:
-    cfg = _expect_mapping(cfg, "config")
-    _reject_unknown(cfg, {"params", "bath", "initial_state", "time_grid",
-                          "analysis", "channel", "kappa", "windows"}, "config")
-    if "params" not in cfg:
-        raise ConfigError("params", "missing required section")
-    if "bath" not in cfg:
-        raise ConfigError("bath", "missing required section")
+    top = _section(cfg, "", {"kappa": (0.0, True)}, _defaults(RunConfig),
+                   extra=("params", "bath", "initial_state", "time_grid",
+                          "analysis", "channel", "windows"))
+    for key in ("params", "bath"):
+        if key not in cfg:
+            raise ConfigError(key, "missing required section")
     params = _params_from_config(cfg["params"])
     bath = _bath_from_config(cfg["bath"])
-
-    tg = _expect_mapping(cfg.get("time_grid", {}), "time_grid")
-    _reject_unknown(tg, {"t_max", "dt"}, "time_grid")
-    t_max, dt = _time_grid(tg, "time_grid", t_max=400.0, dt=0.05)
+    grid = _section(cfg.get("time_grid", {}), "time_grid", _GRID,
+                    _defaults(RunConfig))
+    times = _time_grid(grid, "time_grid")
 
     channel = cfg.get("channel", "probe")
     if channel not in _CHANNELS:
@@ -344,7 +340,6 @@ def parse_run_config(cfg) -> RunConfig:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("windows", "expected a non-empty list of "
                                          "[t_start, t_end] pairs")
-        times = default_time_grid(t_max, dt)
         pairs, files = [], {}
         for i, w in enumerate(raw):
             pairs.append(_pair(w, f"windows[{i}]"))
@@ -359,13 +354,10 @@ def parse_run_config(cfg) -> RunConfig:
         params=params,
         bath=bath,
         initial_state=_initial_from_config(cfg.get("initial_state", "plus-plus")),
-        t_max=t_max,
-        dt=dt,
         analysis=_analysis_from_config(cfg.get("analysis")),
         channel=channel,
-        kappa=_number(cfg, "kappa", "", default=KAPPA_DEFAULT,
-                      minimum=0.0, strict=True),
         windows=windows,
+        **grid, **top,
     )
 
 
@@ -412,14 +404,13 @@ class SweepSpec:
 
 def _axis_from_config(cfg, i: int) -> SweepAxis:
     path = f"axes[{i}]"
-    cfg = _expect_mapping(cfg, path)
-    name = cfg.get("name")
+    name = _expect_mapping(cfg, path).get("name")
     if name not in _AXIS_NAMES:
         raise ConfigError(f"{path}.name",
                           f"must be one of {', '.join(_AXIS_NAMES)}, got {name!r}")
     lo_bound, strict = _AXIS_BOUNDS[name]
     if "values" in cfg:
-        _reject_unknown(cfg, {"name", "values"}, path)
+        _section(cfg, path, {}, {}, extra=("name", "values"))
         raw = cfg["values"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.values", "expected a non-empty list")
@@ -427,15 +418,13 @@ def _axis_from_config(cfg, i: int) -> SweepAxis:
                                      minimum=lo_bound, strict=strict)
                        for j, v in enumerate(raw))
         return SweepAxis(name=name, values=values)
-    _reject_unknown(cfg, {"name", "lo", "hi", "steps"}, path)
-    lo, hi, steps = _range(cfg, path, lo_bound, strict)
+    lo, hi, steps = _range(cfg, path, lo_bound, strict, extra=("name",))
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     return SweepAxis(name=name, values=values, lo=lo, hi=hi, steps=steps)
 
 
 def parse_sweep_spec(cfg) -> SweepSpec:
-    cfg = _expect_mapping(cfg, "config")
-    _reject_unknown(cfg, {"base", "axes", "record"}, "config")
+    _section(cfg, "", {}, {}, extra=("base", "axes", "record"))
     if "base" not in cfg:
         raise ConfigError("base", "missing required section")
     try:
@@ -513,34 +502,23 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
     rc = _apply_axes(base, names, values)
     sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa,
                    store_states="correlator" in record)
-    metrics = detect_sync(sim.traj, rc.analysis)
-    out = {}
-    for q in record:
-        if q == "c":
-            out["c_floor"] = metrics.c_floor
-            out["c_ceil"] = metrics.c_ceil
-            out["c_min_abs"] = metrics.c_min_abs
-        elif q == "omega_sync":
-            out["omega_sync"] = metrics.omega_sync
-        elif q == "regime":
-            out["regime"] = metrics.regime
-        elif q == "below_floor":
-            out["below_floor"] = int(metrics.below_floor)
-        elif q == "mi":
-            # Exact fixed point, not the last sample: at T=0 it is the
-            # dressed vacuum, so MI depends on the pair alone and stays
-            # smooth across the transition whatever the bath does.
-            rho_ss = to_computational_basis(steady_state(sim.rates),
-                                            sim.transform)
-            out["mi"] = mutual_information(rho_ss)
-        else:
-            sel = window_mask(sim.traj.times, *rc.analysis.late_window)
-            # spin_correlator is Tr(rho op): rotate op into the eigenmode
-            # basis once instead of every state out of it
-            op = (sim.transform.T @ np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
-                  @ sim.transform)
-            vals = np.einsum("njk,kj->n", sim.traj.states[sel], op)
-            out["correlator"] = float(np.mean(np.abs(vals)))
+    m = detect_sync(sim.traj, rc.analysis)
+    out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
+           "omega_sync": m.omega_sync, "regime": m.regime,
+           "below_floor": int(m.below_floor)}
+    if "mi" in record:
+        # Exact fixed point, not the last sample: at T=0 it is the dressed
+        # vacuum, so MI depends on the pair alone and stays smooth across
+        # the transition whatever the bath does.
+        rho_ss = to_computational_basis(steady_state(sim.rates), sim.transform)
+        out["mi"] = mutual_information(rho_ss)
+    if "correlator" in record:
+        sel = window_mask(sim.traj.times, *rc.analysis.late_window)
+        # spin_correlator is Tr(rho op): rotate op into the eigenmode basis
+        # once instead of every state out of it
+        op = sim.transform.T @ CORRELATOR_OP @ sim.transform
+        vals = np.einsum("njk,kj->n", sim.traj.states[sel], op)
+        out["correlator"] = float(np.mean(np.abs(vals)))
     return out
 
 
@@ -697,46 +675,30 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
 def _scan_config_from(cfg) -> ScanConfig:
     if cfg is None:
         return ScanConfig()
-    cfg = _expect_mapping(cfg, "scan")
-    _reject_unknown(cfg, {"t_max", "dt", "late_window", "window",
-                          "refine_tol", "kappa"}, "scan")
-    d = ScanConfig()
-    late = d.late_window
+    scan = _section(cfg, "scan", {**_GRID, "window": (0.0, True),
+                                  "refine_tol": (0.0, True), "kappa": (0.0, True)},
+                    _defaults(ScanConfig), extra=("late_window",))
+    times = _time_grid(scan, "scan")
     if "late_window" in cfg:
-        late = _pair(cfg["late_window"], "scan.late_window")
-    t_max, dt = _time_grid(cfg, "scan", t_max=d.t_max, dt=d.dt)
-    _check_window(late, default_time_grid(t_max, dt), "scan.late_window")
-    return ScanConfig(
-        t_max=t_max,
-        dt=dt,
-        late_window=late,
-        window=_number(cfg, "window", "scan.", default=d.window,
-                       minimum=0.0, strict=True),
-        refine_tol=_number(cfg, "refine_tol", "scan.", default=d.refine_tol,
-                           minimum=0.0, strict=True),
-        kappa=_number(cfg, "kappa", "scan.", default=d.kappa,
-                      minimum=0.0, strict=True),
-    )
+        scan["late_window"] = _pair(cfg["late_window"], "scan.late_window")
+    scan_cfg = ScanConfig(**scan)
+    _check_window(scan_cfg.late_window, times, "scan.late_window")
+    return scan_cfg
 
 
 def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
-    cfg = _expect_mapping(cfg, "config")
-    _reject_unknown(cfg, {"lambda", "temperature", "omega_q", "bath",
-                          "grid", "scan"}, "config")
+    echo = _section(cfg, "", {**_PAIR, "lambda": (0.0, True)}, _PAIR_DEFAULTS,
+                    extra=("bath", "grid", "scan"))
     if "bath" not in cfg:
         raise ConfigError("bath", "missing required section")
-    lam = _number(cfg, "lambda", "", minimum=0.0, strict=True)
-    temperature = _number(cfg, "temperature", "", default=0.0, minimum=0.0)
-    omega_q = _number(cfg, "omega_q", "", default=1.0, minimum=0.0, strict=True)
     model = _bath_from_config(cfg["bath"])
     scan_cfg = _scan_config_from(cfg.get("scan"))
 
-    params = QubitPairParams(omega_q=omega_q, omega_p=omega_q, lam=lam,
-                             temperature=temperature)
+    omega_q = echo["omega_q"]
+    params = QubitPairParams(omega_q=omega_q, omega_p=omega_q, lam=echo["lambda"],
+                             temperature=echo["temperature"])
     if cfg.get("grid") is not None:
-        g = _expect_mapping(cfg["grid"], "grid")
-        _reject_unknown(g, {"lo", "hi", "steps"}, "grid")
-        lo, hi, steps = _range(g, "grid", 0.0, strict=True, steps=8)
+        lo, hi, steps = _range(cfg["grid"], "grid", 0.0, strict=True, steps=8)
         grid = np.linspace(lo, hi, steps)
         predicted = None
         try:
@@ -750,11 +712,10 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         grid = default_scan_grid(predicted, omega_q)
 
     tp = scan_transition(model, params, grid, config=scan_cfg)
+    echo.update(bath=model_to_config(model), grid=[float(v) for v in grid],
+                scan=asdict(scan_cfg))
     record = {
-        "config": {"lambda": lam, "temperature": temperature,
-                   "omega_q": omega_q, "bath": model_to_config(model),
-                   "grid": [float(v) for v in grid],
-                   "scan": asdict(scan_cfg)},
+        "config": echo,
         "transition": transition_point_to_record(tp),
         "predicted_omega_p_bar": predicted,
         "difference": None if predicted is None
@@ -808,28 +769,10 @@ def _constraints_from_csv(path: Path):
     return points
 
 
-def _datum_from_config(cfg) -> "LinewidthDatum | None":
-    if cfg is None:
-        return None
-    cfg = _expect_mapping(cfg, "datum")
-    _reject_unknown(cfg, {"fwhm", "omega", "trig_sq", "occupation", "kappa"},
-                    "datum")
-    return LinewidthDatum(
-        fwhm=_number(cfg, "fwhm", "datum.", minimum=0.0, strict=True),
-        omega=_number(cfg, "omega", "datum.", minimum=0.0, strict=True),
-        trig_sq=_number(cfg, "trig_sq", "datum.", minimum=0.0, strict=True,
-                        maximum=1.0),
-        occupation=_number(cfg, "occupation", "datum.", default=0.0, minimum=0.0),
-        kappa=_number(cfg, "kappa", "datum.", default=KAPPA_DEFAULT,
-                      minimum=0.0, strict=True),
-    )
-
-
 def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
-    cfg = _expect_mapping(cfg, "config")
-    _reject_unknown(cfg, {"bath", "lambdas", "temperature", "omega_q",
-                          "method", "scan", "fit", "datum",
-                          "constraints_file"}, "config")
+    pair = _section(cfg, "", _PAIR, _PAIR_DEFAULTS,
+                    extra=("bath", "lambdas", "method", "scan", "fit", "datum",
+                           "constraints_file"))
     from_file = "constraints_file" in cfg
     from_model = "bath" in cfg or "lambdas" in cfg
     if from_file == from_model:
@@ -840,33 +783,32 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             if key in cfg:
                 raise ConfigError(key, "not used with constraints_file")
 
-    fit = _expect_mapping(cfg.get("fit", {}), "fit")
-    _reject_unknown(fit, {"family", "omega_c", "grid", "smoothness"}, "fit")
-    family = fit.get("family", "power-law")
+    raw_fit = cfg.get("fit", {})
+    fit = _section(raw_fit, "fit", {"omega_c": (0.0, True), "smoothness": (0.0, False)},
+                   {"omega_c": None, "smoothness": 1e-2}, extra=("family", "grid"))
+    family = raw_fit.get("family", "power-law")
     if family not in ("power-law", "tabulated"):
         raise ConfigError("fit.family",
                           f"must be power-law or tabulated, got {family!r}")
-    omega_c = _number(fit, "omega_c", "fit.", default=None, allow_none=True,
-                      minimum=0.0, strict=True)
-    smoothness = _number(fit, "smoothness", "fit.", default=1e-2, minimum=0.0)
-    grid = None
-    if fit.get("grid") is not None:
-        raw = fit["grid"]
-        if not isinstance(raw, list) or len(raw) < 2:
+    grid = raw_fit.get("grid")
+    if grid is not None:
+        if not isinstance(grid, list) or len(grid) < 2:
             raise ConfigError("fit.grid", "expected a list of >= 2 frequencies")
         grid = [_check_number(v, f"fit.grid[{j}]", minimum=0.0, strict=True)
-                for j, v in enumerate(raw)]
-    datum = _datum_from_config(cfg.get("datum"))
-    fit_echo = {"family": family, "omega_c": omega_c, "grid": grid,
-                "smoothness": smoothness}
-    datum_echo = None if datum is None else asdict(datum)
+                for j, v in enumerate(grid)]
+    fit.update(family=family, grid=grid)
+    datum = cfg.get("datum")
+    if datum is not None:
+        datum = _section(datum, "datum", {
+            "fwhm": (0.0, True), "omega": (0.0, True), "trig_sq": (0.0, True, 1.0),
+            "occupation": (0.0, False), "kappa": (0.0, True)}, _defaults(LinewidthDatum))
+    echo = {"fit": fit, "datum": datum}
 
     truth = None
     failures: list[tuple[float, str]] = []
     if from_file:
         constraints = _constraints_from_csv(Path(cfg["constraints_file"]))
-        config_echo = {"constraints_file": str(cfg["constraints_file"]),
-                       "fit": fit_echo, "datum": datum_echo}
+        echo["constraints_file"] = str(cfg["constraints_file"])
     else:
         if "bath" not in cfg:
             raise ConfigError("bath", "missing required section")
@@ -876,28 +818,23 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             raise ConfigError("lambdas", "expected a non-empty list of couplings")
         lams = [_check_number(v, f"lambdas[{j}]", minimum=0.0, strict=True)
                 for j, v in enumerate(raw_lams)]
-        temperature = _number(cfg, "temperature", "", default=0.0, minimum=0.0)
-        omega_q = _number(cfg, "omega_q", "", default=1.0, minimum=0.0,
-                          strict=True)
         method = cfg.get("method", "analytic")
         if method not in ("analytic", "signal"):
             raise ConfigError("method",
                               f"must be analytic or signal, got {method!r}")
         scan_cfg = _scan_config_from(cfg.get("scan"))
         constraints = collect_constraints(
-            truth, lams, QubitPairParams(omega_q=omega_q, omega_p=omega_q,
-                                         temperature=temperature),
+            truth, lams, QubitPairParams(omega_q=pair["omega_q"],
+                                         omega_p=pair["omega_q"],
+                                         temperature=pair["temperature"]),
             config=scan_cfg, method=method, failures=failures)
         _write_csv(out / "constraints.csv", _CONSTRAINT_COLUMNS,
                    _constraints_to_rows(constraints))
-        config_echo = {"bath": model_to_config(truth), "lambdas": lams,
-                       "temperature": temperature, "omega_q": omega_q,
-                       "method": method, "scan": asdict(scan_cfg),
-                       "fit": fit_echo, "datum": datum_echo}
+        echo.update(pair, bath=model_to_config(truth), lambdas=lams,
+                    method=method, scan=asdict(scan_cfg))
 
-    result = fit_spectral_density(constraints, family=family, datum=datum,
-                                  omega_c=omega_c, grid=grid,
-                                  smoothness=smoothness)
+    result = fit_spectral_density(
+        constraints, datum=None if datum is None else LinewidthDatum(**datum), **fit)
 
     comparison = None
     if truth is not None and isinstance(truth, PowerLawCutoff) \
@@ -908,7 +845,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             comparison["gamma0_rel_error"] = (result.gamma0 - truth.gamma0) / truth.gamma0
 
     record = {
-        "config": config_echo,
+        "config": echo,
         "reconstruction": reconstruction_to_record(result),
         "constraints": [transition_point_to_record(tp) for tp in constraints],
         "failures": [{"lambda": lam, "error": msg} for lam, msg in failures],

@@ -31,6 +31,7 @@ frequencies in units of omega_q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -139,51 +140,62 @@ def _two_state_propagators(up: float, down: float, times: np.ndarray):
     return p_eq[None, :, :] + damp[:, None, None] * rest[None, :, :]
 
 
-def _coherence_block(slow_rates: np.ndarray, total: float, x: np.ndarray,
-                     freq: float, dephase: float, times: np.ndarray):
-    """One 2x2 coherence block from its initial pair ``x``, at every time.
+class _Block(NamedTuple):
+    """One parity-odd coherence block: its two entries (row, column), their
+    initial values ``x``, the slow part of ``x``, the internal rate at which
+    the fast part ``x - slow`` decays, and the rotation frequency and the
+    dephasing rate the whole pair shares."""
 
-    ``slow_rates / total`` projects onto the slow (non-decaying) mode of the
-    block's rate matrix, so the pair evolves as exp((i*freq - dephase)*t)
-    times slow + exp(-total*t) * fast.
-    """
-    if total == 0.0:
-        slow, fast = x, np.zeros(2)
-    else:
-        slow = (slow_rates / total) @ x
-        fast = x - slow
-    rot = np.exp((1j * freq - dephase) * times)
-    damp = np.exp(-total * times)
-    return rot * (slow[0] + damp * fast[0]), rot * (slow[1] + damp * fast[1])
+    entries: tuple[tuple[int, int], tuple[int, int]]
+    x: np.ndarray
+    slow: np.ndarray
+    rate: float
+    freq: float
+    dephase: float
 
 
-def _coherences(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
-                times: np.ndarray):
-    """rho_01, rho_23, rho_02, rho_13 at every time, Schroedinger picture.
+def _blocks(eig: EigenStructure, rates: LindbladRates,
+            rho0: np.ndarray) -> tuple[_Block, _Block]:
+    """The two coherence blocks, the only entries a parity-odd observable reads.
 
     Block A couples (rho_01, rho_23) through mode-1 rates, is damped by half
     the mode-2 total rate and rotates at E2; block B couples (rho_02, rho_13)
     with the roles of the modes exchanged and sign-flipped cross terms, and
-    rotates at E1.  These are the only entries a parity-odd observable reads.
+    rotates at E1.  ``slow_rates / rate`` projects onto the slow
+    (non-decaying) mode of a block's rate matrix; a block with no internal
+    rate is all slow.
     """
     g1u, g1d = rates.g1_up, rates.g1_down
     g2u, g2d = rates.g2_up, rates.g2_down
     t1, t2 = rates.g1_total, rates.g2_total
-    rho01, rho23 = _coherence_block(np.array([[g1d, g1d], [g1u, g1u]]), t1,
-                                    np.array([rho0[0, 1], rho0[2, 3]]),
-                                    eig.E2, 0.5 * t2, times)
-    rho02, rho13 = _coherence_block(np.array([[g2d, -g2d], [-g2u, g2u]]), t2,
-                                    np.array([rho0[0, 2], rho0[1, 3]]),
-                                    eig.E1, 0.5 * t1, times)
-    return rho01, rho23, rho02, rho13
+    table = []
+    for entries, slow_rates, rate, freq, dephase in (
+            (((0, 1), (2, 3)), [[g1d, g1d], [g1u, g1u]], t1, eig.E2, 0.5 * t2),
+            (((0, 2), (1, 3)), [[g2d, -g2d], [-g2u, g2u]], t2, eig.E1, 0.5 * t1)):
+        x = np.array([rho0[j, k] for j, k in entries])
+        slow = x if rate == 0.0 else (np.array(slow_rates) / rate) @ x
+        table.append(_Block(entries, x, slow, rate, freq, dephase))
+    return tuple(table)
 
 
-def _expectation(coherences, w: np.ndarray) -> np.ndarray:
+def _coherences(blocks, times: np.ndarray) -> dict:
+    """Each block entry at every time, Schroedinger picture, keyed by
+    (row, column): the pair evolves as exp((i*freq - dephase)*t) times
+    slow + exp(-rate*t) * fast."""
+    out = {}
+    for b in blocks:
+        rot = np.exp((1j * b.freq - b.dephase) * times)
+        damp = np.exp(-b.rate * times)
+        for entry, slow, fast in zip(b.entries, b.slow, b.x - b.slow):
+            out[entry] = rot * (slow + damp * fast)
+    return out
+
+
+def _expectation(coherences: dict, w: np.ndarray) -> np.ndarray:
     """Tr(rho W) for a real symmetric parity-odd W: twice the real part of
     the four allowed coherences against their weights."""
-    rho01, rho23, rho02, rho13 = coherences
-    return 2.0 * np.real(w[1, 0] * rho01 + w[3, 2] * rho23
-                         + w[2, 0] * rho02 + w[3, 1] * rho13)
+    a, b, c, d = (w[k, j] * v for (j, k), v in coherences.items())
+    return 2.0 * np.real(a + b + c + d)
 
 
 def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
@@ -202,7 +214,7 @@ def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
     rho_t = np.zeros((n, 4, 4), dtype=complex)
     for k in range(4):
         rho_t[:, k, k] = pop[:, k]
-    for (j, k), val in zip(((0, 1), (2, 3), (0, 2), (1, 3)), coherences):
+    for (j, k), val in coherences.items():
         rho_t[:, j, k] = val
     for j, k in ((0, 3), (1, 2)):
         rho_t[:, j, k] = rho0[j, k] * np.exp(
@@ -224,7 +236,7 @@ def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    coherences = _coherences(eig, rates, rho0, times)
+    coherences = _coherences(_blocks(eig, rates, rho0), times)
     w_q, w_p = fock_observable_weights(eig)
     states = (_dense_states(eig, rates, rho0, times, coherences)
               if store_states else None)
@@ -337,43 +349,18 @@ def asymptotic_form(eig: EigenStructure, rates: LindbladRates,
     rate.  Thermal occupation enters through the rates themselves.
     """
     validate_density_matrix(rho0)
-    w_q, w_p = fock_observable_weights(eig)
-
-    g1u, g1d, g2u, g2d = rates.g1_up, rates.g1_down, rates.g2_up, rates.g2_down
+    blocks = _blocks(eig, rates, rho0)[::-1]       # E1's term first
     t1, t2 = rates.g1_total, rates.g2_total
-
-    # block B (rho_02, rho_13): oscillates at E1, slow decay at t1/2;
-    # slow left/right eigenvectors are (1, -1) and (g2_down, -g2_up)
-    x0, y0 = rho0[0, 2], rho0[1, 3]
-    if t2 > 0.0:
-        wgt = (x0 - y0) / t2
-        slow_02, slow_13 = wgt * g2d, -wgt * g2u
-    else:
-        slow_02, slow_13 = x0, y0          # block B undamped internally
-    amp_q1 = slow_02 * w_q[2, 0] + slow_13 * w_q[3, 1]
-    amp_p1 = slow_02 * w_p[2, 0] + slow_13 * w_p[3, 1]
-
-    # block A (rho_01, rho_23): oscillates at E2, slow decay at t2/2;
-    # slow eigenvectors are (1, 1) and (g1_down, g1_up)
-    x0, y0 = rho0[0, 1], rho0[2, 3]
-    if t1 > 0.0:
-        wgt = (x0 + y0) / t1
-        slow_01, slow_23 = wgt * g1d, wgt * g1u
-    else:
-        slow_01, slow_23 = x0, y0
-    amp_q2 = slow_01 * w_q[1, 0] + slow_23 * w_q[3, 2]
-    amp_p2 = slow_01 * w_p[1, 0] + slow_23 * w_p[3, 2]
-
     hi = max(t1, t2)
     sync_expected = hi > 0.0 and abs(t1 - t2) > 0.05 * hi
-    term = AsymptoticTerm
-    form_q = AsymptoticForm(terms=(term(complex(amp_q1), eig.E1, 0.5 * t1),
-                                   term(complex(amp_q2), eig.E2, 0.5 * t2)),
-                            sync_expected=sync_expected)
-    form_p = AsymptoticForm(terms=(term(complex(amp_p1), eig.E1, 0.5 * t1),
-                                   term(complex(amp_p2), eig.E2, 0.5 * t2)),
-                            sync_expected=sync_expected)
-    return form_q, form_p
+    forms = []
+    for w in fock_observable_weights(eig):
+        # a block's slow part against its entries' weights is its amplitude
+        terms = tuple(
+            AsymptoticTerm(complex(b.slow @ [w[k, j] for j, k in b.entries]),
+                           b.freq, b.dephase) for b in blocks)
+        forms.append(AsymptoticForm(terms=terms, sync_expected=sync_expected))
+    return tuple(forms)
 
 
 def steady_state(rates: LindbladRates) -> np.ndarray:

@@ -28,6 +28,7 @@ from .bath import (
     bose_occupation,
     lindblad_rates,
     model_to_config,
+    normalize_cutoff,
 )
 from .dynamics import (
     Trajectory,
@@ -301,11 +302,14 @@ def _classify_point(model, params, times, sync_cfg, kappa):
 
 def _bisect(classify, a: float, label_a: int, b: float, label_b: int,
             tol: float) -> tuple[float, float, float | None]:
-    """Halve [a, b], labelled label_a and label_b, down to ``tol``; stop
-    early, returning the midpoint as third item, on label 0 (undecidable);
-    raise ResolutionError on the third mode's label (not monotone)."""
+    """Halve [a, b], labelled label_a and label_b, down to ``tol`` or until
+    no double lies strictly between them; stop early, returning the
+    midpoint as third item, on label 0 (undecidable); raise ResolutionError
+    on the third mode's label (not monotone)."""
     while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
         side = classify(mid)
         if side == label_a:
             a = mid
@@ -662,15 +666,17 @@ def fit_spectral_density(constraints, family: str = "power-law",
 
     family="power-law" solves the log-ratio residuals, which are linear in
     the exponent when no cutoff is assumed; passing omega_c fits the same
-    exponent through the cutoff-corrected ratios.  family="tabulated" solves
-    for log J on a frequency grid (default: the constraint frequencies
-    themselves) under a second-difference smoothness penalty.  All ratio
-    constraints are independent of the global rate prefactor, so only a
-    linewidth datum can (and does) set the amplitude.
+    exponent through the cutoff-corrected ratios, unless ``normalize_cutoff``
+    maps it to None (no cutoff).  family="tabulated" solves for log J on a
+    frequency grid (default: the constraint frequencies themselves) under a
+    second-difference smoothness penalty.  All ratio constraints are
+    independent of the global rate prefactor, so only a linewidth datum can
+    (and does) set the amplitude.
     """
     constraints = list(constraints)
     if not constraints:
         raise ValueError("need at least one constraint")
+    omega_c = normalize_cutoff(omega_c)
     diagnostics = {"n_constraints": len(constraints)}
     if family == "power-law":
         return _fit_power_law(constraints, datum, omega_c, diagnostics)

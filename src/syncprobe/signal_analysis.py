@@ -15,6 +15,7 @@ import scipy.optimize
 import scipy.signal
 
 from .dynamics import Trajectory
+from .spin_model import SIGMA_PLUS
 
 IN_PHASE = "InPhase"
 ANTI_PHASE = "AntiPhase"
@@ -276,11 +277,13 @@ def mutual_information(rho: np.ndarray) -> float:
     return max(0.0, mi)
 
 
+# sigma_plus(qubit) * sigma_minus(probe), computational basis
+CORRELATOR_OP = np.kron(SIGMA_PLUS, SIGMA_PLUS.T)
+
+
 def spin_correlator(rho: np.ndarray) -> complex:
     """<sigma_plus(qubit) * sigma_minus(probe)> in the computational basis."""
-    raise_q = np.array([[0.0, 1.0], [0.0, 0.0]])
-    op = np.kron(raise_q, raise_q.T)
-    return complex(np.trace(np.asarray(rho) @ op))
+    return complex(np.trace(np.asarray(rho) @ CORRELATOR_OP))
 
 
 # Window samples per signal that _windowed_correlation copies at once (8 MB).

@@ -58,6 +58,20 @@ def test_no_cutoff_is_cutoff_limit():
                                    rtol=1e-10)
 
 
+def test_overflowing_cutoff_means_no_cutoff():
+    """An omega_c that is inf, or whose square overflows, is no cutoff: the
+    model holds None, so J and the config form are those of None."""
+    bare = PowerLawCutoff(gamma0=0.02, s=1.0, omega_c=None)
+    for wc in (1e300, 2e154, float("inf")):
+        model = PowerLawCutoff(gamma0=0.02, s=1.0, omega_c=wc)
+        assert model == bare
+        assert evaluate_J(model, 1.3) == evaluate_J(bare, 1.3)
+    # just below the overflow, the cutoff stays
+    assert PowerLawCutoff(gamma0=0.02, s=1.0, omega_c=1.3e154).omega_c == 1.3e154
+    with pytest.raises(ValueError, match="omega_c"):
+        PowerLawCutoff(gamma0=0.02, s=1.0, omega_c=-1e300)
+
+
 def test_bose_occupation_values():
     assert bose_occupation(1.0, 0.0) == 0.0
     assert np.isclose(bose_occupation(1.0, 1.0), N_1_1, rtol=1e-13)

@@ -305,6 +305,30 @@ def test_scan_bisection_paths(monkeypatch, case):
         (omega_p_bar, uncertainty, calls)
 
 
+def test_bisect_stops_when_no_double_lies_between():
+    """A tolerance below one ulp of the bracket still ends: the bisection
+    stops once the midpoint rounds onto an end."""
+    seen = []
+
+    def classify(w):
+        seen.append(w)
+        return 2 if w < 1.0123 else 1
+
+    a, b, band = probe_protocol._bisect(classify, 1.0, 2, 1.05, 1, 1e-300)
+    assert band is None and a < 1.0123 <= b
+    assert np.nextafter(a, 2.0) == b and len(seen) < 60
+
+
+def test_scan_with_tolerance_below_an_ulp_finishes(monkeypatch):
+    seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
+    tp = scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID,
+                         config=ScanConfig(refine_tol=1e-300))
+    # both band edges, 1.01 and 1.016, to the last bit
+    assert tp.omega_p_bar == pytest.approx(1.013, abs=1e-15)
+    assert tp.uncertainty == pytest.approx(0.003, abs=1e-15)
+    assert len(seen) < 200
+
+
 def test_scan_passes_the_pair_to_every_classification(monkeypatch):
     seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
     pair = QubitPairParams(omega_q=2.0, omega_p=7.0, lam=0.3, temperature=0.4)
@@ -423,6 +447,15 @@ def test_power_law_fit_closed_loop():
     fit_pure = fit_spectral_density(pts_pure)
     assert fit_pure.s == pytest.approx(2.0, abs=1e-8)
     assert fit_pure.diagnostics["method"] == "closed-form"
+
+
+@pytest.mark.parametrize("omega_c", [float("inf"), 1e300])
+def test_fit_overflowing_cutoff_is_no_cutoff(omega_c):
+    pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
+    datum = _exact_datum(QUARTIC)
+    assert reconstruction_to_record(fit_spectral_density(
+        pts, datum=datum, omega_c=omega_c)) == reconstruction_to_record(
+        fit_spectral_density(pts, datum=datum, omega_c=None))
 
 
 def test_cutoff_fit_is_a_function_of_the_ratios():

@@ -442,7 +442,7 @@ def _assert_same_verdict(full, part, rtol=1e-15):
             <= rtol * abs(full.omega_sync)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(window=st.floats(0.4, 6.0),
        step_frac=st.one_of(st.none(), st.floats(0.05, 1.5)),
        dt=st.floats(0.01, 0.2), t_max=st.floats(60.0, 400.0),

@@ -184,7 +184,7 @@ def test_eigenmode_transform_diagonalizes():
 _freq = st.floats(0.1, 5.0)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(omega_q=_freq, omega_p=_freq,
        lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
        resonant=st.booleans())
