@@ -126,7 +126,8 @@ def bose_occupation(omega: float, T: float) -> float:
         raise ValueError(f"T must be >= 0, got {T}")
     if T == 0.0:
         return 0.0
-    return 1.0 / np.expm1(omega / T)
+    with np.errstate(over="ignore"):    # omega/T > ~709 gives exactly 0.0
+        return 1.0 / np.expm1(omega / T)
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,14 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
         raise DegenerateSpectrumError(
             f"E2 = {eig.E2:g} <= 0: rates undefined at the degenerate point")
     s_ang = eig.theta_plus + eig.theta_minus
-    w1 = kappa * np.cos(s_ang) ** 2 * evaluate_J(model, eig.E1)
-    w2 = kappa * np.sin(s_ang) ** 2 * evaluate_J(model, eig.E2)
+    with np.errstate(over="ignore", invalid="ignore"):    # reported below
+        j1, j2 = evaluate_J(model, eig.E1), evaluate_J(model, eig.E2)
+    for mode, energy, j in ((1, eig.E1, j1), (2, eig.E2, j2)):
+        if not np.isfinite(j):
+            raise ValueError(f"bath: J must be finite at mode {mode} "
+                             f"(E{mode} = {energy:g}), got {j}")
+    w1 = kappa * np.cos(s_ang) ** 2 * j1
+    w2 = kappa * np.sin(s_ang) ** 2 * j2
     n1 = bose_occupation(eig.E1, T)
     n2 = bose_occupation(eig.E2, T)
     return LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,

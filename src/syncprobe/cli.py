@@ -51,6 +51,7 @@ from .probe_protocol import (
     LinewidthDatum,
     NoTransitionError,
     ResolutionError,
+    TRANSITION_RECORD_KEYS,
     ScanConfig,
     TransitionPoint,
     collect_constraints,
@@ -317,7 +318,8 @@ def _initial_to_config(value):
 
 
 def parse_run_config(cfg) -> RunConfig:
-    top = _section(cfg, "", {"kappa": (0.0, True)}, _defaults(RunConfig),
+    defaults = _defaults(RunConfig)
+    top = _section(cfg, "", {"kappa": (0.0, True)}, defaults,
                    extra=("params", "bath", "initial_state", "time_grid",
                           "analysis", "channel", "windows"))
     for key in ("params", "bath"):
@@ -325,11 +327,10 @@ def parse_run_config(cfg) -> RunConfig:
             raise ConfigError(key, "missing required section")
     params = _params_from_config(cfg["params"])
     bath = _bath_from_config(cfg["bath"])
-    grid = _section(cfg.get("time_grid", {}), "time_grid", _GRID,
-                    _defaults(RunConfig))
+    grid = _section(cfg.get("time_grid", {}), "time_grid", _GRID, defaults)
     times = _time_grid(grid, "time_grid")
 
-    channel = cfg.get("channel", "probe")
+    channel = cfg.get("channel", defaults["channel"])
     if channel not in _CHANNELS:
         raise ConfigError("channel", f"must be one of {', '.join(_CHANNELS)}, "
                                      f"got {channel!r}")
@@ -353,7 +354,8 @@ def parse_run_config(cfg) -> RunConfig:
     return RunConfig(
         params=params,
         bath=bath,
-        initial_state=_initial_from_config(cfg.get("initial_state", "plus-plus")),
+        initial_state=_initial_from_config(
+            cfg.get("initial_state", defaults["initial_state"])),
         analysis=_analysis_from_config(cfg.get("analysis")),
         channel=channel,
         windows=windows,
@@ -379,20 +381,19 @@ def run_config_to_dict(rc: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # sweep spec
 
-_AXIS_NAMES = ("omega_p", "lambda", "s", "T")
-# lower bound per axis, and whether it is strict
-_AXIS_BOUNDS = {"omega_p": (0.0, True), "lambda": (0.0, False),
-                "s": (0.0, True), "T": (0.0, False)}
+# axis name: (RunConfig part, field, lower bound of values, bound is strict)
+_AXES = {"omega_p": ("params", "omega_p", 0.0, True),
+         "lambda": ("params", "lam", 0.0, False),
+         "s": ("bath", "s", 0.0, True),
+         "T": ("params", "temperature", 0.0, False)}
 _RECORDABLE = ("c", "omega_sync", "regime", "mi", "correlator", "below_floor")
 
 
 @dataclass
 class SweepAxis:
-    name: str                       # JSON name; "lambda" maps to params.lam
+    name: str                       # a key of _AXES
     values: tuple[float, ...]
-    lo: float | None = None         # set when given as a range, for re-emission
-    hi: float | None = None
-    steps: int | None = None
+    echo: dict                      # the parsed axis section, re-emitted
 
 
 @dataclass
@@ -405,10 +406,10 @@ class SweepSpec:
 def _axis_from_config(cfg, i: int) -> SweepAxis:
     path = f"axes[{i}]"
     name = _expect_mapping(cfg, path).get("name")
-    if name not in _AXIS_NAMES:
+    if name not in _AXES:
         raise ConfigError(f"{path}.name",
-                          f"must be one of {', '.join(_AXIS_NAMES)}, got {name!r}")
-    lo_bound, strict = _AXIS_BOUNDS[name]
+                          f"must be one of {', '.join(_AXES)}, got {name!r}")
+    lo_bound, strict = _AXES[name][2:]
     if "values" in cfg:
         _section(cfg, path, {}, {}, extra=("name", "values"))
         raw = cfg["values"]
@@ -417,10 +418,10 @@ def _axis_from_config(cfg, i: int) -> SweepAxis:
         values = tuple(_check_number(v, f"{path}.values[{j}]",
                                      minimum=lo_bound, strict=strict)
                        for j, v in enumerate(raw))
-        return SweepAxis(name=name, values=values)
+        return SweepAxis(name, values, {"name": name, "values": list(values)})
     lo, hi, steps = _range(cfg, path, lo_bound, strict, extra=("name",))
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
-    return SweepAxis(name=name, values=values, lo=lo, hi=hi, steps=steps)
+    return SweepAxis(name, values, {"name": name, "lo": lo, "hi": hi, "steps": steps})
 
 
 def parse_sweep_spec(cfg) -> SweepSpec:
@@ -464,31 +465,19 @@ def parse_sweep_spec(cfg) -> SweepSpec:
 
 
 def sweep_spec_to_dict(spec: SweepSpec) -> dict:
-    axes = []
-    for a in spec.axes:
-        if a.steps is not None:
-            axes.append({"name": a.name, "lo": a.lo, "hi": a.hi, "steps": a.steps})
-        else:
-            axes.append({"name": a.name, "values": list(a.values)})
-    return {"base": run_config_to_dict(spec.base), "axes": axes,
-            "record": list(spec.record)}
+    return {"base": run_config_to_dict(spec.base),
+            "axes": [a.echo for a in spec.axes], "record": list(spec.record)}
 
 
 # ---------------------------------------------------------------------------
 # simulation helpers
 
 def _apply_axes(base: RunConfig, names, values) -> RunConfig:
-    params, bath = base.params, base.bath
+    parts = {"params": base.params, "bath": base.bath}
     for name, val in zip(names, values):
-        if name == "omega_p":
-            params = replace(params, omega_p=val)
-        elif name == "lambda":
-            params = replace(params, lam=val)
-        elif name == "T":
-            params = replace(params, temperature=val)
-        else:
-            bath = replace(bath, s=val)
-    return replace(base, params=params, bath=bath)
+        part, attr = _AXES[name][:2]
+        parts[part] = replace(parts[part], **{attr: val})
+    return replace(base, **parts)
 
 
 def _sweep_columns(record) -> list[str]:
@@ -623,8 +612,8 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     tasks = [(spec.base, names, p, spec.record, times) for p in points]
     results = _run_tasks(tasks, args.workers)
 
-    header = names + _sweep_columns(spec.record) + ["errors"]
     value_cols = _sweep_columns(spec.record)
+    header = names + value_cols + ["errors"]
     rows = []
     failures = 0
     for point, (row, err) in zip(points, results):
@@ -727,8 +716,8 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-_CONSTRAINT_COLUMNS = ("lambda", "omega_p_bar", "E1", "E2", "ratio",
-                       "n1", "n2", "uncertainty")
+# TransitionPoint's record keys, in its field order; an empty cell is None
+_CONSTRAINT_COLUMNS = TRANSITION_RECORD_KEYS
 
 
 def _constraints_to_rows(constraints):
@@ -756,10 +745,9 @@ def _constraints_from_csv(path: Path):
                     raise ConfigError("constraints_file", f"row {i}: cell "
                                       "count differs from the header")
                 try:
-                    # the columns are in TransitionPoint's field order
                     points.append(TransitionPoint(*(
-                        None if c == "uncertainty" and not row[c]
-                        else float(row[c]) for c in _CONSTRAINT_COLUMNS)))
+                        float(row[c]) if row[c] else None
+                        for c in _CONSTRAINT_COLUMNS)))
                 except ValueError as exc:
                     raise ConfigError("constraints_file", f"row {i}: {exc}")
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
@@ -866,11 +854,13 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
 # entry point
 
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "sweep": cmd_sweep,
-    "spectrum": cmd_spectrum,
-    "scan-transition": cmd_scan_transition,
-    "reconstruct": cmd_reconstruct,
+    "evolve": (cmd_evolve, "simulate one trajectory and classify its regime"),
+    "sweep": (cmd_sweep, "run a 1-2 axis parameter sweep into a long-format CSV"),
+    "spectrum": (cmd_spectrum, "windowed probe spectra of one trajectory"),
+    "scan-transition": (cmd_scan_transition,
+                        "locate the in-phase/antiphase boundary"),
+    "reconstruct": (cmd_reconstruct,
+                    "fit a spectral density from transition constraints"),
 }
 
 
@@ -879,15 +869,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="syncprobe",
         description="Dissipative qubit-pair synchronization and bath probing.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "evolve": "simulate one trajectory and classify its regime",
-        "sweep": "run a 1-2 axis parameter sweep into a long-format CSV",
-        "spectrum": "windowed probe spectra of one trajectory",
-        "scan-transition": "locate the in-phase/antiphase boundary",
-        "reconstruct": "fit a spectral density from transition constraints",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=Path, metavar="PATH",
                          help="JSON config file")
@@ -934,7 +917,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args)
+        return _COMMANDS[args.command][0](cfg, args.out, args)
     except (ConfigError, NoTransitionError, ResolutionError,
             NotResolvableError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

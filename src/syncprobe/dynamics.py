@@ -9,7 +9,8 @@ the tests:
   The signals read only the four parity-allowed coherences, so that is all
   it evaluates unless the caller asks for the full states.
 * ``evolve_numeric`` vectorizes the full Liouvillian (column stacking) and
-  steps it with the matrix exponential.  It never touches the block algebra,
+  steps it with the matrix exponential.  Its jump operators come from the raw
+  ``eigh`` eigenvectors, never the block algebra or the Bogoliubov angles,
   so agreement between the two is a real check, not bookkeeping.
 
 Bases and picture
@@ -23,9 +24,9 @@ states keep the basis of the input; ``Trajectory.basis`` records which.
 
 Expectation-value weights and the eigenmode transform are closed form in the
 Bogoliubov angles (``fock_observable_weights``, ``eigenmode_transform``).  The
-numeric transform, the common null vector of the two annihilators, survives
-only as the test oracle both are held to.  All rates are plain angular
-frequencies in units of omega_q.
+numeric transform, the common null vector of the two annihilators that
+``build_operators`` writes out, survives only as the test oracle both are
+held to.  All rates are plain angular frequencies in units of omega_q.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import scipy.linalg
 from .bath import (KAPPA_DEFAULT, LindbladRates, SpectralDensityModel,
                    bose_occupation, evaluate_J)
 from .spin_model import (ID2, SIGMA_X, EigenStructure, QubitPairParams,
-                         build_operators, diagonalize, direct_diagonalize,
-                         fock_energies, fock_observable_weights)
+                         direct_diagonalize, fock_energies,
+                         fock_observable_weights)
 
 
 class StateValidationError(ValueError):
@@ -84,8 +85,8 @@ class Trajectory:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != t.shape:
                 raise ValueError(f"{name} length does not match times")
-            if np.max(np.abs(v)) > 1.0 + 1e-9:
-                raise ValueError(f"{name} exceeds the Pauli bound")
+            if not np.max(np.abs(v)) <= 1.0 + 1e-9:
+                raise ValueError(f"{name} is not finite or exceeds the Pauli bound")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "times", t)
         if self.states is not None and self.states.shape != (t.size, 4, 4):
@@ -256,36 +257,25 @@ def _liouvillian(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
 
 
 def _secular_collapse_ops(params: QubitPairParams, model: SpectralDensityModel,
-                          temp: float, kappa: float, paranoia: bool):
-    """Collapse operators (computational basis) and the Hamiltonian used."""
-    if not paranoia:
-        eig = diagonalize(params)
-        ops = build_operators(params, eig)
-        s_ang = eig.theta_plus + eig.theta_minus
-        pieces = [(eig.E1, np.cos(s_ang) * ops.eta1),
-                  (eig.E2, np.sin(s_ang) * ops.eta2)]
-        h = ops.h_s
-    else:
-        # independent route: raw eigenvectors, eigenoperator projections
-        evals, evecs = direct_diagonalize(params)
-        sx_q = np.kron(SIGMA_X, ID2)
-        sx_eig = evecs.conj().T @ sx_q @ evecs
-        gaps = {}
-        for a in range(4):
-            for b in range(4):
-                w = evals[b] - evals[a]
-                if w > 1e-9 and abs(sx_eig[a, b]) > 1e-12:
-                    # group equal gaps by a rounded key, but keep the exact
-                    # gap as the frequency the bath is evaluated at
-                    _, op = gaps.setdefault(
-                        round(w, 9), (w, np.zeros((4, 4), dtype=complex)))
-                    op += sx_eig[a, b] * np.outer(evecs[:, a],
-                                                  evecs[:, b].conj())
-        pieces = [(float(w), op) for w, op in gaps.values()]
-        h = evecs @ np.diag(evals) @ evecs.conj().T
+                          temp: float, kappa: float):
+    """The Hamiltonian and collapse operators (computational basis) from the
+    raw eigenvectors: sigma_q^x projected onto each positive gap is the jump
+    operator at that gap."""
+    evals, evecs = direct_diagonalize(params)
+    sx_eig = evecs.conj().T @ np.kron(SIGMA_X, ID2) @ evecs
+    gaps = {}
+    for a in range(4):
+        for b in range(4):
+            w = evals[b] - evals[a]
+            if w > 1e-9 and abs(sx_eig[a, b]) > 1e-12:
+                # group equal gaps by a rounded key, but keep the exact
+                # gap as the frequency the bath is evaluated at
+                _, op = gaps.setdefault(
+                    round(w, 9), (float(w), np.zeros((4, 4), dtype=complex)))
+                op += sx_eig[a, b] * np.outer(evecs[:, a], evecs[:, b].conj())
 
     collapse = []
-    for freq, op in pieces:
+    for freq, op in gaps.values():
         j = evaluate_J(model, freq)
         if j == 0.0:
             continue
@@ -293,29 +283,37 @@ def _secular_collapse_ops(params: QubitPairParams, model: SpectralDensityModel,
         collapse.append(np.sqrt(kappa * j * (1.0 + occ)) * op)
         if occ > 0.0:
             collapse.append(np.sqrt(kappa * j * occ) * op.conj().T)
-    return h, collapse
+    return evecs @ np.diag(evals) @ evecs.conj().T, collapse
+
+
+def _uniform_step(times: np.ndarray) -> float:
+    # The mean step, not the first difference: on a grid that does not start
+    # at 0 one difference is off by up to a few ulps of the absolute time.
+    # On a linspace grid from 0 this is t[1] - t[0] bit for bit.
+    if times.size < 2:
+        raise ValueError("time grid needs at least 2 samples")
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
+        raise ValueError("time grid must be uniform")
+    return float(dt)
 
 
 def evolve_numeric(params: QubitPairParams, model: SpectralDensityModel,
                    T: float | None, rho0: np.ndarray, times: np.ndarray,
-                   kappa: float = KAPPA_DEFAULT, paranoia: bool = False,
-                   store_states: bool = False) -> Trajectory:
+                   kappa: float = KAPPA_DEFAULT) -> Trajectory:
     """Vectorized-Liouvillian evolution; ``rho0`` in the computational basis.
 
     Requires a uniform time grid (the propagator for one step is exponentiated
-    once and reused).  ``T=None`` falls back to ``params.temperature``.  With
-    ``paranoia=True`` the jump operators are rebuilt from scratch out of raw
-    eigenvector projections, bypassing the closed-form quasiparticle algebra.
+    once and reused).  ``T=None`` falls back to ``params.temperature``.  It
+    shares nothing with the closed form (see the module docstring) and always
+    returns the (n, 4, 4) states.
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    steps = np.diff(times)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("evolve_numeric needs a uniform time grid")
+    dt = _uniform_step(times)
     temp = params.temperature if T is None else float(T)
 
-    h, collapse = _secular_collapse_ops(params, model, temp, kappa, paranoia)
+    h, collapse = _secular_collapse_ops(params, model, temp, kappa)
     lv = _liouvillian(h, collapse)
     prop = scipy.linalg.expm(lv * dt)
 
@@ -333,8 +331,7 @@ def evolve_numeric(params: QubitPairParams, model: SpectralDensityModel,
             vec = prop @ vec
     sx_q = np.real(np.einsum("njk,kj->n", rho_t, sx_q_mat))
     sx_p = np.real(np.einsum("njk,kj->n", rho_t, sx_p_mat))
-    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p,
-                      states=rho_t if store_states else None,
+    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p, states=rho_t,
                       basis="computational")
 
 

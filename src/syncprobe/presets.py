@@ -10,29 +10,11 @@ import copy
 
 _OHMIC_BATH = {"kind": "power-law", "gamma0": 0.01, "s": 1.0, "omega_c": 20.0}
 
-_ANALYSIS = {
-    "window": 3.0,
-    "step": None,
-    "sync_threshold": 0.9,
-    "nosync_threshold": 0.3,
-    "late_window": [200.0, 310.0],
-    "noise_floor": 1e-9,
-}
 
-
-def _run(omega_p, bath=None, t_max=400.0, **extra):
-    cfg = {
-        "params": {"omega_q": 1.0, "omega_p": omega_p, "lambda": 0.2,
-                   "temperature": 0.0},
-        "bath": dict(bath or _OHMIC_BATH),
-        "initial_state": "plus-plus",
-        "time_grid": {"t_max": t_max, "dt": 0.05},
-        "analysis": dict(_ANALYSIS),
-        "channel": "probe",
-        "kappa": 6.283185307179586,
-    }
-    cfg.update(extra)
-    return cfg
+def _run(omega_p, bath=None, **extra):
+    """A run config stating only what differs from the parser's defaults."""
+    return {"params": {"omega_p": omega_p, "lambda": 0.2},
+            "bath": dict(bath or _OHMIC_BATH), **extra}
 
 
 _SPECTRUM_WINDOWS = [[0.0, 110.0], [100.0, 210.0], [200.0, 310.0]]
@@ -44,11 +26,12 @@ PRESETS = {
     "unitary": _run(1.2, bath={"kind": "power-law", "gamma0": 0.0, "s": 1.0,
                                "omega_c": 20.0}),
     # Probe spectra in three successive windows.
-    "fig4": _run(1.2, t_max=320.0, windows=_SPECTRUM_WINDOWS),
+    "fig4": _run(1.2, time_grid={"t_max": 320.0}, windows=_SPECTRUM_WINDOWS),
     # Stronger coupling: the surviving line is wide enough to fit.
     "fig5": _run(1.2, bath={"kind": "power-law", "gamma0": 2.5e-2, "s": 1.0,
                             "omega_c": 20.0},
-                 t_max=320.0, windows=[[0.0, 110.0], [200.0, 310.0]]),
+                 time_grid={"t_max": 320.0},
+                 windows=[[0.0, 110.0], [200.0, 310.0]]),
     # |c| map over probe frequency and bath exponent; the low-|c| ridge
     # traces the transition line.
     "fig3b": {

@@ -12,7 +12,7 @@ overall amplitude the ratios cannot see.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -96,17 +96,23 @@ class TransitionPoint:
     uncertainty: float | None = None
 
     def __post_init__(self):
-        for name in ("lam", "omega_p_bar", "E1", "E2", "ratio", "n1", "n2",
-                     "uncertainty"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if value is None or not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.ratio > 0:
             raise ValueError(f"ratio must be > 0, got {self.ratio}")
         if not self.E1 >= self.E2 > 0:
             raise ValueError(f"need E1 >= E2 > 0, got {self.E1}, {self.E2}")
         if self.uncertainty is not None and self.uncertainty < 0:
             raise ValueError("uncertainty must be >= 0")
+
+
+# TransitionPoint's record keys in field order; only the coupling is renamed
+TRANSITION_RECORD_KEYS = tuple({"lam": "lambda"}.get(f.name, f.name)
+                               for f in fields(TransitionPoint))
 
 
 @dataclass(frozen=True)
@@ -686,27 +692,14 @@ def fit_spectral_density(constraints, family: str = "power-law",
 
 
 def transition_point_to_record(tp: TransitionPoint) -> dict:
-    """JSON-ready dict; the coupling is emitted under the key 'lambda'."""
-    return {
-        "lambda": tp.lam,
-        "omega_p_bar": tp.omega_p_bar,
-        "E1": tp.E1,
-        "E2": tp.E2,
-        "ratio": tp.ratio,
-        "n1": tp.n1,
-        "n2": tp.n2,
-        "uncertainty": tp.uncertainty,
-    }
+    """JSON-ready dict keyed by TRANSITION_RECORD_KEYS."""
+    return dict(zip(TRANSITION_RECORD_KEYS, astuple(tp)))
 
 
 def reconstruction_to_record(result: ReconstructionResult) -> dict:
     """JSON-ready dict; the fitted model uses the bath config schema."""
-    return {
-        "family": result.family,
-        "s": result.s,
-        "gamma0": result.gamma0,
-        "omega_c": result.omega_c,
-        "model": None if result.model is None else model_to_config(result.model),
-        "residuals": [float(r) for r in result.residuals],
-        "diagnostics": result.diagnostics,
-    }
+    rec = asdict(result)
+    rec.update(model=None if result.model is None
+               else model_to_config(result.model),
+               residuals=result.residuals.tolist())
+    return rec

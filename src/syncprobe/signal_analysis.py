@@ -8,13 +8,13 @@ the exact line shape of a damped cosine seen through that taper and window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.optimize
 import scipy.signal
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _uniform_step
 from .spin_model import SIGMA_PLUS
 
 IN_PHASE = "InPhase"
@@ -31,7 +31,6 @@ class NotResolvableError(RuntimeError):
 class Peak:
     frequency: float
     height: float
-    fwhm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,6 @@ def sync_measure(f, g, t_index: int, window: int) -> float | None:
         return None
     c = float((da @ db) / (na * nb))
     return min(1.0, max(-1.0, c))
-
-
-def _uniform_step(times: np.ndarray) -> float:
-    # The mean step, not the first difference: on a grid that does not start
-    # at 0 one difference is off by up to a few ulps of the absolute time.
-    # On a linspace grid from 0 this is t[1] - t[0] bit for bit.
-    if times.size < 2:
-        raise ValueError("time grid needs at least 2 samples")
-    dt = (times[-1] - times[0]) / (times.size - 1)
-    if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("time grid must be uniform")
-    return float(dt)
 
 
 # Fewest samples a spectral window may hold.
@@ -437,15 +424,8 @@ def spectrum_to_csv(est: SpectrumEstimate, fh) -> None:
 
 def sync_metrics_to_record(metrics: SyncMetrics) -> dict:
     """JSON-ready summary (arrays included as lists, nan as None)."""
-    vals = [None if np.isnan(v) else float(v) for v in metrics.c_values]
-    return {
-        "regime": metrics.regime,
-        "omega_sync": metrics.omega_sync,
-        "window": metrics.window,
-        "c_floor": metrics.c_floor,
-        "c_ceil": metrics.c_ceil,
-        "c_min_abs": metrics.c_min_abs,
-        "below_floor": metrics.below_floor,
-        "c_times": [float(t) for t in metrics.c_times],
-        "c_values": vals,
-    }
+    rec = asdict(metrics)
+    rec.update(c_times=metrics.c_times.tolist(),
+               c_values=[None if np.isnan(v) else v
+                         for v in metrics.c_values.tolist()])
+    return rec

@@ -54,7 +54,7 @@ Conventions (load-bearing; every sign downstream depends on these)
   it, as V^T sx_p V = W_p with W_p from fock_observable_weights.
 * The quasiparticle Fock states are real in the computational basis, so the
   eigenmode transform is a closed-form rotation in the angles.  The operator
-  matrices of build_operators are needed only by the numeric Liouvillian.
+  matrices of build_operators are the algebra reference the tests use.
 
 Everything here is a pure function of its inputs; all arrays are fresh and
 safe to share across workers.

@@ -285,8 +285,7 @@ def test_criterion_09_cptp_and_detailed_balance():
         # numeric solver obeys the same physicality contract
         numeric = evolve_numeric(QubitPairParams(omega_p=1.2, lam=0.2),
                                  OHMIC, 0.0, plus_plus_state(),
-                                 default_time_grid(40.0, 0.1),
-                                 store_states=True)
+                                 default_time_grid(40.0, 0.1))
         traces = np.einsum("nii->n", numeric.states)
         assert np.max(np.abs(traces - 1.0)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(numeric.states)) >= -1e-10

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ def test_bose_occupation_values():
     assert np.isclose(bose_occupation(2.0, 0.5), N_2_HALF, rtol=1e-13)
     # classical limit n -> T/omega - 1/2
     assert np.isclose(bose_occupation(1.0, 1e6), 1e6 - 0.5, rtol=1e-10)
+
+
+def test_occupation_far_below_the_gap_is_zero_without_warning():
+    # omega/T past the exponent range: the occupation is exactly 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bose_occupation(np.float64(1.2), 1e-310) == 0.0
+        assert bose_occupation(np.float64(1.2), 0.001) == 0.0
 
 
 def test_bose_occupation_domain():

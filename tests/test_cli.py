@@ -307,6 +307,30 @@ def test_overflowing_bath_cutoff_is_no_cutoff(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("evolve", _run_cfg(bath=dict(OHMIC, s=5000, omega_c=None))),
+    ("evolve", _run_cfg(bath=dict(OHMIC, s=1e300))),
+    ("scan-transition", {"lambda": 0.2, "bath": dict(OHMIC, s=1e300)}),
+])
+def test_non_finite_spectral_density_is_an_input_error(tmp_path, capsys,
+                                                       command, cfg):
+    """J(E1) overflowing to inf or nan fails naming the bath and the mode,
+    with no numpy warning first and no trajectory written."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bath: J must be finite at mode 1 (E1 = ")
+    assert list(out.iterdir()) == []
+
+
+def test_evolve_at_low_temperature_is_quiet(tmp_path, capsys):
+    cfg = _run_cfg(params={"omega_p": 1.2, "lambda": 0.2, "temperature": 0.001})
+    assert main(["evolve", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -399,13 +423,13 @@ def test_sweep_correlator_einsum_matches_state_loop():
 
 def test_sweep_and_scan_build_no_operators(tmp_path, monkeypatch):
     """Per-point work rotates with the closed-form transform; the operator
-    algebra of build_operators is for the numeric Liouvillian only."""
-    from syncprobe import cli, dynamics, probe_protocol
+    algebra of build_operators is a reference for the tests only."""
+    from syncprobe import cli, probe_protocol
 
     def forbidden(*args, **kwargs):
         raise AssertionError("build_operators called on the per-point path")
 
-    for module in (cli, probe_protocol, dynamics):
+    for module in (cli, probe_protocol):
         monkeypatch.setattr(module, "build_operators", forbidden)
     cfg = _write(tmp_path, _small_sweep(
         record=["c", "omega_sync", "regime", "below_floor", "mi",
@@ -434,6 +458,17 @@ def test_sweep_partial_failure(tmp_path):
     assert all(r["mi"] == "" for r in rows)
     summary = json.loads((out / "sweep_config.json").read_text())
     assert summary["failures"] == 4
+
+
+def test_sweep_records_non_finite_spectral_density(tmp_path):
+    cfg = _small_sweep(axes=[{"name": "s", "values": [1.0, 5000]}])
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(out), "--workers", "1"]) == 1
+    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    assert rows[0]["errors"] == "" and rows[0]["regime"] == "InPhase"
+    assert rows[1]["errors"].startswith(
+        "ValueError: bath: J must be finite at mode 1")
 
 
 def test_sweep_temperature_axis(tmp_path):
