@@ -9,11 +9,11 @@ this module is a pure function; models are frozen dataclasses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
-from .spin_model import EigenStructure
+from .spin_model import EigenStructure, bounded, check_fields, field_bounds
 
 KAPPA_DEFAULT = 2.0 * np.pi
 
@@ -30,20 +30,12 @@ class DegenerateSpectrumError(ValueError):
 class PowerLawCutoff:
     """J(w) = 2 gamma0 w^s wc^2 / (wc^2 + w^(2s)); omega_c None means no cutoff."""
 
-    gamma0: float
-    s: float
-    omega_c: float | None = None
+    gamma0: float = bounded(at_least=0.0)
+    s: float = bounded(above=0.0)
+    omega_c: float | None = bounded(None, above=0.0, infinite=True)
 
     def __post_init__(self):
-        for name in ("gamma0", "s"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.gamma0 < 0:
-            raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
-        if not self.s > 0:
-            raise ValueError(f"s must be > 0, got {self.s}")
-        if self.omega_c is not None and not self.omega_c > 0:
-            raise ValueError(f"omega_c must be > 0 or None, got {self.omega_c}")
+        check_fields(self)
         object.__setattr__(self, "omega_c", normalize_cutoff(self.omega_c))
 
 
@@ -180,8 +172,7 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
 def model_to_config(model: SpectralDensityModel) -> dict:
     """JSON-ready dict; inverse of model_from_config."""
     if isinstance(model, PowerLawCutoff):
-        return {"kind": "power-law", "gamma0": model.gamma0, "s": model.s,
-                "omega_c": model.omega_c}
+        return {"kind": "power-law", **asdict(model)}
     if isinstance(model, Tabulated):
         points = [[float(w), float(j)]
                   for w, j in zip(model.omegas, model.js)]
@@ -192,13 +183,13 @@ def model_to_config(model: SpectralDensityModel) -> dict:
 def model_from_config(config: dict) -> SpectralDensityModel:
     kind = config.get("kind")
     if kind == "power-law":
-        keys = set(config) - {"kind", "gamma0", "s", "omega_c"}
+        spec = field_bounds(PowerLawCutoff)
+        keys = set(config) - {"kind", *spec}
         if keys:
             raise ValueError(f"unexpected power-law fields: {sorted(keys)}")
-        return PowerLawCutoff(gamma0=float(config["gamma0"]),
-                              s=float(config["s"]),
-                              omega_c=(None if config.get("omega_c") is None
-                                       else float(config["omega_c"])))
+        return PowerLawCutoff(**{
+            name: b.default if b.default is not MISSING and config.get(name) is None
+            else float(config[name]) for name, b in spec.items()})
     if kind == "tabulated":
         keys = set(config) - {"kind", "points"}
         if keys:

@@ -19,6 +19,7 @@ naming the offending config field.
 
 import argparse
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -70,6 +71,7 @@ from .signal_analysis import (
     CORRELATOR_OP,
     NotResolvableError,
     SyncConfig,
+    _correlation_windows,
     check_window,
     detect_sync,
     late_span,
@@ -80,7 +82,8 @@ from .signal_analysis import (
     windowed_fft,
 )
 from .presets import get_preset
-from .spin_model import QubitPairParams
+from .spin_model import (Bounds, FieldError, QubitPairParams, bounded,
+                         check_fields, field_bounds, json_name)
 
 
 class ConfigError(ValueError):
@@ -98,61 +101,88 @@ def _expect_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_number(v, path: str, minimum=None, strict=False, maximum=None) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_number(v, path: str, bounds: Bounds = Bounds()) -> float:
+    if not _is_number(v):
         raise ConfigError(path, f"must be a number, got {v!r}")
     v = float(v)
     if not np.isfinite(v):
         raise ConfigError(path, "must be finite")
-    if minimum is not None:
-        if v < minimum or (strict and v == minimum):
-            op = ">" if strict else ">="
-            raise ConfigError(path, f"must be {op} {minimum:g}, got {v:g}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(path, f"must be <= {maximum:g}, got {v:g}")
+    broken = bounds.error(v)
+    if broken:
+        raise ConfigError(path, f"must be {broken}, got {v:g}")
     return v
 
 
-def _section(cfg, path: str, spec: dict, defaults: dict, extra=()) -> dict:
+def _section(cfg, path: str, spec: dict, extra=()) -> dict:
     """The numbers of the config section at ``path`` ("" for the top level).
 
-    ``spec`` maps each number's key to its bounds, (minimum, strict) or
-    (minimum, strict, maximum); a key left out or null takes its value in
-    ``defaults``, and is required if it has none.  ``extra`` names the
-    section's other keys, which the caller parses; any further key is an
-    error.
+    ``spec`` maps each number's key to its Bounds; a key left out or null
+    takes their default, and is required if it has none.  ``extra`` names
+    the section's other keys, which the caller parses; any further key is
+    an error.
     """
     cfg = _expect_mapping(cfg, path or "config")
     unknown = sorted(set(cfg) - set(spec) - set(extra))
     if unknown:
         raise ConfigError(path or "config", f"unknown key(s): {', '.join(unknown)}")
     out = {}
-    for key, bounds in spec.items():
+    for key, b in spec.items():
         field_path = f"{path}.{key}" if path else key
         if cfg.get(key) is not None:
-            out[key] = _check_number(cfg[key], field_path, *bounds)
-        elif key in defaults:
-            out[key] = defaults[key]
+            out[key] = _check_number(cfg[key], field_path, b)
+        elif b.default is not MISSING:
+            out[key] = b.default
         else:
             raise ConfigError(field_path, "missing required number")
     return out
 
 
-def _defaults(cls) -> dict:
-    """The default of each field of dataclass ``cls`` that has one."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+def _spec(cls, *names, required=()) -> dict:
+    """``_section``'s spec of dataclass ``cls``: the Bounds of its bounded
+    fields (or of ``names``) by JSON name; ``required`` ones lose their
+    default."""
+    table = field_bounds(cls)
+    return {json_name(n): table[n]._replace(default=MISSING) if n in required
+            else table[n] for n in names or table}
 
 
-# Shared by every section that names the pair, and by every time grid.
-_PAIR = {"omega_q": (0.0, True), "temperature": (0.0, False)}
-_PAIR_DEFAULTS = {"omega_q": 1.0, "temperature": 0.0}
-_GRID = {"t_max": (0.0, True), "dt": (0.0, True)}
+def _build(cls, section: dict, path: str = "", **values):
+    """``cls`` from a section keyed by JSON name, plus ``values``; a
+    FieldError of a rule across its fields names the field in ``path``."""
+    names = {json_name(f.name): f.name for f in fields(cls)}
+    try:
+        return cls(**{names[k]: v for k, v in section.items()}, **values)
+    except FieldError as exc:
+        key = json_name(exc.field)
+        raise ConfigError(f"{path}.{key}" if path else key, exc.message) from None
+
+
+def _late_config(cfg, path: str, cls):
+    """SyncConfig or ScanConfig ``cls`` from the section at ``path``: its
+    numbers and its late window, or its defaults where the section is null."""
+    if cfg is None:
+        return cls()
+    section = _section(cfg, path, _spec(cls), extra=("late_window",))
+    if "late_window" in cfg:
+        section["late_window"] = _pair(cfg["late_window"], f"{path}.late_window")
+    return _build(cls, section, path)
+
+
+def _defaults(fn) -> dict:
+    """The default of each parameter of ``fn`` (a dataclass: of each field)
+    that has one."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.default is not p.empty}
 
 
 def _pair(value, path: str) -> tuple[float, float]:
     ok = (isinstance(value, (list, tuple)) and len(value) == 2
-          and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                  for x in value))
+          and all(_is_number(x) for x in value))
     if not ok:
         raise ConfigError(path, "expected a [start, end] pair of numbers")
     a, b = float(value[0]), float(value[1])
@@ -161,9 +191,8 @@ def _pair(value, path: str) -> tuple[float, float]:
     return a, b
 
 
-def _time_grid(section: dict, path: str) -> np.ndarray:
-    """The time grid of a parsed section's ``_GRID`` numbers, checked."""
-    t_max, dt = section["t_max"], section["dt"]
+def _time_grid(t_max: float, dt: float, path: str) -> np.ndarray:
+    """The (0, t_max, dt) grid of the section at ``path``, checked."""
     if dt > t_max:
         raise ConfigError(f"{path}.dt", f"exceeds t_max ({t_max:g})")
     if t_max / dt > 5e6:
@@ -179,16 +208,28 @@ def _check_window(window, times: np.ndarray, path: str) -> None:
         raise ConfigError(path, str(exc)) from None
 
 
+def _check_late_window(config: SyncConfig, times: np.ndarray, path: str) -> None:
+    """``_check_window`` on a late window, which must also hold a correlation
+    window's centre if any window fits the grid: else the verdict would read
+    a c from outside it."""
+    _check_window(config.late_window, times, path)
+    centres = _correlation_windows(times, config)[3]
+    if centres.size and not window_mask(centres, *config.late_window).any():
+        raise ConfigError(path, "holds no correlation window centre (window "
+                          f"{config.window:g})")
+
+
 # Points one sweep or scan grid may hold, about 40 times the fig3b map.
 _MAX_GRID_POINTS = 100_000
+_POSITIVE = Bounds(minimum=0.0, strict=True)
 
 
 def _range(cfg, path: str, minimum: float, strict: bool, steps=None,
            extra=()) -> tuple[float, float, int]:
     """(lo, hi, steps) of a linspace range section; ``steps`` is the default
     count and ``extra`` the section's other keys."""
-    bounds = (minimum, strict)
-    lo, hi = _section(cfg, path, {"lo": bounds, "hi": bounds}, {},
+    bounds = Bounds(minimum=minimum, strict=strict)
+    lo, hi = _section(cfg, path, {"lo": bounds, "hi": bounds},
                       extra=("steps", *extra)).values()
     if hi <= lo:
         raise ConfigError(f"{path}.hi", f"must be above lo ({lo:g})")
@@ -217,31 +258,20 @@ class RunConfig:
     params: QubitPairParams
     bath: SpectralDensityModel
     initial_state: "str | np.ndarray" = "plus-plus"
-    t_max: float = 400.0
-    dt: float = 0.05
+    t_max: float = bounded(400.0, above=0.0)
+    dt: float = bounded(0.05, above=0.0)
     analysis: SyncConfig = field(default_factory=SyncConfig)
     channel: str = "probe"
-    kappa: float = KAPPA_DEFAULT
+    kappa: float = bounded(KAPPA_DEFAULT, above=0.0)
     windows: "tuple[tuple[float, float], ...] | None" = None
+
+    __post_init__ = check_fields
 
     @property
     def rho0(self) -> np.ndarray:
         """Computational-basis density matrix of ``initial_state``."""
         state = self.initial_state
         return INITIAL_STATES[state]() if isinstance(state, str) else state
-
-
-def _params_from_config(cfg) -> QubitPairParams:
-    p = _section(cfg, "params", {**_PAIR, "omega_p": (0.0, True),
-                                 "lambda": (0.0, False)},
-                 {**_PAIR_DEFAULTS, "lambda": 0.0})
-    return QubitPairParams(omega_q=p["omega_q"], omega_p=p["omega_p"],
-                           lam=p["lambda"], temperature=p["temperature"])
-
-
-def _params_to_config(p: QubitPairParams) -> dict:
-    return {"omega_q": p.omega_q, "omega_p": p.omega_p, "lambda": p.lam,
-            "temperature": p.temperature}
 
 
 def _bath_from_config(cfg) -> SpectralDensityModel:
@@ -254,27 +284,11 @@ def _bath_from_config(cfg) -> SpectralDensityModel:
         raise ConfigError("bath", str(exc))
 
 
-def _analysis_from_config(cfg) -> SyncConfig:
-    if cfg is None:
-        return SyncConfig()
-    a = _section(cfg, "analysis", {
-        "window": (0.0, True), "step": (0.0, True),
-        "sync_threshold": (0.0, True, 1.0), "nosync_threshold": (0.0, False, 1.0),
-        "noise_floor": (0.0, False)}, _defaults(SyncConfig), extra=("late_window",))
-    if a["nosync_threshold"] >= a["sync_threshold"]:
-        raise ConfigError("analysis.nosync_threshold",
-                          f"must be below sync_threshold ({a['sync_threshold']:g})")
-    if "late_window" in cfg:
-        a["late_window"] = _pair(cfg["late_window"], "analysis.late_window")
-    return SyncConfig(**a)
-
-
 def _complex_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         z = complex(value)
     elif (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value)):
+            and all(_is_number(x) for x in value)):
         z = complex(value[0], value[1])
     else:
         raise ConfigError(path, "entries must be numbers or [re, im] pairs")
@@ -319,16 +333,19 @@ def _initial_to_config(value):
 
 def parse_run_config(cfg) -> RunConfig:
     defaults = _defaults(RunConfig)
-    top = _section(cfg, "", {"kappa": (0.0, True)}, defaults,
+    top = _section(cfg, "", _spec(RunConfig, "kappa"),
                    extra=("params", "bath", "initial_state", "time_grid",
                           "analysis", "channel", "windows"))
     for key in ("params", "bath"):
         if key not in cfg:
             raise ConfigError(key, "missing required section")
-    params = _params_from_config(cfg["params"])
+    params = _build(QubitPairParams, _section(
+        cfg["params"], "params", _spec(QubitPairParams, required=("omega_p",))),
+        "params")
     bath = _bath_from_config(cfg["bath"])
-    grid = _section(cfg.get("time_grid", {}), "time_grid", _GRID, defaults)
-    times = _time_grid(grid, "time_grid")
+    grid = _section(cfg.get("time_grid", {}), "time_grid",
+                    _spec(RunConfig, "t_max", "dt"))
+    times = _time_grid(grid["t_max"], grid["dt"], "time_grid")
 
     channel = cfg.get("channel", defaults["channel"])
     if channel not in _CHANNELS:
@@ -351,22 +368,20 @@ def parse_run_config(cfg) -> RunConfig:
                                   f"windows[{files[name]}] ({name})")
         windows = tuple(pairs)
 
-    return RunConfig(
-        params=params,
-        bath=bath,
-        initial_state=_initial_from_config(
-            cfg.get("initial_state", defaults["initial_state"])),
-        analysis=_analysis_from_config(cfg.get("analysis")),
-        channel=channel,
-        windows=windows,
-        **grid, **top,
-    )
+    initial_state = _initial_from_config(
+        cfg.get("initial_state", defaults["initial_state"]))
+    analysis = _late_config(cfg.get("analysis"), "analysis", SyncConfig)
+    _check_late_window(analysis, times, "analysis.late_window")
+    return RunConfig(params=params, bath=bath, initial_state=initial_state,
+                     analysis=analysis, channel=channel, windows=windows,
+                     **grid, **top)
 
 
 def run_config_to_dict(rc: RunConfig) -> dict:
     """Canonical JSON form; parse_run_config inverts it exactly."""
     return {
-        "params": _params_to_config(rc.params),
+        "params": {json_name(f.name): getattr(rc.params, f.name)
+                   for f in fields(rc.params)},
         "bath": model_to_config(rc.bath),
         "initial_state": _initial_to_config(rc.initial_state),
         "time_grid": {"t_max": rc.t_max, "dt": rc.dt},
@@ -381,11 +396,12 @@ def run_config_to_dict(rc: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # sweep spec
 
-# axis name: (RunConfig part, field, lower bound of values, bound is strict)
-_AXES = {"omega_p": ("params", "omega_p", 0.0, True),
-         "lambda": ("params", "lam", 0.0, False),
-         "s": ("bath", "s", 0.0, True),
-         "T": ("params", "temperature", 0.0, False)}
+# axis name: (RunConfig part, its dataclass, field); values keep the
+# field's bounds
+_AXES = {"omega_p": ("params", QubitPairParams, "omega_p"),
+         json_name("lam"): ("params", QubitPairParams, "lam"),
+         "s": ("bath", PowerLawCutoff, "s"),
+         "T": ("params", QubitPairParams, "temperature")}
 _RECORDABLE = ("c", "omega_sync", "regime", "mi", "correlator", "below_floor")
 
 
@@ -409,29 +425,27 @@ def _axis_from_config(cfg, i: int) -> SweepAxis:
     if name not in _AXES:
         raise ConfigError(f"{path}.name",
                           f"must be one of {', '.join(_AXES)}, got {name!r}")
-    lo_bound, strict = _AXES[name][2:]
+    _, cls, attr = _AXES[name]
+    b = field_bounds(cls)[attr]
     if "values" in cfg:
-        _section(cfg, path, {}, {}, extra=("name", "values"))
+        _section(cfg, path, {}, extra=("name", "values"))
         raw = cfg["values"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.values", "expected a non-empty list")
-        values = tuple(_check_number(v, f"{path}.values[{j}]",
-                                     minimum=lo_bound, strict=strict)
+        values = tuple(_check_number(v, f"{path}.values[{j}]", b)
                        for j, v in enumerate(raw))
         return SweepAxis(name, values, {"name": name, "values": list(values)})
-    lo, hi, steps = _range(cfg, path, lo_bound, strict, extra=("name",))
+    lo, hi, steps = _range(cfg, path, b.minimum, b.strict, extra=("name",))
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     return SweepAxis(name, values, {"name": name, "lo": lo, "hi": hi, "steps": steps})
 
 
 def parse_sweep_spec(cfg) -> SweepSpec:
-    _section(cfg, "", {}, {}, extra=("base", "axes", "record"))
+    _section(cfg, "", {}, extra=("base", "axes", "record"))
     if "base" not in cfg:
         raise ConfigError("base", "missing required section")
     try:
         base = parse_run_config(cfg["base"])
-        times = default_time_grid(base.t_max, base.dt)
-        _check_window(base.analysis.late_window, times, "analysis.late_window")
     except ConfigError as exc:
         raise ConfigError(f"base.{exc.field}", exc.message)
 
@@ -475,7 +489,7 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 def _apply_axes(base: RunConfig, names, values) -> RunConfig:
     parts = {"params": base.params, "bath": base.bath}
     for name, val in zip(names, values):
-        part, attr = _AXES[name][:2]
+        part, _, attr = _AXES[name]
         parts[part] = replace(parts[part], **{attr: val})
     return replace(base, **parts)
 
@@ -588,7 +602,6 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
     times = default_time_grid(rc.t_max, rc.dt)
-    _check_window(rc.analysis.late_window, times, "analysis.late_window")
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     with _replacing(out / "trajectory.csv") as fh:
         trajectory_to_csv(traj, fh)
@@ -662,30 +675,24 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
 
 
 def _scan_config_from(cfg) -> ScanConfig:
-    if cfg is None:
-        return ScanConfig()
-    scan = _section(cfg, "scan", {**_GRID, "window": (0.0, True),
-                                  "refine_tol": (0.0, True), "kappa": (0.0, True)},
-                    _defaults(ScanConfig), extra=("late_window",))
-    times = _time_grid(scan, "scan")
-    if "late_window" in cfg:
-        scan["late_window"] = _pair(cfg["late_window"], "scan.late_window")
-    scan_cfg = ScanConfig(**scan)
-    _check_window(scan_cfg.late_window, times, "scan.late_window")
+    scan_cfg = _late_config(cfg, "scan", ScanConfig)
+    if cfg is not None:
+        times = _time_grid(scan_cfg.t_max, scan_cfg.dt, "scan")
+        _check_late_window(scan_cfg.sync_config(), times, "scan.late_window")
     return scan_cfg
 
 
 def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
-    echo = _section(cfg, "", {**_PAIR, "lambda": (0.0, True)}, _PAIR_DEFAULTS,
-                    extra=("bath", "grid", "scan"))
+    pair = _spec(QubitPairParams, "omega_q", "temperature")
+    pair[json_name("lam")] = _POSITIVE     # a scan needs a coupling
+    echo = _section(cfg, "", pair, extra=("bath", "grid", "scan"))
     if "bath" not in cfg:
         raise ConfigError("bath", "missing required section")
     model = _bath_from_config(cfg["bath"])
     scan_cfg = _scan_config_from(cfg.get("scan"))
 
     omega_q = echo["omega_q"]
-    params = QubitPairParams(omega_q=omega_q, omega_p=omega_q, lam=echo["lambda"],
-                             temperature=echo["temperature"])
+    params = _build(QubitPairParams, echo, omega_p=omega_q)
     if cfg.get("grid") is not None:
         lo, hi, steps = _range(cfg["grid"], "grid", 0.0, strict=True, steps=8)
         grid = np.linspace(lo, hi, steps)
@@ -758,7 +765,7 @@ def _constraints_from_csv(path: Path):
 
 
 def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
-    pair = _section(cfg, "", _PAIR, _PAIR_DEFAULTS,
+    pair = _section(cfg, "", _spec(QubitPairParams, "omega_q", "temperature"),
                     extra=("bath", "lambdas", "method", "scan", "fit", "datum",
                            "constraints_file"))
     from_file = "constraints_file" in cfg
@@ -772,9 +779,12 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                 raise ConfigError(key, "not used with constraints_file")
 
     raw_fit = cfg.get("fit", {})
-    fit = _section(raw_fit, "fit", {"omega_c": (0.0, True), "smoothness": (0.0, False)},
-                   {"omega_c": None, "smoothness": 1e-2}, extra=("family", "grid"))
-    family = raw_fit.get("family", "power-law")
+    defaults = _defaults(fit_spectral_density)
+    fit = _section(raw_fit, "fit", {
+        "omega_c": Bounds(defaults["omega_c"], 0.0, True),
+        "smoothness": Bounds(defaults["smoothness"], 0.0)},
+        extra=("family", "grid"))
+    family = raw_fit.get("family", defaults["family"])
     if family not in ("power-law", "tabulated"):
         raise ConfigError("fit.family",
                           f"must be power-law or tabulated, got {family!r}")
@@ -782,14 +792,12 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
     if grid is not None:
         if not isinstance(grid, list) or len(grid) < 2:
             raise ConfigError("fit.grid", "expected a list of >= 2 frequencies")
-        grid = [_check_number(v, f"fit.grid[{j}]", minimum=0.0, strict=True)
+        grid = [_check_number(v, f"fit.grid[{j}]", _POSITIVE)
                 for j, v in enumerate(grid)]
     fit.update(family=family, grid=grid)
     datum = cfg.get("datum")
     if datum is not None:
-        datum = _section(datum, "datum", {
-            "fwhm": (0.0, True), "omega": (0.0, True), "trig_sq": (0.0, True, 1.0),
-            "occupation": (0.0, False), "kappa": (0.0, True)}, _defaults(LinewidthDatum))
+        datum = _section(datum, "datum", _spec(LinewidthDatum))
     echo = {"fit": fit, "datum": datum}
 
     truth = None
@@ -804,7 +812,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         raw_lams = cfg.get("lambdas")
         if not isinstance(raw_lams, list) or not raw_lams:
             raise ConfigError("lambdas", "expected a non-empty list of couplings")
-        lams = [_check_number(v, f"lambdas[{j}]", minimum=0.0, strict=True)
+        lams = [_check_number(v, f"lambdas[{j}]", _POSITIVE)
                 for j, v in enumerate(raw_lams)]
         method = cfg.get("method", "analytic")
         if method not in ("analytic", "signal"):
@@ -812,9 +820,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                               f"must be analytic or signal, got {method!r}")
         scan_cfg = _scan_config_from(cfg.get("scan"))
         constraints = collect_constraints(
-            truth, lams, QubitPairParams(omega_q=pair["omega_q"],
-                                         omega_p=pair["omega_q"],
-                                         temperature=pair["temperature"]),
+            truth, lams, _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
             config=scan_cfg, method=method, failures=failures)
         _write_csv(out / "constraints.csv", _CONSTRAINT_COLUMNS,
                    _constraints_to_rows(constraints))
@@ -836,7 +842,8 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         "config": echo,
         "reconstruction": reconstruction_to_record(result),
         "constraints": [transition_point_to_record(tp) for tp in constraints],
-        "failures": [{"lambda": lam, "error": msg} for lam, msg in failures],
+        "failures": [{json_name("lam"): lam, "error": msg}
+                     for lam, msg in failures],
         "truth": None if truth is None else model_to_config(truth),
         "truth_comparison": comparison,
     }

@@ -47,9 +47,12 @@ from .signal_analysis import (
 from .spin_model import (
     EigenStructure,
     QubitPairParams,
+    bounded,
     build_operators,  # not called; benchmarks/tracing.py wraps this binding
+    check_fields,
     diagonalize,
     eigenmode_transform,
+    json_name,
 )
 
 
@@ -86,32 +89,23 @@ class TransitionPoint:
     the band inside which the signal-level scan could not classify the regime.
     """
 
-    lam: float
-    omega_p_bar: float
-    E1: float
-    E2: float
-    ratio: float
-    n1: float = 0.0
-    n2: float = 0.0
-    uncertainty: float | None = None
+    lam: float = bounded()
+    omega_p_bar: float = bounded()
+    E1: float = bounded()
+    E2: float = bounded()
+    ratio: float = bounded(above=0.0)
+    n1: float = bounded(0.0)
+    n2: float = bounded(0.0)
+    uncertainty: float | None = bounded(None, at_least=0.0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            if value is None or not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not self.ratio > 0:
-            raise ValueError(f"ratio must be > 0, got {self.ratio}")
+        check_fields(self)
         if not self.E1 >= self.E2 > 0:
             raise ValueError(f"need E1 >= E2 > 0, got {self.E1}, {self.E2}")
-        if self.uncertainty is not None and self.uncertainty < 0:
-            raise ValueError("uncertainty must be >= 0")
 
 
-# TransitionPoint's record keys in field order; only the coupling is renamed
-TRANSITION_RECORD_KEYS = tuple({"lam": "lambda"}.get(f.name, f.name)
+# TransitionPoint's record keys, in field order
+TRANSITION_RECORD_KEYS = tuple(json_name(f.name)
                                for f in fields(TransitionPoint))
 
 
@@ -124,23 +118,13 @@ class LinewidthDatum:
     trigonometric weight and the occupation at the line position are known.
     """
 
-    fwhm: float
-    omega: float
-    trig_sq: float
-    occupation: float = 0.0
-    kappa: float = KAPPA_DEFAULT
+    fwhm: float = bounded(above=0.0)
+    omega: float = bounded(above=0.0)
+    trig_sq: float = bounded(above=0.0, at_most=1.0)
+    occupation: float = bounded(0.0, at_least=0.0)
+    kappa: float = bounded(KAPPA_DEFAULT, above=0.0)
 
-    def __post_init__(self):
-        if not self.fwhm > 0:
-            raise ValueError(f"fwhm must be > 0, got {self.fwhm}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not 0.0 < self.trig_sq <= 1.0:
-            raise ValueError(f"trig_sq must be in (0, 1], got {self.trig_sq}")
-        if self.occupation < 0:
-            raise ValueError("occupation must be >= 0")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be > 0")
+    __post_init__ = check_fields
 
     def j_value(self) -> float:
         """The absolute J(omega) this measurement fixes."""
@@ -164,10 +148,6 @@ class ReconstructionResult:
     residuals: np.ndarray
     diagnostics: dict
 
-    def __post_init__(self):
-        if self.s is not None and not self.s > 0:
-            raise ValueError(f"fitted s must be > 0, got {self.s}")
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -181,12 +161,14 @@ class ScanConfig:
     40 001 samples with these defaults.
     """
 
-    t_max: float = 2000.0
-    dt: float = 0.05
+    t_max: float = bounded(2000.0, above=0.0)
+    dt: float = bounded(0.05, above=0.0)
     late_window: tuple[float, float] = (1600.0, 1910.0)
-    window: float = 3.0
-    refine_tol: float = 2e-3
-    kappa: float = KAPPA_DEFAULT
+    window: float = bounded(3.0, above=0.0)
+    refine_tol: float = bounded(2e-3, above=0.0)
+    kappa: float = bounded(KAPPA_DEFAULT, above=0.0)
+
+    __post_init__ = check_fields
 
     def sync_config(self) -> SyncConfig:
         # Noise floor off: scans run on noiseless synthetic signals whose

@@ -15,7 +15,7 @@ import scipy.optimize
 import scipy.signal
 
 from .dynamics import Trajectory, _uniform_step
-from .spin_model import SIGMA_PLUS
+from .spin_model import SIGMA_PLUS, FieldError, bounded, check_fields
 
 IN_PHASE = "InPhase"
 ANTI_PHASE = "AntiPhase"
@@ -298,12 +298,18 @@ def _windowed_correlation(f, g, win_n: int, starts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyncConfig:
-    window: float = 3.0
-    step: float | None = None            # default window/4
-    sync_threshold: float = 0.9
-    nosync_threshold: float = 0.3
+    window: float = bounded(3.0, above=0.0)
+    step: float | None = bounded(None, above=0.0)   # None: window/4
+    sync_threshold: float = bounded(0.9, above=0.0, at_most=1.0)
+    nosync_threshold: float = bounded(0.3, at_least=0.0, at_most=1.0)
     late_window: tuple[float, float] = (200.0, 310.0)
-    noise_floor: float = 1e-9
+    noise_floor: float = bounded(1e-9, at_least=0.0)
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.nosync_threshold >= self.sync_threshold:
+            raise FieldError("nosync_threshold", "must be below sync_threshold "
+                             f"({self.sync_threshold:g})")
 
 
 def _correlation_windows(times: np.ndarray, config: SyncConfig):

@@ -62,7 +62,10 @@ safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,24 +80,82 @@ class ConventionError(RuntimeError):
     """A quasiparticle branch/sign convention check failed at tolerance."""
 
 
+class FieldError(ValueError):
+    """A config dataclass field out of range; ``field`` names it."""
+
+    def __init__(self, name: str, message: str):
+        self.field, self.message = name, message
+        super().__init__(f"{name} {message}")
+
+
+class Bounds(NamedTuple):
+    """A config field's default and range: above ``minimum`` (or at it,
+    unless ``strict``), at most ``maximum``, finite unless ``infinite``."""
+
+    default: object = MISSING
+    minimum: float | None = None
+    strict: bool = False
+    maximum: float | None = None
+    infinite: bool = False
+
+    def error(self, value) -> str | None:
+        """The bound ``value`` breaks, as "> 0" or "<= 1", or None; NaN
+        breaks every bound."""
+        lo = self.minimum
+        if lo is not None and not (value > lo if self.strict else value >= lo):
+            return f"{'>' if self.strict else '>='} {lo:g}"
+        if self.maximum is not None and not value <= self.maximum:
+            return f"<= {self.maximum:g}"
+        return None
+
+
+def bounded(default=MISSING, *, above=None, at_least=None, at_most=None,
+            infinite=False):
+    """A dataclass field held to its Bounds by ``check_fields``; a field
+    whose default is None may also be None."""
+    return field(default=default, metadata={"bounds": Bounds(
+        default, at_least if above is None else above, above is not None,
+        at_most, infinite)})
+
+
+@cache
+def field_bounds(cls) -> dict:
+    """Field name -> Bounds of dataclass ``cls``'s bounded fields, in order."""
+    return {f.name: f.metadata["bounds"] for f in fields(cls)
+            if "bounds" in f.metadata}
+
+
+def check_fields(obj) -> None:
+    """Raise FieldError for the first bounded field of dataclass ``obj``
+    outside its Bounds; each class's ``__post_init__`` calls it."""
+    for name, b in field_bounds(type(obj)).items():
+        value = getattr(obj, name)
+        if value is None and b.default is None:
+            continue
+        if value is None or not (b.infinite or math.isfinite(value)):
+            raise FieldError(name, f"must be finite, got {value}")
+        broken = b.error(value)
+        if broken:
+            none = " or None" if b.default is None else ""
+            raise FieldError(name, f"must be {broken}{none}, got {value}")
+
+
+def json_name(name: str) -> str:
+    """A field's key in configs and records: ``lambda`` (a Python keyword)
+    for the coupling ``lam``, the field's own name otherwise."""
+    return "lambda" if name == "lam" else name
+
+
 @dataclass(frozen=True)
 class QubitPairParams:
     """Knobs of the pair Hamiltonian. lam is the XX coupling strength."""
 
-    omega_q: float = 1.0
-    omega_p: float = 1.0
-    lam: float = 0.0
-    temperature: float = 0.0
+    omega_q: float = bounded(1.0, above=0.0)
+    omega_p: float = bounded(1.0, above=0.0)
+    lam: float = bounded(0.0, at_least=0.0)
+    temperature: float = bounded(0.0, at_least=0.0)
 
-    def __post_init__(self):
-        if not self.omega_q > 0:
-            raise ValueError(f"omega_q must be > 0, got {self.omega_q}")
-        if not self.omega_p > 0:
-            raise ValueError(f"omega_p must be > 0, got {self.omega_p}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

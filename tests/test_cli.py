@@ -56,6 +56,45 @@ def test_run_config_round_trip():
     assert first == second
 
 
+@st.composite
+def _run_configs(draw):
+    """A RunConfig whose every section is in bounds.  The late window spans
+    130 or more samples, so it holds a centre of any correlation window of
+    at most 40 samples and stride, and it serves as a spectrum window too."""
+    dt = draw(st.floats(0.01, 0.5))
+    t_max = draw(st.floats(200.0 * dt, 2000.0 * dt))
+    times = cli.default_time_grid(t_max, dt)
+    i0 = draw(st.integers(0, times.size - 131))
+    i1 = draw(st.integers(i0 + 130, times.size - 1))
+    late = (float(times[i0]), float(times[i1]))
+    window = draw(st.floats(8.0 * dt, 40.0 * dt))
+    sync = draw(st.floats(0.01, 1.0))
+    positive = st.floats(1e-3, 1e3)
+    return cli.RunConfig(
+        params=cli.QubitPairParams(
+            omega_q=draw(positive), omega_p=draw(positive),
+            lam=draw(st.floats(0.0, 10.0)), temperature=draw(st.floats(0.0, 10.0))),
+        bath=cli.PowerLawCutoff(gamma0=draw(st.floats(0.0, 1.0)),
+                                s=draw(st.floats(0.1, 5.0)),
+                                omega_c=draw(st.none() | positive)),
+        initial_state=draw(st.sampled_from(sorted(cli.INITIAL_STATES))),
+        t_max=t_max, dt=dt,
+        analysis=cli.SyncConfig(
+            window=window, step=draw(st.none() | st.floats(dt, window)),
+            sync_threshold=sync,
+            nosync_threshold=draw(st.floats(0.0, sync, exclude_max=True)),
+            late_window=late, noise_floor=draw(st.floats(0.0, 1.0))),
+        channel=draw(st.sampled_from(cli._CHANNELS)),
+        kappa=draw(positive),
+        windows=draw(st.sampled_from([None, (late,)])))
+
+
+@settings(max_examples=100)
+@given(rc=_run_configs())
+def test_run_config_round_trip_property(rc):
+    assert parse_run_config(run_config_to_dict(rc)) == rc
+
+
 def test_run_config_defaults():
     rc = parse_run_config(_run_cfg())
     assert rc.t_max == 400.0 and rc.dt == 0.05
@@ -581,6 +620,51 @@ def test_evolve_checks_late_window_samples_before_writing(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
     cfg = _write(tmp_path, _run_cfg(analysis={"late_window": FULL_WINDOW}))
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["evolve", "spectrum"])
+def test_late_window_checked_for_every_run_config(tmp_path, capsys, command):
+    """evolve and spectrum read one run config, so they accept the same
+    late window; spectrum used to skip the check."""
+    cfg = _write(tmp_path, _run_cfg(time_grid={"t_max": 320.0, "dt": 0.05},
+                                    analysis={"late_window": [300.0, 400.0]},
+                                    windows=[[0.0, 110.0]]))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: analysis.late_window: ends past the time grid's last sample "
+        "(320)\n")
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("parse, field", [
+    (lambda w: parse_run_config(_run_cfg(
+        analysis={"window": 30.0, "late_window": w})), "analysis.late_window"),
+    (lambda w: parse_sweep_spec(_sweep_cfg(base=_run_cfg(
+        analysis={"window": 30.0, "late_window": w}))),
+     "base.analysis.late_window"),
+    (lambda w: cli._scan_config_from(
+        {"t_max": 400.0, "window": 30.0, "late_window": w}), "scan.late_window"),
+])
+def test_late_window_needs_a_correlation_window_centre(parse, field):
+    """With 30-long windows on a 400-long grid the last centre is 382.5:
+    [380, 400] holds it, [390, 400] holds none, and its verdict would be
+    read off that one window outside it."""
+    parse([380.0, 400.0])
+    with pytest.raises(ConfigError) as err:
+        parse([390.0, 400.0])
+    assert str(err.value) == (f"{field}: holds no correlation window centre "
+                              "(window 30)")
+
+
+def test_evolve_refuses_late_window_without_centre(tmp_path, capsys):
+    cfg = _write(tmp_path, _run_cfg(analysis={"window": 30.0,
+                                              "late_window": [390.0, 400.0]}))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: analysis.late_window: holds no correlation window centre")
+    assert not list(out.iterdir())
 
 
 # t_max a fraction of a step past the grid's last sample, round(t_max/dt)*dt:
