@@ -26,6 +26,7 @@ import math
 import multiprocessing
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -819,9 +820,17 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             raise ConfigError("method",
                               f"must be analytic or signal, got {method!r}")
         scan_cfg = _scan_config_from(cfg.get("scan"))
-        constraints = collect_constraints(
-            truth, lams, _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
-            config=scan_cfg, method=method, failures=failures)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                constraints = collect_constraints(
+                    truth, lams,
+                    _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
+                    config=scan_cfg, method=method, failures=failures)
+            finally:
+                # one line per warning (a failed coupling), not Python's
+                # format with its source path and code line
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
         _write_csv(out / "constraints.csv", _CONSTRAINT_COLUMNS,
                    _constraints_to_rows(constraints))
         echo.update(pair, bath=model_to_config(truth), lambdas=lams,

@@ -11,12 +11,12 @@ overall amplitude the ratios cannot see.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from .bath import (
     KAPPA_DEFAULT,
@@ -89,13 +89,13 @@ class TransitionPoint:
     the band inside which the signal-level scan could not classify the regime.
     """
 
-    lam: float = bounded()
-    omega_p_bar: float = bounded()
+    lam: float = bounded(at_least=0.0)
+    omega_p_bar: float = bounded(above=0.0)
     E1: float = bounded()
     E2: float = bounded()
     ratio: float = bounded(above=0.0)
-    n1: float = bounded(0.0)
-    n2: float = bounded(0.0)
+    n1: float = bounded(0.0, at_least=0.0)
+    n2: float = bounded(0.0, at_least=0.0)
     uncertainty: float | None = bounded(None, at_least=0.0)
 
     def __post_init__(self):
@@ -217,7 +217,71 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
         raise NoTransitionError(
             f"rate ratio does not change sign on [{lo:g}, {hi:g}] "
             f"(log ratio {f_lo:.3g} -> {f_hi:.3g})")
-    return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-13 * params.omega_q))
+    return _brentq(f, lo, hi, xtol=1e-13 * params.omega_q)[0]
+
+
+_BRENTQ_RTOL = 4 * math.ulp(1.0)
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> tuple[float, int]:
+    """(root, function count) of ``f`` on [a, b]: scipy's C ``brentq``
+    step for step (rtol 4 eps, 100 iterations), so the root and the count
+    are those of ``scipy.optimize.brentq(f, a, b, xtol=xtol,
+    full_output=True)``.  ValueError when f(a) and f(b) have the same sign
+    or f returns NaN; RuntimeError when 100 iterations do not converge."""
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    nfev = 2
+    if fpre == 0:
+        return xpre, nfev
+    if fcur == 0:
+        return xcur, nfev
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, nfev
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+        nfev += 1
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def default_scan_grid(root: float, omega_q: float) -> np.ndarray:
@@ -457,6 +521,8 @@ def infer_system_params(spectrum, omega_p) -> tuple[float, float]:
             out[2 * k + 1] = eig.E2 - measured[k, 1]
         return out
 
+    import scipy.optimize  # here: no CLI path infers the pair from spectra
+
     sol = scipy.optimize.least_squares(
         resid, np.clip(x0, [1e-6, 0.0], None),
         bounds=([1e-6, 0.0], [np.inf, np.inf]))
@@ -542,10 +608,8 @@ def _fit_power_law(constraints, datum, omega_c, diagnostics):
         else:
             raise InversionError(f"no exponent in [{lo:.3g}, {hi:.3g}] "
                                  "minimizes the ratio residuals")
-        s_fit, info = scipy.optimize.brentq(gradient, lo, hi, xtol=1e-300,
-                                            full_output=True)
-        diagnostics["method"] = "brentq"
-        diagnostics["nfev"] = info.function_calls
+        s_fit, nfev = _brentq(gradient, lo, hi, xtol=1e-300)
+        diagnostics.update(method="brentq", nfev=nfev)
     if not s_fit > 0:
         raise InversionError(
             f"ratio constraints imply a non-positive exponent ({s_fit:.3g}); "

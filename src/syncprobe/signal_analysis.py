@@ -9,10 +9,13 @@ the exact line shape of a damped cosine seen through that taper and window.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
+# Loaded with this module rather than by the first spectrum: numpy imports
+# np.fft, and np.ma for np.median's NaN check, on first use (about 20 ms).
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
 
 from .dynamics import Trajectory, _uniform_step
 from .spin_model import SIGMA_PLUS, FieldError, bounded, check_fields
@@ -114,13 +117,13 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     times = np.asarray(times, dtype=float)
     dt = _uniform_step(times)
     check_window(times, t_start, t_end)
-    seg = signal[window_mask(times, t_start, t_end)]
-    seg = seg - seg.mean()
-    taper = np.hanning(seg.size)
-    padded = np.zeros(4 * seg.size)
-    padded[:seg.size] = seg * taper
-    spec = np.abs(np.fft.rfft(padded))
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(padded.size, d=dt)
+    seg = signal[window_mask(times, t_start, t_end)]   # a copy
+    seg -= seg.mean()
+    seg *= _hann(seg.size)
+    n_fft = 4 * seg.size
+    spec = np.abs(np.fft.rfft(seg, n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=dt)
+    freqs *= 2.0 * np.pi
 
     # Height floor per the 5x-median rule; the prominence floor additionally
     # scales with the strongest feature so Hann sidelobe ripples (-31 dB,
@@ -130,7 +133,7 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     # without scanning the prominence of sidelobes that cannot pass.
     floor = 5.0 * float(np.median(spec))
     prom = max(floor, 0.05 * float(np.max(spec)))
-    idx, _ = scipy.signal.find_peaks(spec, height=prom, prominence=prom)
+    idx = _find_peaks(spec, prom)
     peaks = []
     for i in idx:
         # 3-point parabolic refinement
@@ -144,6 +147,44 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     peaks.sort(key=lambda p: p.height, reverse=True)
     return SpectrumEstimate(freqs=freqs, magnitude=spec, peaks=tuple(peaks),
                             window=(float(t_start), float(t_end)))
+
+
+@cache
+def _hann(n: int) -> np.ndarray:
+    """``np.hanning(n)``, built once per length and read-only."""
+    taper = np.hanning(n)
+    taper.flags.writeable = False
+    return taper
+
+
+def _find_peaks(x: np.ndarray, floor: float) -> np.ndarray:
+    """Local maxima of ``x`` whose height and prominence are both at least
+    ``floor``, as ``scipy.signal.find_peaks(x, height=floor,
+    prominence=floor)[0]`` returns them.
+
+    A run of equal samples is one candidate, taken at its midpoint, if both
+    neighbouring runs are lower; so a run that starts at the first sample or
+    ends at the last is never a peak.  Each prominence side walks out to the
+    first strictly higher sample or the edge; the base is the higher of the
+    two side minima.
+    """
+    x = np.asarray(x, dtype=float)
+    # Runs that rise above the sample before them and reach the floor, and
+    # the last sample of each run (none for the final run, never a peak).
+    starts = np.flatnonzero((x[:-1] < x[1:]) & (floor <= x[1:])) + 1
+    ends = np.flatnonzero(x[:-1] != x[1:])
+    j = np.searchsorted(ends, starts)
+    starts, ends = starts[j < ends.size], ends[j[j < ends.size]]
+    top = x[ends + 1] < x[starts]
+    peaks = (starts[top] + ends[top]) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        i = int(np.searchsorted(higher, p))
+        lo = higher[i - 1] + 1 if i > 0 else 0
+        hi = higher[i] if i < higher.size else x.size
+        keep[k] = floor <= x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+    return peaks[keep]
 
 
 def _half_height_span(freqs, mag, i_peak):
@@ -222,6 +263,8 @@ def peak_linewidth(spectrum: SpectrumEstimate, peak_index: int) -> float:
 
     def resid(p):
         return _windowed_line_model(x, p[0], p[1], p[2], t_win) - y
+
+    import scipy.optimize  # here: no CLI path fits a linewidth
 
     p0 = np.array([peak.height * gamma0 * 2.0, peak.frequency, gamma0])
     sol = scipy.optimize.least_squares(

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -948,6 +951,44 @@ def test_reconstruct_rejects_non_finite_constraint_row(tmp_path, capsys,
     assert "constraints_file: row 1:" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_negative_occupation_row(tmp_path, capsys):
+    """This row was fitted; a Bose occupation below 0 is unphysical."""
+    path = tmp_path / "constraints.csv"
+    path.write_text("lambda,omega_p_bar,E1,E2,ratio,n1,n2,uncertainty\n"
+                    "0.2,1.076,1.2606,0.8535,2.17,-1,0,\n")
+    cfg = _write(tmp_path, {"constraints_file": str(path)})
+    code = main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: constraints_file: row 1: n1 must be >= 0, got -1.0\n")
+
+
+def test_reconstruct_reports_each_failed_coupling_on_one_line(tmp_path, capsys):
+    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[1]))
+    code = main(["reconstruct", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    failure = ("lam=1: rate ratio does not change sign on [0.5, 1.5] "
+               "(log ratio 3.13 -> 0.774)")
+    assert capsys.readouterr().err == (
+        f"warning: {failure}\n"
+        f"error: every coupling failed to produce a constraint: {failure}\n")
+
+
+def test_reconstruct_partial_failure_keeps_record_and_exit_code(tmp_path, capsys):
+    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[0.2, 1, 0.3]))
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: lam=1: rate ratio does not change sign on [0.5, 1.5] "
+        "(log ratio 3.13 -> 0.774)\n")
+    rec = json.loads((out / "reconstruction.json").read_text())
+    assert rec["failures"] == [{"lambda": 1.0, "error": (
+        "rate ratio does not change sign on [0.5, 1.5] "
+        "(log ratio 3.13 -> 0.774)")}]
+
+
 @pytest.mark.parametrize("last_row, message", [
     (b"0.2,1.0,1.2,0.8", "row 2: cell count"),
     (b"0.2,1.076,1.2606,0.8535,2.17,0,0,,9", "row 2: cell count"),
@@ -972,6 +1013,44 @@ def test_reconstruct_rejects_mixed_modes(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "constraints_file" in capsys.readouterr().err
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+from pathlib import Path
+from syncprobe import cli
+jobs = json.loads(sys.argv[1])
+for name, cfg in jobs:
+    path = Path(sys.argv[2]) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([name, "--config", str(path), "--out",
+                     str(Path(sys.argv[2]) / name), "--workers", "1"])
+    assert code == 0, (name, code)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    """Every subcommand runs without loading scipy.  A fresh interpreter,
+    since this one has imported scipy for the tests' oracles."""
+    jobs = [
+        ("evolve", _run_cfg()),
+        ("spectrum", _run_cfg(windows=[[200.0, 310.0]])),
+        ("sweep", _sweep_cfg()),
+        ("scan-transition", {"lambda": 0.2, "bath": OHMIC,
+                             "grid": {"lo": 0.93, "hi": 1.07, "steps": 5}}),
+        ("reconstruct", _reconstruct_cfg()),
+        ("reconstruct", _reconstruct_cfg(lambdas=[0.2, 0.3], method="signal")),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, json.dumps(jobs), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ RANGES = {
                  "refine_tol": "> 0", "kappa": "> 0"},
     LinewidthDatum: {"fwhm": "> 0", "omega": "> 0", "trig_sq": "> 0, <= 1",
                      "occupation": ">= 0", "kappa": "> 0"},
-    TransitionPoint: {"lam": "", "omega_p_bar": "", "E1": "", "E2": "",
-                      "ratio": "> 0", "n1": "", "n2": "",
+    TransitionPoint: {"lam": ">= 0", "omega_p_bar": "> 0", "E1": "", "E2": "",
+                      "ratio": "> 0", "n1": ">= 0", "n2": ">= 0",
                       "uncertainty": ">= 0 or None"},
     RunConfig: {"t_max": "> 0", "dt": "> 0", "kappa": "> 0"},
 }

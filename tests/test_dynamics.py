@@ -387,6 +387,22 @@ def test_analytic_accepts_nonuniform_grid():
         np.testing.assert_allclose(q, dense.sx_q[i], atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [64, 2048])
+def test_analytic_chunks_change_no_bit(monkeypatch, chunk):
+    """Signals and stored states are elementwise in time, so evaluating
+    them chunk by chunk gives the whole-grid result to the bit.  The grid's
+    8 193 samples leave one over; alone in a chunk of its own, it changed
+    stored states in the last bit."""
+    rho0 = _random_state(np.random.default_rng(3))
+    times = default_time_grid(409.6, 0.05)
+    monkeypatch.setattr(dynamics, "_EVOLVE_CHUNK", times.size)
+    whole = _setup(1.2, T=0.4, times=times, rho0=rho0, store_states=True)[1].traj
+    monkeypatch.setattr(dynamics, "_EVOLVE_CHUNK", chunk)
+    parts = _setup(1.2, T=0.4, times=times, rho0=rho0, store_states=True)[1].traj
+    for name in ("sx_q", "sx_p", "states"):
+        assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes()
+
+
 def test_numeric_rejects_nonuniform_grid():
     p = QubitPairParams(omega_p=1.2, lam=0.2)
     with pytest.raises(ValueError):

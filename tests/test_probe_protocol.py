@@ -1,8 +1,11 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncprobe.bath import (
     PowerLawCutoff,
@@ -556,3 +559,79 @@ def test_records_round_trip_json():
     assert len(rec["residuals"]) == 3
     restored = model_from_config(rec["model"])
     assert restored == fit.model
+
+
+# ------------------------------------------------------------------- _brentq
+
+def _scipy_brentq(f, a, b, xtol):
+    import scipy.optimize
+    root, info = scipy.optimize.brentq(f, a, b, xtol=xtol, full_output=True)
+    return root, info.function_calls
+
+
+def _outcome(solver, *args):
+    """(root, function count), or the type of the error raised."""
+    try:
+        return solver(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+_ROOT_FAMILIES = [
+    lambda r: lambda x: x - r,
+    lambda r: lambda x: (x - r) ** 3 + 1e-3 * (x - r),
+    lambda r: lambda x: math.tanh(40.0 * (x - r)),
+    lambda r: lambda x: math.exp(x) - math.exp(r),
+    lambda r: lambda x: math.sin(x - r) - 0.1 * (x - r) ** 2,
+]
+
+
+@settings(max_examples=300)
+@given(family=st.integers(0, len(_ROOT_FAMILIES) - 1),
+       root=st.floats(-3.0, 3.0), left=st.floats(1e-3, 1.5),
+       right=st.floats(1e-3, 1.5), xtol=st.sampled_from([1e-13, 1e-300]))
+def test_brentq_port_matches_scipy_bit_for_bit(family, root, left, right, xtol):
+    """The same root and count, or the same error (a root within 1e-285 of
+    0 at xtol 1e-300 exhausts the 100 iterations in both)."""
+    f = _ROOT_FAMILIES[family](root)
+    a, b = root - left, root + right
+    for bracket in ((a, b), (b, a)):
+        assert _outcome(probe_protocol._brentq, f, *bracket, xtol) == \
+            _outcome(_scipy_brentq, f, *bracket, xtol)
+
+
+@settings(max_examples=25)
+@given(lam=st.floats(0.05, 0.5), s=st.floats(0.5, 3.0),
+       omega_c=st.one_of(st.none(), st.floats(2.0, 50.0)),
+       temperature=st.sampled_from([0.0, 0.3, 1.0]))
+def test_brentq_port_matches_scipy_on_the_rate_balance(lam, s, omega_c,
+                                                       temperature):
+    model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=omega_c)
+    pair = QubitPairParams(lam=lam, temperature=temperature)
+
+    def f(w):
+        return probe_protocol._rate_balance(model, replace(pair, omega_p=w), 1.0)
+
+    if f(0.5) * f(1.5) > 0:
+        return
+    for xtol in (1e-13, 1e-300):
+        assert probe_protocol._brentq(f, 0.5, 1.5, xtol) == \
+            _scipy_brentq(f, 0.5, 1.5, xtol)
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: 1.0 if x > 0 else -1.0, -1.0, 1.3, RuntimeError),  # 100 steps
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),               # one sign
+    (lambda x: 1e-200, 0.0, 1.0, ValueError),    # product underflows to 0
+    (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0, ValueError),
+])
+def test_brentq_port_raises_where_scipy_does(f, a, b, error):
+    with pytest.raises(error):
+        _scipy_brentq(f, a, b, 1e-300)
+    with pytest.raises(error):
+        probe_protocol._brentq(f, a, b, 1e-300)
+
+
+def test_brentq_port_returns_an_exact_zero_at_once():
+    assert probe_protocol._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == \
+        _scipy_brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == (1.0, 2)

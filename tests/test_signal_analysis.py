@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncprobe import signal_analysis
@@ -149,16 +149,17 @@ def test_windowed_fft_input_validation():
 
 
 def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
-    """Filtering on height=prom keeps exactly the peaks height=floor kept."""
-    real = scipy.signal.find_peaks
+    """Filtering on height=prom keeps exactly the peaks height=floor kept,
+    and each call of the numpy peak finder agrees with scipy's."""
+    real = signal_analysis._find_peaks
     calls = []
 
-    def recording(x, **kwargs):
-        idx, props = real(x, **kwargs)
-        calls.append((np.array(x), idx))
-        return idx, props
+    def recording(x, floor):
+        idx = real(x, floor)
+        calls.append((np.array(x), floor, idx))
+        return idx
 
-    monkeypatch.setattr(scipy.signal, "find_peaks", recording)
+    monkeypatch.setattr(signal_analysis, "_find_peaks", recording)
     rng = np.random.default_rng(11)
     times = default_time_grid(320.0)
     _, _, _, traj = _reference(1.2)
@@ -174,12 +175,55 @@ def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
     for sig, a, b in signals:
         windowed_fft(sig, times, a, b)
     assert len(calls) == len(signals)
-    assert max(idx.size for _, idx in calls) > 2
-    for spec, idx in calls:
+    assert max(idx.size for _, _, idx in calls) > 2
+    for spec, prom, idx in calls:
+        oracle, _ = scipy.signal.find_peaks(spec, height=prom, prominence=prom)
+        np.testing.assert_array_equal(idx, oracle)
         floor = 5.0 * float(np.median(spec))
-        prom = max(floor, 0.05 * float(np.max(spec)))
-        ref, _ = real(spec, height=floor, prominence=prom)
+        assert prom == max(floor, 0.05 * float(np.max(spec)))
+        ref, _ = scipy.signal.find_peaks(spec, height=floor, prominence=prom)
         np.testing.assert_array_equal(idx, ref)
+
+
+def _assert_peaks_match_scipy(x, floor):
+    x = np.asarray(x, dtype=float)
+    ref, _ = scipy.signal.find_peaks(x, height=floor, prominence=floor)
+    np.testing.assert_array_equal(signal_analysis._find_peaks(x, floor), ref)
+
+
+@settings(max_examples=300)
+@given(x=st.lists(st.integers(0, 4), min_size=1, max_size=24),
+       floor=st.integers(0, 5))
+@example(x=[0, 2, 2, 2, 1], floor=1)         # plateau at its midpoint
+@example(x=[0, 2, 2, 2, 2, 1], floor=1)      # even plateau: left of centre
+@example(x=[0, 1, 2, 2, 2], floor=0)         # plateau into the last sample
+@example(x=[2, 2, 1, 0], floor=0)            # plateau from the first sample
+@example(x=[3, 1, 2, 0], floor=0)            # maximum next to the left edge
+@example(x=[0, 2, 1, 3], floor=0)            # maximum next to the right edge
+@example(x=[0, 3, 1, 2, 1, 4, 0], floor=1)   # the middle one at its prominence
+@example(x=[0, 3, 1, 2, 1, 4, 0], floor=2)   # ... and just above it
+def test_find_peaks_matches_scipy_on_small_integer_arrays(x, floor):
+    """Few levels force plateaus, equal neighbours of a peak's walk-out and
+    maxima next to either edge."""
+    _assert_peaks_match_scipy(x, floor)
+
+
+@settings(max_examples=60)
+@given(freq=st.floats(0.3, 3.0), decay=st.floats(0.0, 0.05),
+       noise=st.floats(0.0, 1.0), decimals=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_find_peaks_matches_scipy_on_rounded_noisy_spectra(freq, decay, noise,
+                                                            decimals, seed):
+    """Spectra as windowed_fft builds them, rounded so that plateaus occur,
+    at the floor windowed_fft would pass."""
+    times = default_time_grid(200.0)
+    rng = np.random.default_rng(seed)
+    sig = (np.exp(-decay * times) * np.cos(freq * times)
+           + noise * rng.normal(size=times.size))
+    spec = np.round(windowed_fft(sig, times, 0.0, 100.0).magnitude, decimals)
+    floor = max(5.0 * float(np.median(spec)), 0.05 * float(np.max(spec)))
+    for f in (floor, 0.2 * floor, 0.0):
+        _assert_peaks_match_scipy(spec, f)
 
 
 def test_windowed_fft_step_from_whole_grid():
