@@ -11,8 +11,9 @@ Five subcommands cover the workflows the library supports:
 Every run takes its input from ``--config FILE`` (JSON) or ``--preset NAME``
 (see presets.py; run-config presets serve evolve/spectrum, sweep presets serve
 sweep).  Outputs land in ``--out DIR``.  Identical inputs produce byte-identical
-outputs, whatever ``--workers`` says: the worker pool only distributes points,
-results are gathered in grid order.  Exit codes: 0 success, 1 completed with
+outputs, whatever ``--workers`` says: the worker pool only distributes sweep
+grid points or signal-reconstruct couplings, and results are gathered in input
+order (grid order, sorted couplings).  Exit codes: 0 success, 1 completed with
 per-point failures (recorded in the output), 2 invalid input, with a message
 naming the offending config field.
 """
@@ -23,7 +24,6 @@ import inspect
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import warnings
@@ -61,6 +61,7 @@ from .probe_protocol import (
     fit_spectral_density,
     predict_transition,
     reconstruction_to_record,
+    run_tasks,
     scan_transition,
     simulate,
     transition_point_to_record,
@@ -535,16 +536,6 @@ def _sweep_task(task):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_tasks(tasks, workers: int):
-    # never more processes than there are tasks or cores to run them
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_sweep_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(_sweep_task, tasks, chunksize=chunk)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -624,7 +615,7 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     names = [a.name for a in spec.axes]
     points = list(itertools.product(*(a.values for a in spec.axes)))
     tasks = [(spec.base, names, p, spec.record, times) for p in points]
-    results = _run_tasks(tasks, args.workers)
+    results = run_tasks(_sweep_task, tasks, args.workers)
 
     value_cols = _sweep_columns(spec.record)
     header = names + value_cols + ["errors"]
@@ -825,7 +816,8 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                 constraints = collect_constraints(
                     truth, lams,
                     _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
-                    config=scan_cfg, method=method, failures=failures)
+                    config=scan_cfg, method=method, failures=failures,
+                    workers=args.workers)
             finally:
                 # one line per warning (a failed coupling), not Python's
                 # format with its source path and code line
@@ -895,8 +887,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, default=Path("out"), metavar="DIR",
                         help="output directory (default: ./out)")
         sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for sweeps "
-                             "(default: available cores)")
+                        help="worker processes for sweeps and signal "
+                             "reconstructs (default: available cores)")
     return parser
 
 

@@ -12,6 +12,8 @@ overall amplitude the ratios cannot see.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import NamedTuple
@@ -217,27 +219,32 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
         raise NoTransitionError(
             f"rate ratio does not change sign on [{lo:g}, {hi:g}] "
             f"(log ratio {f_lo:.3g} -> {f_hi:.3g})")
-    return _brentq(f, lo, hi, xtol=1e-13 * params.omega_q)[0]
+    return _brentq(f, lo, hi, xtol=1e-13 * params.omega_q,
+                   ends=(f_lo, f_hi))[0]
 
 
 _BRENTQ_RTOL = 4 * math.ulp(1.0)
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> tuple[float, int]:
+def _brentq(f, a: float, b: float, xtol: float,
+            ends: tuple[float, float] | None = None) -> tuple[float, int]:
     """(root, function count) of ``f`` on [a, b]: scipy's C ``brentq``
     step for step (rtol 4 eps, 100 iterations), so the root and the count
     are those of ``scipy.optimize.brentq(f, a, b, xtol=xtol,
-    full_output=True)``.  ValueError when f(a) and f(b) have the same sign
-    or f returns NaN; RuntimeError when 100 iterations do not converge."""
-    def call(x: float) -> float:
-        fx = float(f(x))
+    full_output=True)``.  ``ends`` are f(a) and f(b) when the caller has
+    them already; they count as evaluations.  ValueError when f(a) and f(b)
+    have the same sign or f returns NaN; RuntimeError when 100 iterations
+    do not converge."""
+    def call(x: float, fx: float | None = None) -> float:
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    f_a, f_b = ends or (None, None)
+    fpre, fcur = call(xpre, f_a), call(xcur, f_b)
     nfev = 2
     if fpre == 0:
         return xpre, nfev
@@ -529,11 +536,39 @@ def infer_system_params(spectrum, omega_p) -> tuple[float, float]:
     return float(sol.x[0]), float(sol.x[1])
 
 
+def run_tasks(fn, tasks, workers: int) -> list:
+    """``[fn(t) for t in tasks]`` on a pool of at most ``workers`` processes,
+    never more than there are tasks or cores; results come back in task
+    order, so they never depend on ``workers``."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    chunk = max(1, len(tasks) // (4 * workers))
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(fn, tasks, chunksize=chunk)
+
+
+def _constraint_task(task) -> TransitionPoint | str:
+    """One coupling's constraint, or the message of its failure."""
+    model, params, lam, config, method = task
+    try:
+        pair = replace(params, lam=lam)
+        root = predict_transition(model, pair, kappa=config.kappa)
+        if method == "analytic":
+            return transition_point(replace(pair, omega_p=root))
+        return scan_transition(
+            model, pair, default_scan_grid(root, pair.omega_q), config=config)
+    except (NoTransitionError, ResolutionError, DegenerateSpectrumError,
+            ValueError) as exc:
+        return str(exc)
+
+
 def collect_constraints(model: SpectralDensityModel, lams,
                         params: QubitPairParams = QubitPairParams(),
                         config: ScanConfig | None = None,
                         method: str = "signal",
-                        failures: list | None = None) -> list[TransitionPoint]:
+                        failures: list | None = None,
+                        workers: int = 1) -> list[TransitionPoint]:
     """One TransitionPoint per coupling, aggregated in sorted-lam order.
 
     Each coupling replaces params.lam; omega_q and the temperature come
@@ -542,27 +577,25 @@ def collect_constraints(model: SpectralDensityModel, lams,
     crossing; method="analytic" skips simulation and roots the rate balance
     directly.  Failures for individual lam values are warned about and
     appended to ``failures`` as (lam, message); the call raises only when no
-    lam yields a constraint.
+    lam yields a constraint.  Signal scans run on up to ``workers``
+    processes (analytic roots take microseconds and stay here); results and
+    warnings keep sorted-lam order whatever ``workers`` says.
     """
     if method not in ("signal", "analytic"):
         raise ValueError(f"unknown method {method!r}")
     config = config or ScanConfig()
     sink = failures if failures is not None else []
+    lams = sorted(float(v) for v in lams)
+    results = run_tasks(_constraint_task,
+                        [(model, params, lam, config, method) for lam in lams],
+                        workers if method == "signal" else 1)
     points: list[TransitionPoint] = []
-    for lam in sorted(float(v) for v in lams):
-        try:
-            pair = replace(params, lam=lam)
-            root = predict_transition(model, pair, kappa=config.kappa)
-            if method == "analytic":
-                points.append(transition_point(replace(pair, omega_p=root)))
-            else:
-                points.append(scan_transition(
-                    model, pair, default_scan_grid(root, pair.omega_q),
-                    config=config))
-        except (NoTransitionError, ResolutionError, DegenerateSpectrumError,
-                ValueError) as exc:
-            warnings.warn(f"lam={lam:g}: {exc}", stacklevel=2)
-            sink.append((lam, str(exc)))
+    for lam, out in zip(lams, results):
+        if isinstance(out, str):
+            warnings.warn(f"lam={lam:g}: {out}", stacklevel=2)
+            sink.append((lam, out))
+        else:
+            points.append(out)
     if not points:
         raise NoTransitionError(
             "every coupling failed to produce a constraint: "

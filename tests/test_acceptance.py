@@ -364,7 +364,7 @@ def test_criterion_11_temperature_ladder():
         assert hot.regime == "NoSync" and hot.below_floor
 
 
-def test_criterion_12_byte_determinism(tmp_path):
+def test_criterion_12_byte_determinism(tmp_path, capsys):
     with criterion(12, "repeated runs of every artifact-producing command "
                        "are byte-identical"):
         ohmic_cfg = {"kind": "power-law", "gamma0": 0.01, "s": 1.0,
@@ -391,16 +391,30 @@ def test_criterion_12_byte_determinism(tmp_path):
                 "lambdas": LAMS, "method": "analytic",
                 "fit": {"family": "power-law", "omega_c": 20.0},
             },
+            # lam = 1 has no crossing in the bracket: exit 1, one warning
+            "reconstruct-signal": {
+                "bath": {"kind": "power-law", "gamma0": 0.01, "s": 2.0,
+                         "omega_c": 20.0},
+                "lambdas": [1.0] + LAMS, "method": "signal",
+                "fit": {"family": "power-law", "omega_c": 20.0},
+            },
         }
+        expected_warnings = {"reconstruct-signal": [
+            "warning: lam=1: rate ratio does not change sign on [0.5, 1.5] "
+            "(log ratio 3.13 -> 0.774)"]}
         for name, cfg in jobs.items():
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(cfg))
             outs = []
             for attempt, workers in (("a", "1"), ("b", "2")):
                 out = tmp_path / f"{name}-{attempt}"
-                code = cli_main([name, "--config", str(cfg_path),
-                                 "--out", str(out), "--workers", workers])
-                assert code == 0, f"{name} exited {code}"
+                code = cli_main([name.removesuffix("-signal"), "--config",
+                                 str(cfg_path), "--out", str(out),
+                                 "--workers", workers])
+                warned = [line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("warning:")]
+                assert warned == expected_warnings.get(name, []), name
+                assert code == (1 if warned else 0), f"{name} exited {code}"
                 outs.append(out)
             files_a = sorted(p.name for p in outs[0].iterdir())
             files_b = sorted(p.name for p in outs[1].iterdir())

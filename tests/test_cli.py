@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncprobe import cli
+from syncprobe import cli, probe_protocol
 from syncprobe.cli import (
     ConfigError,
     main,
@@ -466,7 +467,7 @@ def test_sweep_correlator_einsum_matches_state_loop():
 def test_sweep_and_scan_build_no_operators(tmp_path, monkeypatch):
     """Per-point work rotates with the closed-form transform; the operator
     algebra of build_operators is a reference for the tests only."""
-    from syncprobe import cli, probe_protocol
+    from syncprobe import cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("build_operators called on the per-point path")
@@ -1056,11 +1057,10 @@ def test_cli_commands_never_import_scipy(tmp_path):
 # ---------------------------------------------------------------------------
 # worker pool
 
-def test_run_tasks_clamps_pool_size(monkeypatch):
-    """The pool never gets more processes than tasks or cores; a fake pool
-    records the request, so no process is started."""
-    from syncprobe import cli
-
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """The process counts asked of a pool that runs its tasks in this
+    process, so no process is started."""
     requested = []
 
     class FakePool:
@@ -1076,13 +1076,47 @@ def test_run_tasks_clamps_pool_size(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(cli, "_sweep_task", lambda t: (t, None))
+    monkeypatch.setattr(probe_protocol.multiprocessing, "Pool", FakePool)
+    return requested
+
+
+def test_run_tasks_clamps_pool_size(monkeypatch, fake_pool):
+    """The pool never gets more processes than tasks or cores."""
     for cores, tasks, workers, expected in ((2, 3, 8, [2]), (4, 2, 8, [2]),
                                             (4, 3, 3, [3]), (1, 3, 8, []),
                                             (None, 3, 8, [])):
-        requested.clear()
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-        assert cli._run_tasks(list(range(tasks)), workers) == [
+        fake_pool.clear()
+        monkeypatch.setattr(probe_protocol.os, "cpu_count", lambda: cores)
+        assert probe_protocol.run_tasks(
+            lambda t: (t, None), list(range(tasks)), workers) == [
             (t, None) for t in range(tasks)]
-        assert requested == expected, (cores, tasks, workers)
+        assert fake_pool == expected, (cores, tasks, workers)
+
+
+@pytest.mark.parametrize("method, lambdas, workers, cores, expected", [
+    ("signal", [0.2, 0.3, 0.25], 8, 2, [2]),     # capped by cores
+    ("signal", [0.2, 0.3], 8, 4, [2]),           # by couplings
+    ("signal", [0.2, 0.3, 0.25], 2, 4, [2]),     # by --workers
+    ("signal", [0.2, 0.3, 0.25], 1, 4, []),
+    ("signal", [0.2], 8, 4, []),
+    ("analytic", [0.1, 0.15, 0.2, 0.25, 0.3], 8, 4, []),
+])
+def test_reconstruct_pool_size(tmp_path, monkeypatch, fake_pool, method,
+                               lambdas, workers, cores, expected):
+    """A signal reconstruct asks for min(workers, couplings, cores)
+    processes; an analytic one, or a single coupling, starts none."""
+    monkeypatch.setattr(probe_protocol.os, "cpu_count", lambda: cores)
+    cfg = _write(tmp_path, _reconstruct_cfg(method=method, lambdas=lambdas))
+    assert main(["reconstruct", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--workers", str(workers)]) == 0
+    assert fake_pool == expected
+
+
+def test_reconstruct_pool_leaves_no_process(tmp_path):
+    """A real --workers 2 signal reconstruct joins its workers before
+    main returns."""
+    cfg = _write(tmp_path, _reconstruct_cfg(method="signal",
+                                            lambdas=[0.2, 0.3]))
+    assert main(["reconstruct", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--workers", "2"]) == 0
+    assert multiprocessing.active_children() == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncprobe.bath import (
+    KAPPA_DEFAULT,
     PowerLawCutoff,
     evaluate_J,
     lindblad_rates,
@@ -617,6 +618,27 @@ def test_brentq_port_matches_scipy_on_the_rate_balance(lam, s, omega_c,
     for xtol in (1e-13, 1e-300):
         assert probe_protocol._brentq(f, 0.5, 1.5, xtol) == \
             _scipy_brentq(f, 0.5, 1.5, xtol)
+
+
+@pytest.mark.parametrize("model, temperature", [
+    (QUARTIC, 0.0), (QUARTIC_PURE, 0.0), (QUARTIC, 1.0), (OHMIC, 0.3)])
+def test_predict_transition_evaluates_each_bracket_end_once(
+        monkeypatch, model, temperature):
+    """The sign check's two values are the solver's first two: the rates
+    are evaluated as often as scipy counts, for scipy's root."""
+    pair = QubitPairParams(lam=0.2, temperature=temperature)
+
+    def f(w):
+        return probe_protocol._rate_balance(model, replace(pair, omega_p=w),
+                                            KAPPA_DEFAULT)
+
+    root, nfev = _scipy_brentq(f, 0.5, 1.5, 1e-13)
+    calls = []
+    rates = probe_protocol.lindblad_rates
+    monkeypatch.setattr(probe_protocol, "lindblad_rates",
+                        lambda *a: calls.append(a) or rates(*a))
+    assert predict_transition(model, pair) == root
+    assert len(calls) == nfev
 
 
 @pytest.mark.parametrize("f, a, b, error", [
