@@ -43,9 +43,11 @@ from .bath import (
 from .dynamics import (
     StateValidationError,
     default_time_grid,
+    eigenmode_states,
     plus_plus_state,
     steady_state,
     to_computational_basis,
+    to_eigenmode_basis,
     trajectory_to_csv,
     validate_density_matrix,
 )
@@ -73,7 +75,6 @@ from .signal_analysis import (
     CORRELATOR_OP,
     NotResolvableError,
     SyncConfig,
-    _correlation_windows,
     check_window,
     detect_sync,
     late_span,
@@ -202,23 +203,14 @@ def _time_grid(t_max: float, dt: float, path: str) -> np.ndarray:
     return default_time_grid(t_max, dt)
 
 
-def _check_window(window, times: np.ndarray, path: str) -> None:
-    """``check_window`` on the grid a run will build, naming the field."""
+def _checked(path: str, check, *args) -> None:
+    """``check(*args)`` on the grid a run will build (``check_window`` for a
+    spectral window, ``late_span`` for a late window), its ValueError
+    naming the field at ``path``."""
     try:
-        check_window(times, *window)
+        check(*args)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _check_late_window(config: SyncConfig, times: np.ndarray, path: str) -> None:
-    """``_check_window`` on a late window, which must also hold a correlation
-    window's centre if any window fits the grid: else the verdict would read
-    a c from outside it."""
-    _check_window(config.late_window, times, path)
-    centres = _correlation_windows(times, config)[3]
-    if centres.size and not window_mask(centres, *config.late_window).any():
-        raise ConfigError(path, "holds no correlation window centre (window "
-                          f"{config.window:g})")
 
 
 # Points one sweep or scan grid may hold, about 40 times the fig3b map.
@@ -363,7 +355,7 @@ def parse_run_config(cfg) -> RunConfig:
         pairs, files = [], {}
         for i, w in enumerate(raw):
             pairs.append(_pair(w, f"windows[{i}]"))
-            _check_window(pairs[-1], times, f"windows[{i}]")
+            _checked(f"windows[{i}]", check_window, times, *pairs[-1])
             name = _SPECTRUM_FILE.format(*pairs[-1])
             if files.setdefault(name, i) != i:
                 raise ConfigError(f"windows[{i}]", f"writes the same file as "
@@ -373,7 +365,7 @@ def parse_run_config(cfg) -> RunConfig:
     initial_state = _initial_from_config(
         cfg.get("initial_state", defaults["initial_state"]))
     analysis = _late_config(cfg.get("analysis"), "analysis", SyncConfig)
-    _check_late_window(analysis, times, "analysis.late_window")
+    _checked("analysis.late_window", late_span, times, analysis)
     return RunConfig(params=params, bath=bath, initial_state=initial_state,
                      analysis=analysis, channel=channel, windows=windows,
                      **grid, **top)
@@ -505,8 +497,7 @@ def _sweep_columns(record) -> list[str]:
 
 def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
     rc = _apply_axes(base, names, values)
-    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa,
-                   store_states="correlator" in record)
+    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa)
     m = detect_sync(sim.traj, rc.analysis)
     out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
            "omega_sync": m.omega_sync, "regime": m.regime,
@@ -518,11 +509,14 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
         rho_ss = to_computational_basis(steady_state(sim.rates), sim.transform)
         out["mi"] = mutual_information(rho_ss)
     if "correlator" in record:
-        sel = window_mask(sim.traj.times, *rc.analysis.late_window)
+        states = eigenmode_states(sim.eig, sim.rates,
+                                  to_eigenmode_basis(rc.rho0, sim.transform),
+                                  times)
+        sel = window_mask(times, *rc.analysis.late_window)
         # spin_correlator is Tr(rho op): rotate op into the eigenmode basis
         # once instead of every state out of it
         op = sim.transform.T @ CORRELATOR_OP @ sim.transform
-        vals = np.einsum("njk,kj->n", sim.traj.states[sel], op)
+        vals = np.einsum("njk,kj->n", states[sel], op)
         out["correlator"] = float(np.mean(np.abs(vals)))
     return out
 
@@ -549,16 +543,6 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 @contextmanager
 def _replacing(path: Path):
     """Text handle on a temporary file beside ``path``, moved onto it once
@@ -575,8 +559,7 @@ def _replacing(path: Path):
 
 
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                      default=_json_default)
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with _replacing(path) as fh:
         fh.write(text + "\n")
 
@@ -670,7 +653,7 @@ def _scan_config_from(cfg) -> ScanConfig:
     scan_cfg = _late_config(cfg, "scan", ScanConfig)
     if cfg is not None:
         times = _time_grid(scan_cfg.t_max, scan_cfg.dt, "scan")
-        _check_late_window(scan_cfg.sync_config(), times, "scan.late_window")
+        _checked("scan.late_window", late_span, times, scan_cfg.sync_config())
     return scan_cfg
 
 
@@ -715,15 +698,11 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-# TransitionPoint's record keys, in its field order; an empty cell is None
-_CONSTRAINT_COLUMNS = TRANSITION_RECORD_KEYS
-
-
 def _constraints_to_rows(constraints):
     rows = []
     for tp in constraints:
         rec = transition_point_to_record(tp)
-        rows.append([_cell(rec[c]) for c in _CONSTRAINT_COLUMNS])
+        rows.append([_cell(rec[c]) for c in TRANSITION_RECORD_KEYS])
     return rows
 
 
@@ -731,9 +710,9 @@ def _constraints_from_csv(path: Path):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(_CONSTRAINT_COLUMNS) <= set(reader.fieldnames):
-                missing = sorted(set(_CONSTRAINT_COLUMNS)
-                                 - set(reader.fieldnames or []))
+            header = set(reader.fieldnames or [])
+            if not set(TRANSITION_RECORD_KEYS) <= header:
+                missing = sorted(set(TRANSITION_RECORD_KEYS) - header)
                 raise ConfigError("constraints_file",
                                   f"missing column(s): {', '.join(missing)}")
             points = []
@@ -746,7 +725,7 @@ def _constraints_from_csv(path: Path):
                 try:
                     points.append(TransitionPoint(*(
                         float(row[c]) if row[c] else None
-                        for c in _CONSTRAINT_COLUMNS)))
+                        for c in TRANSITION_RECORD_KEYS)))
                 except ValueError as exc:
                     raise ConfigError("constraints_file", f"row {i}: {exc}")
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
@@ -823,7 +802,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                 # format with its source path and code line
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
-        _write_csv(out / "constraints.csv", _CONSTRAINT_COLUMNS,
+        _write_csv(out / "constraints.csv", TRANSITION_RECORD_KEYS,
                    _constraints_to_rows(constraints))
         echo.update(pair, bath=model_to_config(truth), lambdas=lams,
                     method=method, scan=asdict(scan_cfg))

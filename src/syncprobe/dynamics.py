@@ -7,7 +7,7 @@ the tests:
   the eigenmode (quasiparticle Fock) basis by exact eigendecomposition of
   constant 2x2 coefficient matrices, then reinstates the Hamiltonian phases.
   The signals read only the four parity-allowed coherences, so that is all
-  it evaluates unless the caller asks for the full states.
+  it evaluates; ``eigenmode_states`` builds the full states around them.
 * ``evolve_numeric`` vectorizes the full Liouvillian (column stacking) and
   steps it with the matrix exponential.  Its jump operators come from the raw
   ``eigh`` eigenvectors, never the block algebra or the Bogoliubov angles,
@@ -16,11 +16,12 @@ the tests:
 Bases and picture
 -----------------
 ``evolve_analytic``, ``asymptotic_form`` and ``steady_state`` work in the
-eigenmode basis, Fock order |00>, |01> (mode 2), |10> (mode 1), |11>; only
-``probe_protocol.simulate`` rotates a computational-basis state into it.
+eigenmode basis, Fock order |00>, |01> (mode 2), |10> (mode 1), |11>;
+``to_eigenmode_basis`` rotates a computational-basis state into it.
 ``evolve_numeric`` expects the computational basis.  Both report observables
-in the Schroedinger picture, with all Hamiltonian phases reinstated.  Stored
-states keep the basis of the input; ``Trajectory.basis`` records which.
+in the Schroedinger picture, with all Hamiltonian phases reinstated.  Only
+``evolve_numeric`` stores states in its ``Trajectory``, in the computational
+basis; ``eigenmode_states`` returns the closed form's in the eigenmode basis.
 
 Expectation-value weights and the eigenmode transform are closed form in the
 Bogoliubov angles (``fock_observable_weights``, ``eigenmode_transform``).  The
@@ -68,13 +69,13 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Observable record of one evolution; states are optional extras."""
+    """Observable record of one evolution; only the numeric oracle stores
+    its (computational-basis) states."""
 
     times: np.ndarray
     sx_q: np.ndarray
     sx_p: np.ndarray
     states: np.ndarray | None = None
-    basis: str = "computational"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -198,9 +199,13 @@ def _expectation(coherences: dict, w: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(a + b + c + d)
 
 
-def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
-                  times: np.ndarray, coherences) -> np.ndarray:
-    """Full (n, 4, 4) eigenmode-basis states around the given coherences."""
+def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
+                     rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Full (n, 4, 4) states of the closed form, in the eigenmode basis like
+    ``rho0``; ``evolve_analytic`` reads the same coherences for its signals.
+    Rotate them back with ``to_computational_basis(rho, transform)``."""
+    validate_density_matrix(rho0)
+    times = np.asarray(times, dtype=float)
     n = times.size
     diag0 = np.real(np.diag(rho0))
     u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
@@ -214,7 +219,7 @@ def _dense_states(eig: EigenStructure, rates: LindbladRates, rho0: np.ndarray,
     rho_t = np.zeros((n, 4, 4), dtype=complex)
     for k in range(4):
         rho_t[:, k, k] = pop[:, k]
-    for (j, k), val in coherences.items():
+    for (j, k), val in _coherences(_blocks(eig, rates, rho0), times).items():
         rho_t[:, j, k] = val
     for j, k in ((0, 3), (1, 2)):
         rho_t[:, j, k] = rho0[j, k] * np.exp(
@@ -239,21 +244,19 @@ _EVOLVE_CHUNK = 2048
 
 
 def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
-                    rho0: np.ndarray, times: np.ndarray,
-                    store_states: bool = False) -> Trajectory:
+                    rho0: np.ndarray, times: np.ndarray) -> Trajectory:
     """Exact block solution; ``rho0`` must be given in the eigenmode basis.
 
     Works on any increasing time grid (the closed form needs no stepping).
-    The signals read only the four parity-allowed coherences, evaluated as
-    O(n) vectors chunk by chunk (_EVOLVE_CHUNK); the dense (n, 4, 4)
-    states are built only for ``store_states``.
+    Returns the signals only: they read only the four parity-allowed
+    coherences, evaluated as O(n) vectors chunk by chunk (_EVOLVE_CHUNK).
+    The dense (n, 4, 4) states come from ``eigenmode_states``.
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     blocks = _blocks(eig, rates, rho0)
     w_q, w_p = fock_observable_weights(eig)
     sx_q, sx_p = np.empty(times.size), np.empty(times.size)
-    states = np.empty((times.size, 4, 4), dtype=complex) if store_states else None
     cuts = list(range(_EVOLVE_CHUNK, times.size - _EVOLVE_CHUNK + 1,
                       _EVOLVE_CHUNK))
     for start, stop in zip([0] + cuts, cuts + [times.size]):
@@ -261,11 +264,7 @@ def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
         coherences = _coherences(blocks, times[part])
         sx_q[part] = _expectation(coherences, w_q)
         sx_p[part] = _expectation(coherences, w_p)
-        if store_states:
-            states[part] = _dense_states(eig, rates, rho0, times[part],
-                                         coherences)
-    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p, states=states,
-                      basis="eigenmode")
+    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p)
 
 
 def _liouvillian(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
@@ -308,7 +307,7 @@ def _secular_collapse_ops(params: QubitPairParams, model: SpectralDensityModel,
     return evecs @ np.diag(evals) @ evecs.conj().T, collapse
 
 
-def _uniform_step(times: np.ndarray) -> float:
+def uniform_step(times: np.ndarray) -> float:
     # The mean step, not the first difference: on a grid that does not start
     # at 0 one difference is off by up to a few ulps of the absolute time.
     # On a linspace grid from 0 this is t[1] - t[0] bit for bit.
@@ -334,7 +333,7 @@ def evolve_numeric(params: QubitPairParams, model: SpectralDensityModel,
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
+    dt = uniform_step(times)
     temp = params.temperature if T is None else float(T)
 
     import scipy.linalg  # here: no CLI path runs the numeric oracle
@@ -357,8 +356,7 @@ def evolve_numeric(params: QubitPairParams, model: SpectralDensityModel,
             vec = prop @ vec
     sx_q = np.real(np.einsum("njk,kj->n", rho_t, sx_q_mat))
     sx_p = np.real(np.einsum("njk,kj->n", rho_t, sx_p_mat))
-    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p, states=rho_t,
-                      basis="computational")
+    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p, states=rho_t)
 
 
 def asymptotic_form(eig: EigenStructure, rates: LindbladRates,

@@ -330,18 +330,17 @@ class Simulation(NamedTuple):
 # through the bindings of this module (and of cli).
 def simulate(params: QubitPairParams, model: SpectralDensityModel,
              times: np.ndarray, rho0: np.ndarray | None = None,
-             kappa: float = KAPPA_DEFAULT,
-             store_states: bool = False) -> Simulation:
+             kappa: float = KAPPA_DEFAULT) -> Simulation:
     """Closed-form evolution of ``rho0`` (computational basis; None means
     |++>) at ``params.temperature``: the one path from a setup to signals.
-    Stored states stay in the eigenmode basis; ``transform`` rotates them
-    back."""
+    The trajectory holds the signals only; ``dynamics.eigenmode_states``
+    builds the states from ``eig``, ``rates`` and ``rho0`` rotated by
+    ``transform``."""
     eig = diagonalize(params)
     rates = lindblad_rates(eig, model, params.temperature, kappa)
     v = eigenmode_transform(params, eig)
     rho0 = plus_plus_state() if rho0 is None else rho0
-    traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times,
-                           store_states=store_states)
+    traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times)
     return Simulation(eig, rates, v, traj)
 
 

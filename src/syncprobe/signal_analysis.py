@@ -17,7 +17,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.ma  # noqa: F401
 
-from .dynamics import Trajectory, _uniform_step
+from .dynamics import Trajectory, uniform_step
 from .spin_model import SIGMA_PLUS, FieldError, bounded, check_fields
 
 IN_PHASE = "InPhase"
@@ -115,7 +115,7 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     """
     signal = np.asarray(signal, dtype=float)
     times = np.asarray(times, dtype=float)
-    dt = _uniform_step(times)
+    dt = uniform_step(times)
     check_window(times, t_start, t_end)
     seg = signal[window_mask(times, t_start, t_end)]   # a copy
     seg -= seg.mean()
@@ -356,13 +356,21 @@ class SyncConfig:
 
 
 def _correlation_windows(times: np.ndarray, config: SyncConfig):
-    """(win_n, step_n, window starts, window centre times) on ``times``."""
-    dt = _uniform_step(times)
+    """(win_n, step_n, window starts, window centre times) on ``times``.
+    The one late-window rule: ValueError unless ``check_window`` accepts the
+    late window and, if any window fits the grid, one centre lies in it."""
+    dt = uniform_step(times)
+    lo, hi = config.late_window
+    check_window(times, lo, hi)
     win_n = max(8, int(round(config.window / dt)))
     step = config.step if config.step is not None else config.window / 4.0
     step_n = max(1, int(round(step / dt)))
     starts = np.arange(0, times.size - win_n + 1, step_n)
-    return win_n, step_n, starts, times[starts] + 0.5 * config.window
+    centres = times[starts] + 0.5 * config.window
+    if centres.size and not window_mask(centres, lo, hi).any():
+        raise ValueError("holds no correlation window centre (window "
+                         f"{config.window:g})")
+    return win_n, step_n, starts, centres
 
 
 def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
@@ -375,17 +383,15 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
     late-window sample, so the same windows are computed; it ends after the
     last late-centred window or at ``check_window``'s end sample, whichever
     is later, so the check passes on the span iff it does on the grid.
-    When no window centre falls in the late window, ``detect_sync`` falls
-    back to the last defined c of the whole trace, so the span is the whole
-    grid.  Transition scans and sweeps evolve only this span; ``evolve`` and
+    When no correlation window fits the grid, the span is the whole grid.
+    Transition scans and sweeps evolve only this span; ``evolve`` and
     ``spectrum`` keep the full grid, since they write every sample and the
     whole c-trace.
 
     ``detect_sync`` on the span agrees with the full grid: the same regime
-    and c values, and omega_sync to the rounding of the grid step.  The one
-    exception is a trace whose late windows all have zero variance (signals
-    underflowed to exactly 0 with ``noise_floor`` 0): there the full grid
-    falls back to an earlier c the span may not hold.
+    and c values, and omega_sync to the rounding of the grid step.  Raises
+    the ValueError ``detect_sync`` raises on a late window that
+    ``check_window`` rejects or that holds no correlation window centre.
     """
     times = np.asarray(times, dtype=float)
     win_n, step_n, starts, centres = _correlation_windows(times, config)
@@ -419,12 +425,14 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
     Everything but the c-trace itself is read from ``late_span(traj.times,
     config)``, so transition scans and sweeps pass only that span; the
     c-trace then covers the span alone.  ValueError unless ``check_window``
-    accepts the late window; ``window_mask`` picks its samples and windows.
+    accepts the late window and, when any correlation window fits the grid,
+    one is centred in it; ``window_mask`` picks its samples and windows.  A
+    late window with no defined c (every late window has zero variance)
+    reads Indeterminate, or NoSync without a probe peak.
     """
     times, f, g = traj.times, traj.sx_q, traj.sx_p
     lo, hi = config.late_window
     win_n, _, starts, c_times = _correlation_windows(times, config)
-    check_window(times, lo, hi)
     c_values = _windowed_correlation(f, g, win_n, starts)
 
     if np.max(np.abs(g[window_mask(times, lo, hi)])) < config.noise_floor:
@@ -439,9 +447,6 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
 
     vals = c_values[window_mask(c_times, lo, hi)]
     vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        tail = c_values[~np.isnan(c_values)]
-        vals = tail[-1:] if tail.size else vals
     if vals.size == 0:
         c_floor = c_ceil = c_min_abs = None
         regime = INDETERMINATE

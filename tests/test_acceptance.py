@@ -24,10 +24,12 @@ from syncprobe.bath import (
 from syncprobe.cli import main as cli_main
 from syncprobe.dynamics import (
     default_time_grid,
+    eigenmode_states,
     evolve_numeric,
     plus_plus_state,
     steady_state,
     to_computational_basis,
+    to_eigenmode_basis,
 )
 from syncprobe.probe_protocol import (
     LinewidthDatum,
@@ -82,16 +84,22 @@ def _sim(omega_p, lam=0.2, model=OHMIC, T=0.0, t_max=400.0):
     key = (omega_p, lam, model, T, t_max)
     if key not in _BANK:
         params = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
-        _BANK[key] = simulate(params, model, default_time_grid(t_max, 0.05),
-                              store_states=True)
+        _BANK[key] = simulate(params, model, default_time_grid(t_max, 0.05))
     return _BANK[key]
+
+
+def _states(entry):
+    """The banked run's eigenmode-basis states, from |++>."""
+    return eigenmode_states(
+        entry.eig, entry.rates,
+        to_eigenmode_basis(plus_plus_state(), entry.transform), entry.traj.times)
 
 
 def _late_corr(entry):
     sel = (entry.traj.times >= 200.0) & (entry.traj.times <= 310.0)
     return float(np.mean([
         abs(spin_correlator(to_computational_basis(rho, entry.transform)))
-        for rho in entry.traj.states[sel]]))
+        for rho in _states(entry)[sel]]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +284,7 @@ def test_criterion_09_cptp_and_detailed_balance():
 
         assert len(_BANK) >= 7
         for entry in _BANK.values():
-            states = entry.traj.states
+            states = _states(entry)
             traces = np.einsum("nii->n", states)
             assert np.max(np.abs(traces - 1.0)) <= 1e-10
             assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) <= 1e-10

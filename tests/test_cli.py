@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncprobe import cli, probe_protocol
@@ -453,11 +453,13 @@ def test_sweep_correlator_einsum_matches_state_loop():
         row = cli._sweep_point(base, ["s", "omega_p"], values,
                                ("correlator",), times)
         rc = cli._apply_axes(base, ["s", "omega_p"], values)
-        _, _, v, traj = cli.simulate(rc.params, rc.bath, times, rc.rho0,
-                                     rc.kappa, store_states=True)
-        sel = (traj.times >= lo) & (traj.times <= hi)
+        eig, rates, v, _ = cli.simulate(rc.params, rc.bath, times, rc.rho0,
+                                        rc.kappa)
+        states = cli.eigenmode_states(
+            eig, rates, cli.to_eigenmode_basis(rc.rho0, v), times)
+        sel = (times >= lo) & (times <= hi)
         loop = np.mean([abs(spin_correlator(cli.to_computational_basis(s, v)))
-                        for s in traj.states[sel]])
+                        for s in states[sel]])
         # the correlator is 1e-7 to 3e-4 here, so hold it relatively: that
         # is far inside 1e-15 absolute
         assert loop > 0.0
@@ -484,6 +486,35 @@ def test_sweep_and_scan_build_no_operators(tmp_path, monkeypatch):
                  "scan.json")
     assert main(["scan-transition", "--config", str(cfg), "--out",
                  str(tmp_path / "scan"), "--workers", "1"]) == 0
+
+
+def test_only_the_correlator_builds_dense_states(tmp_path, monkeypatch):
+    """Every other path reads signals alone; a correlator sweep builds the
+    states once per point, on the span it evolved."""
+    calls = []
+    real = cli.eigenmode_states
+
+    def spy(eig, rates, rho0, times):
+        calls.append(times.size)
+        return real(eig, rates, rho0, times)
+
+    monkeypatch.setattr(cli, "eigenmode_states", spy)
+    jobs = [
+        ("evolve", _run_cfg()),
+        ("sweep", _small_sweep()),
+        ("scan-transition", {"lambda": 0.2, "bath": dict(OHMIC),
+                             "grid": {"lo": 0.93, "hi": 1.07, "steps": 5}}),
+        ("reconstruct", _reconstruct_cfg(method="signal", lambdas=[0.2])),
+    ]
+    for command, cfg in jobs:
+        path = _write(tmp_path, cfg, f"{command}.json")
+        assert main([command, "--config", str(path), "--out",
+                     str(tmp_path / command), "--workers", "1"]) == 0
+    assert calls == []
+    path = _write(tmp_path, _small_sweep(record=["correlator"]), "corr.json")
+    assert main(["sweep", "--config", str(path), "--out",
+                 str(tmp_path / "corr"), "--workers", "1"]) == 0
+    assert calls == [2250] * 4
 
 
 def test_sweep_partial_failure(tmp_path):
@@ -729,11 +760,12 @@ def test_parse_time_window_check_matches_detect_sync(dt, n, frac, width, end,
     cfg = cli.SyncConfig(window=8.0 * dt,
                          late_window=(max(0.0, hi - width * dt), hi))
     try:
-        cli._check_window(cfg.late_window, times, "late_window")
+        cli._checked("late_window", cli.late_span, times, cfg)
+        grids = (times, times[cli.late_span(times, cfg)])
         accepted = True
     except ConfigError:
-        accepted = False
-    for grid in (times, times[cli.late_span(times, cfg)]):
+        grids, accepted = (times,), False
+    for grid in grids:
         traj = Trajectory(times=grid, sx_q=np.cos(grid), sx_p=np.cos(1.1 * grid))
         try:
             cli.detect_sync(traj, cfg)
@@ -741,6 +773,47 @@ def test_parse_time_window_check_matches_detect_sync(dt, n, frac, width, end,
         except ValueError:
             ran = False
         assert ran == accepted
+
+
+@settings(max_examples=150)
+@given(dt=st.floats(0.02, 0.2), n=st.integers(70, 300),
+       window=st.floats(1.0, 100.0),
+       stride=st.one_of(st.none(), st.floats(1.0, 300.0)),
+       lo=st.floats(0.0, 1.0), width=st.floats(56.0, 150.0))
+@example(dt=0.05, n=200, window=8.0, stride=None, lo=0.5, width=80.0)
+@example(dt=0.05, n=200, window=8.0, stride=None, lo=0.5, width=30.0)
+@example(dt=0.05, n=200, window=8.0, stride=None, lo=0.9, width=80.0)
+@example(dt=0.05, n=200, window=20.0, stride=100.0, lo=0.6, width=70.0)
+@example(dt=0.05, n=200, window=300.0, stride=None, lo=0.5, width=70.0)
+def test_late_window_rule_is_shared(dt, n, window, stride, lo, width):
+    """The CLI's parse check, late_span and detect_sync accept the same
+    late windows and refuse the others with the same message: too few
+    samples, past the grid, or no correlation window centre in it.  The
+    window, stride and width are in grid steps, the start a fraction of
+    t_max; the examples take each outcome, and no window fitting the grid."""
+    t_max = n * dt
+    late = [lo * t_max, lo * t_max + width * dt]
+    step = None if stride is None else stride * dt
+    messages = []
+    try:
+        parse_run_config(_run_cfg(
+            time_grid={"t_max": t_max, "dt": dt},
+            analysis={"window": window * dt, "step": step, "late_window": late}))
+        messages.append(None)
+    except ConfigError as exc:
+        assert exc.field == "analysis.late_window"
+        messages.append(exc.message)
+    times = cli.default_time_grid(t_max, dt)
+    cfg = cli.SyncConfig(window=window * dt, step=step, late_window=tuple(late))
+    traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(1.1 * times))
+    for call in (lambda: cli.late_span(times, cfg),
+                 lambda: cli.detect_sync(traj, cfg)):
+        try:
+            call()
+            messages.append(None)
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert messages[1:] == messages[:1] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +969,7 @@ def test_reconstruct_failed_write_keeps_previous_constraints(tmp_path,
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
     def failing_rows(constraints):
-        yield cli._CONSTRAINT_COLUMNS
+        yield cli.TRANSITION_RECORD_KEYS
         raise OSError("no space left on device")
 
     monkeypatch.setattr(cli, "_constraints_to_rows", failing_rows)
@@ -1014,6 +1087,52 @@ def test_reconstruct_rejects_mixed_modes(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "constraints_file" in capsys.readouterr().err
+
+
+def _header_only(tmp_path):
+    path = tmp_path / "constraints.csv"
+    path.write_text(",".join(cli.TRANSITION_RECORD_KEYS) + "\n")
+    return {"constraints_file": str(path)}
+
+
+@pytest.mark.parametrize("make, argv, prefix", [
+    (lambda d: _reconstruct_cfg(fit={"family": "tabulated", "grid": [1.0]}),
+     [], "fit.grid: expected a list of >= 2"),
+    (lambda d: _reconstruct_cfg(fit={"family": "tabulated",
+                                     "grid": [1.0, -0.5]}),
+     [], "fit.grid[1]: must be > 0"),
+    (lambda d: _reconstruct_cfg(fit={"family": "spline"}),
+     [], "fit.family: must be power-law or tabulated"),
+    (lambda d: _reconstruct_cfg(method="numeric"),
+     [], "method: must be analytic or signal"),
+    (lambda d: _reconstruct_cfg(lambdas=[]),
+     [], "lambdas: expected a non-empty list"),
+    (lambda d: dict(_header_only(d), temperature=0.5),
+     [], "temperature: not used with constraints_file"),
+    (_header_only, [], "constraints_file: no constraint rows"),
+    (lambda d: _reconstruct_cfg(), ["--workers", "0"], "--workers must be >= 1"),
+])
+def test_reconstruct_input_errors_name_their_field(tmp_path, capsys, make,
+                                                   argv, prefix):
+    cfg = _write(tmp_path, make(tmp_path))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out),
+                 *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_reconstruct_tabulated_on_given_grid(tmp_path):
+    grid = [0.7, 0.9, 1.1, 1.3, 1.5]
+    cfg = _write(tmp_path, _reconstruct_cfg(
+        fit={"family": "tabulated", "grid": grid},
+        datum={"fwhm": 0.02, "omega": 1.2, "trig_sq": 0.5}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+    rec = json.loads((out / "reconstruction.json").read_text())
+    assert rec["config"]["fit"]["grid"] == grid
+    assert rec["reconstruction"]["diagnostics"]["grid_size"] == len(grid)
+    assert [w for w, _ in rec["reconstruction"]["model"]["points"]] == grid
 
 
 _NO_SCIPY_RUN = """

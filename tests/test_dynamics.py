@@ -18,6 +18,7 @@ from syncprobe import (
     default_time_grid,
     diagonalize,
     direct_diagonalize,
+    eigenmode_states,
     evolve_analytic,
     evolve_numeric,
     fock_observable_weights,
@@ -40,11 +41,17 @@ OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 SHORT = default_time_grid(1.0, 0.5)
 
 
-def _setup(omega_p, lam=0.2, T=0.0, model=OHMIC, times=SHORT, rho0=None,
-           store_states=False):
+def _setup(omega_p, lam=0.2, T=0.0, model=OHMIC, times=SHORT, rho0=None):
     """The pair and its simulation."""
     p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
-    return p, simulate(p, model, times, rho0, store_states=store_states)
+    return p, simulate(p, model, times, rho0)
+
+
+def _states(sim):
+    """The closed-form states of ``sim`` from |++>, in the eigenmode basis."""
+    return eigenmode_states(sim.eig, sim.rates,
+                            to_eigenmode_basis(plus_plus_state(), sim.transform),
+                            sim.traj.times)
 
 
 def _random_state(rng):
@@ -57,28 +64,27 @@ def test_ground_state_is_stationary():
     _, sim = _setup(1.2)
     rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)  # eigenmode vacuum
     times = default_time_grid(50.0, 0.5)
-    traj = evolve_analytic(sim.eig, sim.rates, rho0, times,
-                           store_states=True)
+    traj = evolve_analytic(sim.eig, sim.rates, rho0, times)
+    states = eigenmode_states(sim.eig, sim.rates, rho0, times)
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
     np.testing.assert_allclose(traj.sx_p, 0.0, atol=1e-14)
-    assert np.max(np.abs(traj.states - traj.states[0][None])) < 1e-14
+    assert np.max(np.abs(states - states[0][None])) < 1e-14
 
 
 def test_maximally_mixed_relaxes_without_coherence():
     _, sim = _setup(1.2)
     rho0 = 0.25 * np.eye(4, dtype=complex)
     times = default_time_grid(400.0, 1.0)
-    traj = evolve_analytic(sim.eig, sim.rates, rho0, times,
-                           store_states=True)
+    traj = evolve_analytic(sim.eig, sim.rates, rho0, times)
+    states = eigenmode_states(sim.eig, sim.rates, rho0, times)
     # coherence blocks stay identically zero; observables vanish
     np.testing.assert_allclose(traj.sx_q, 0.0, atol=1e-14)
-    for n in range(traj.times.size):
-        state = traj.states[n]
+    for state in states:
         assert np.max(np.abs(state - np.diag(np.diag(state)))) < 1e-14
     # populations head for the vacuum monotonically in trace distance
     target = np.diag([1.0, 0, 0, 0])
     dist = [0.5 * np.sum(np.abs(np.linalg.eigvalsh(s - target)))
-            for s in traj.states]
+            for s in states]
     assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dist, dist[1:]))
     assert dist[-1] < 1e-5
 
@@ -173,21 +179,20 @@ def test_zero_coupling_gives_unitary_beat():
 
 def test_basis_consistency_of_stored_states():
     times = default_time_grid(40.0, 0.1)
-    p, sim = _setup(0.8, T=0.5, times=times, store_states=True)
-    ta = sim.traj
+    p, sim = _setup(0.8, T=0.5, times=times)
+    states = _states(sim)
     tn = evolve_numeric(p, OHMIC, 0.5, plus_plus_state(), times)
-    assert ta.basis == "eigenmode" and tn.basis == "computational"
     for n in range(times.size):
-        back = to_computational_basis(ta.states[n], sim.transform)
+        back = to_computational_basis(states[n], sim.transform)
         assert np.max(np.abs(back - tn.states[n])) < 1e-10
 
 
 def test_cptp_along_trajectories():
     times = default_time_grid(100.0, 0.25)
-    p, sim = _setup(1.2, T=1.0, times=times, store_states=True)
-    for traj in (sim.traj,
-                 evolve_numeric(p, OHMIC, 1.0, plus_plus_state(), times)):
-        for s in traj.states:
+    p, sim = _setup(1.2, T=1.0, times=times)
+    for states in (_states(sim),
+                   evolve_numeric(p, OHMIC, 1.0, plus_plus_state(), times).states):
+        for s in states:
             assert abs(np.trace(s) - 1.0) < 1e-10
             assert np.max(np.abs(s - s.conj().T)) < 1e-10
             assert np.linalg.eigvalsh(s)[0] > -1e-10
@@ -389,17 +394,16 @@ def test_analytic_accepts_nonuniform_grid():
 
 @pytest.mark.parametrize("chunk", [64, 2048])
 def test_analytic_chunks_change_no_bit(monkeypatch, chunk):
-    """Signals and stored states are elementwise in time, so evaluating
-    them chunk by chunk gives the whole-grid result to the bit.  The grid's
-    8 193 samples leave one over; alone in a chunk of its own, it changed
-    stored states in the last bit."""
+    """Signals are elementwise in time, so evaluating them chunk by chunk
+    gives the whole-grid result to the bit.  The grid's 8 193 samples leave
+    one over, which the last chunk takes rather than a chunk of its own."""
     rho0 = _random_state(np.random.default_rng(3))
     times = default_time_grid(409.6, 0.05)
     monkeypatch.setattr(dynamics, "_EVOLVE_CHUNK", times.size)
-    whole = _setup(1.2, T=0.4, times=times, rho0=rho0, store_states=True)[1].traj
+    whole = _setup(1.2, T=0.4, times=times, rho0=rho0)[1].traj
     monkeypatch.setattr(dynamics, "_EVOLVE_CHUNK", chunk)
-    parts = _setup(1.2, T=0.4, times=times, rho0=rho0, store_states=True)[1].traj
-    for name in ("sx_q", "sx_p", "states"):
+    parts = _setup(1.2, T=0.4, times=times, rho0=rho0)[1].traj
+    for name in ("sx_q", "sx_p"):
         assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from syncprobe import signal_analysis
 from syncprobe import (
     ANTI_PHASE,
+    INDETERMINATE,
     IN_PHASE,
     NO_SYNC,
     NotResolvableError,
@@ -454,6 +455,26 @@ def test_detect_sync_dead_signal_is_nosync():
     assert m.omega_sync is None
 
 
+def test_detect_sync_without_defined_late_c_is_indeterminate():
+    """The qubit signal is exactly 0 from a window before the late window
+    on, with noise_floor 0: no late c is defined, so the verdict is
+    Indeterminate on the grid and on its late span, not one read off an
+    earlier, in-phase c.  The probe keeps its peak."""
+    times = default_time_grid(400.0)
+    cfg = SyncConfig(noise_floor=0.0)
+    sx_p = 0.5 * np.cos(1.1 * times)
+    sx_q = np.where(times < cfg.late_window[0] - cfg.window, sx_p, 0.0)
+    span = late_span(times, cfg)
+    whole, part = (detect_sync(Trajectory(times=times[k], sx_q=sx_q[k],
+                                          sx_p=sx_p[k]), cfg)
+                   for k in (slice(None), span))
+    assert np.nanmax(whole.c_values) == pytest.approx(1.0)
+    for m in (whole, part):
+        assert m.regime == INDETERMINATE and not m.below_floor
+        assert m.c_floor is None and m.c_ceil is None and m.c_min_abs is None
+        assert m.omega_sync == pytest.approx(1.1, abs=0.03)
+
+
 def test_detect_sync_needs_late_window():
     times = default_time_grid(100.0)
     traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(times))
@@ -468,8 +489,8 @@ def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
     its own grid as the scans and sweeps do."""
     p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=0.0)
     model = PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0)
-    span = late_span(times, cfg)
     full = detect_sync(simulate(p, model, times).traj, cfg)
+    span = late_span(times, cfg)
     part = detect_sync(simulate(p, model, times[span]).traj, cfg)
     return full, part, span
 
@@ -495,7 +516,9 @@ def _assert_same_verdict(full, part, rtol=1e-15):
 def test_late_span_keeps_detect_sync_verdict(window, step_frac, dt, t_max,
                                              lo_frac, width_frac, omega_p,
                                              gamma0):
-    """Same windows, regime and c values on the span, bit for bit.
+    """Same windows, regime and c values on the span, bit for bit, or the
+    same error from detect_sync and late_span when no window centre lies in
+    the late window.
 
     omega_sync scales with the grid step, which the span reads from its
     end points t_a and t_b: each carries half an ulp, so the step is good
@@ -512,7 +535,15 @@ def test_late_span_keeps_detect_sync_verdict(window, step_frac, dt, t_max,
     lo = min(lo, hi - 70.0 * dt)
     step = None if step_frac is None else step_frac * window
     cfg = SyncConfig(window=window, step=step, late_window=(lo, hi))
-    full, part, span = _span_pair(times, cfg, omega_p=omega_p, gamma0=gamma0)
+    try:
+        full, part, span = _span_pair(times, cfg, omega_p=omega_p,
+                                      gamma0=gamma0)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            late_span(times, cfg)
+        assert str(raised.value) == str(exc)
+        assert str(exc).startswith("holds no correlation window centre")
+        return
     t_a, t_b = times[span.start], times[span.stop - 1]
     u = np.finfo(float).eps / 2
     _assert_same_verdict(full, part,
@@ -525,17 +556,16 @@ def test_late_span_keeps_detect_sync_verdict(window, step_frac, dt, t_max,
                                   full.c_values[late[0]])
 
 
-def test_late_span_without_late_centre_is_whole_grid():
-    # centres at 0.5 + 3k skip the late window: the verdict falls back to
-    # the last defined c of the whole trace
+def test_late_span_without_late_centre_raises():
+    # centres at 0.5 + 3k skip the late window: no verdict is read off a
+    # c from outside it
     times = default_time_grid(20.0, 0.005)
     cfg = SyncConfig(window=1.0, step=3.0, late_window=(10.6, 11.1))
-    full, part, span = _span_pair(times, cfg)
-    assert span == slice(0, times.size)
-    assert not np.any((full.c_times >= 10.6) & (full.c_times <= 11.1))
-    defined = full.c_values[~np.isnan(full.c_values)]
-    assert full.c_floor == full.c_ceil == defined[-1]
-    _assert_same_verdict(full, part)
+    traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(times))
+    for call in (lambda: late_span(times, cfg), lambda: detect_sync(traj, cfg)):
+        with pytest.raises(ValueError, match=r"^holds no correlation window "
+                                             r"centre \(window 1\)$"):
+            call()
 
 
 def test_late_span_window_longer_than_trajectory():
