@@ -3,17 +3,18 @@
 The dissipative influence of the environment enters only through J(omega)
 evaluated at the two eigenfrequencies, the Bose occupation there, and the
 trigonometric weights of the qubit-bath coupling operator.  Everything in
-this module is a pure function; models are frozen dataclasses.
+this module is a pure function; models are frozen dataclasses, which the CLI
+alone reads from and writes as the ``bath`` config section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import EigenStructure, bounded, check_fields, field_bounds
+from .spin_model import EigenStructure, bounded, check_fields
 
 KAPPA_DEFAULT = 2.0 * np.pi
 
@@ -168,34 +169,3 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
     return LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
                          g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
 
-
-def model_to_config(model: SpectralDensityModel) -> dict:
-    """JSON-ready dict; inverse of model_from_config."""
-    if isinstance(model, PowerLawCutoff):
-        return {"kind": "power-law", **asdict(model)}
-    if isinstance(model, Tabulated):
-        points = [[float(w), float(j)]
-                  for w, j in zip(model.omegas, model.js)]
-        return {"kind": "tabulated", "points": points}
-    raise TypeError(f"unknown spectral density model {type(model).__name__}")
-
-
-def model_from_config(config: dict) -> SpectralDensityModel:
-    kind = config.get("kind")
-    if kind == "power-law":
-        spec = field_bounds(PowerLawCutoff)
-        keys = set(config) - {"kind", *spec}
-        if keys:
-            raise ValueError(f"unexpected power-law fields: {sorted(keys)}")
-        return PowerLawCutoff(**{
-            name: b.default if b.default is not MISSING and config.get(name) is None
-            else float(config[name]) for name, b in spec.items()})
-    if kind == "tabulated":
-        keys = set(config) - {"kind", "points"}
-        if keys:
-            raise ValueError(f"unexpected tabulated fields: {sorted(keys)}")
-        pts = np.asarray(config["points"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be a list of [omega, J] pairs")
-        return Tabulated(omegas=pts[:, 0], js=pts[:, 1])
-    raise ValueError(f"unknown spectral density kind {kind!r}")

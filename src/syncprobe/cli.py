@@ -16,6 +16,10 @@ grid points or signal-reconstruct couplings, and results are gathered in input
 order (grid order, sorted couplings).  Exit codes: 0 success, 1 completed with
 per-point failures (recorded in the output), 2 invalid input, with a message
 naming the offending config field.
+
+This module alone knows the file formats: its config readers, ``_record``
+(the JSON form of results and config parts) and its CSV writers.  The other
+modules return dataclasses and arrays.
 """
 
 import argparse
@@ -28,7 +32,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +41,8 @@ from .bath import (
     KAPPA_DEFAULT,
     PowerLawCutoff,
     SpectralDensityModel,
-    model_from_config,
-    model_to_config,
+    Tabulated,
+    normalize_cutoff,
 )
 from .dynamics import (
     StateValidationError,
@@ -48,25 +52,21 @@ from .dynamics import (
     steady_state,
     to_computational_basis,
     to_eigenmode_basis,
-    trajectory_to_csv,
     validate_density_matrix,
 )
 from .probe_protocol import (
     LinewidthDatum,
     NoTransitionError,
     ResolutionError,
-    TRANSITION_RECORD_KEYS,
     ScanConfig,
     TransitionPoint,
     collect_constraints,
     default_scan_grid,
     fit_spectral_density,
     predict_transition,
-    reconstruction_to_record,
     run_tasks,
     scan_transition,
     simulate,
-    transition_point_to_record,
 )
 # Not called here: benchmarks/tracing.py wraps these bindings of this module.
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
@@ -79,14 +79,18 @@ from .signal_analysis import (
     detect_sync,
     late_span,
     mutual_information,
-    spectrum_to_csv,
-    sync_metrics_to_record,
     window_mask,
     windowed_fft,
 )
 from .presets import get_preset
 from .spin_model import (Bounds, FieldError, QubitPairParams, bounded,
-                         check_fields, field_bounds, json_name)
+                         check_fields, field_bounds)
+
+
+def json_name(name: str) -> str:
+    """A field's key in configs and records: ``lambda`` (a Python keyword)
+    for the coupling ``lam``, the field's own name otherwise."""
+    return "lambda" if name == "lam" else name
 
 
 class ConfigError(ValueError):
@@ -113,7 +117,7 @@ def _check_number(v, path: str, bounds: Bounds = Bounds()) -> float:
     if not _is_number(v):
         raise ConfigError(path, f"must be a number, got {v!r}")
     v = float(v)
-    if not np.isfinite(v):
+    if not (math.isfinite(v) or bounds.infinite and math.isinf(v)):
         raise ConfigError(path, "must be finite")
     broken = bounds.error(v)
     if broken:
@@ -269,13 +273,25 @@ class RunConfig:
 
 
 def _bath_from_config(cfg) -> SpectralDensityModel:
-    _expect_mapping(cfg, "bath")
+    """A power-law bath, or a tabulated one from its [omega, J] points."""
+    kind = _expect_mapping(cfg, "bath").get("kind")
+    if kind == "power-law":
+        return _build(PowerLawCutoff, _section(
+            cfg, "bath", _spec(PowerLawCutoff), extra=("kind",)), "bath")
+    if kind != "tabulated":
+        raise ConfigError("bath.kind",
+                          f"must be power-law or tabulated, got {kind!r}")
+    _section(cfg, "bath", {}, extra=("kind", "points"))
+    points = cfg.get("points")
+    if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in points):
+        raise ConfigError("bath.points", "expected a list of [omega, J] pairs")
+    pts = np.array([[_check_number(x, f"bath.points[{i}]") for x in p]
+                    for i, p in enumerate(points)]).reshape(-1, 2)
     try:
-        return model_from_config(cfg)
-    except KeyError as exc:
-        raise ConfigError("bath", f"missing required key {exc.args[0]!r}")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("bath", str(exc))
+        return Tabulated(omegas=pts[:, 0], js=pts[:, 1])
+    except ValueError as exc:
+        raise ConfigError("bath.points", str(exc)) from None
 
 
 def _complex_entry(value, path: str) -> complex:
@@ -374,16 +390,14 @@ def parse_run_config(cfg) -> RunConfig:
 def run_config_to_dict(rc: RunConfig) -> dict:
     """Canonical JSON form; parse_run_config inverts it exactly."""
     return {
-        "params": {json_name(f.name): getattr(rc.params, f.name)
-                   for f in fields(rc.params)},
-        "bath": model_to_config(rc.bath),
+        "params": _record(rc.params),
+        "bath": _record(rc.bath),
         "initial_state": _initial_to_config(rc.initial_state),
         "time_grid": {"t_max": rc.t_max, "dt": rc.dt},
-        "analysis": asdict(rc.analysis),
+        "analysis": _record(rc.analysis),
         "channel": rc.channel,
         "kappa": rc.kappa,
-        "windows": None if rc.windows is None
-                   else [[a, b] for a, b in rc.windows],
+        "windows": _record(rc.windows),
     }
 
 
@@ -558,6 +572,24 @@ def _replacing(path: Path):
         raise
 
 
+def _record(obj):
+    """The JSON form of a result or a config part: a dataclass as its
+    fields by JSON name, a bath model in the bath config schema, an array as
+    a list with NaN as null, and lists and tuples item by item."""
+    if isinstance(obj, Tabulated):
+        return {"kind": "tabulated",
+                "points": np.column_stack((obj.omegas, obj.js)).tolist()}
+    if is_dataclass(obj):
+        kind = {"kind": "power-law"} if isinstance(obj, PowerLawCutoff) else {}
+        return kind | {json_name(f.name): _record(getattr(obj, f.name))
+                       for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return [None if math.isnan(v) else v for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_record(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with _replacing(path) as fh:
@@ -571,6 +603,17 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_columns(path: Path, header, *columns) -> None:
+    """A CSV of equal-length float columns in full precision ('%.17g')."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _replacing(path) as fh:
+        fh.write(",".join(header) + "\n")
+        # Python floats format faster than numpy scalars; chunks bound the copies
+        for i in range(0, len(columns[0]), 65536):
+            for values in zip(*(c[i:i + 65536].tolist() for c in columns)):
+                fh.write(row % values)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -578,12 +621,11 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
     times = default_time_grid(rc.t_max, rc.dt)
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
-    with _replacing(out / "trajectory.csv") as fh:
-        trajectory_to_csv(traj, fh)
+    _write_columns(out / "trajectory.csv", ("t", "sx_q", "sx_p"),
+                   traj.times, traj.sx_q, traj.sx_p)
     metrics = detect_sync(traj, rc.analysis)
     _write_json(out / "sync_metrics.json",
-                {"config": run_config_to_dict(rc),
-                 "metrics": sync_metrics_to_record(metrics)})
+                {"config": run_config_to_dict(rc), "metrics": _record(metrics)})
     print(f"wrote {out / 'trajectory.csv'} and {out / 'sync_metrics.json'} "
           f"(regime: {metrics.regime})")
     return 0
@@ -603,17 +645,11 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     value_cols = _sweep_columns(spec.record)
     header = names + value_cols + ["errors"]
     rows = []
-    failures = 0
     for point, (row, err) in zip(points, results):
-        cells = [_cell(v) for v in point]
-        if err is None:
-            cells.extend(_cell(row[c]) for c in value_cols)
-            cells.append("")
-        else:
-            cells.extend("" for _ in value_cols)
-            cells.append(err)
-            failures += 1
-        rows.append(cells)
+        values = ([_cell(row[c]) for c in value_cols] if err is None
+                  else [""] * len(value_cols))
+        rows.append([_cell(v) for v in point] + values + [err or ""])
+    failures = sum(err is not None for _, err in results)
     _write_csv(out / "sweep.csv", header, rows)
     _write_json(out / "sweep_config.json",
                 {"spec": sweep_spec_to_dict(spec),
@@ -635,13 +671,12 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     for a, b in rc.windows:
         est = windowed_fft(signal, times, a, b)
         name = _SPECTRUM_FILE.format(a, b)
-        with _replacing(out / name) as fh:
-            spectrum_to_csv(est, fh)
+        _write_columns(out / name, ("freq", "magnitude"),
+                       est.freqs, est.magnitude)
         summary.append({
             "window": [a, b],
             "file": name,
-            "peaks": [{"frequency": p.frequency, "height": p.height}
-                      for p in est.peaks],
+            "peaks": _record(est.peaks),
         })
     _write_json(out / "spectra.json",
                 {"config": run_config_to_dict(rc), "spectra": summary})
@@ -683,11 +718,10 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         grid = default_scan_grid(predicted, omega_q)
 
     tp = scan_transition(model, params, grid, config=scan_cfg)
-    echo.update(bath=model_to_config(model), grid=[float(v) for v in grid],
-                scan=asdict(scan_cfg))
+    echo.update(bath=_record(model), grid=grid.tolist(), scan=_record(scan_cfg))
     record = {
         "config": echo,
-        "transition": transition_point_to_record(tp),
+        "transition": _record(tp),
         "predicted_omega_p_bar": predicted,
         "difference": None if predicted is None
                       else tp.omega_p_bar - predicted,
@@ -698,12 +732,13 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     return 0
 
 
+# TransitionPoint's record keys, in field order: the constraints.csv columns
+TRANSITION_RECORD_KEYS = tuple(json_name(f.name)
+                               for f in fields(TransitionPoint))
+
+
 def _constraints_to_rows(constraints):
-    rows = []
-    for tp in constraints:
-        rec = transition_point_to_record(tp)
-        rows.append([_cell(rec[c]) for c in TRANSITION_RECORD_KEYS])
-    return rows
+    return [[_cell(v) for v in _record(tp).values()] for tp in constraints]
 
 
 def _constraints_from_csv(path: Path):
@@ -752,9 +787,11 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
     raw_fit = cfg.get("fit", {})
     defaults = _defaults(fit_spectral_density)
     fit = _section(raw_fit, "fit", {
-        "omega_c": Bounds(defaults["omega_c"], 0.0, True),
+        "omega_c": field_bounds(PowerLawCutoff)["omega_c"],
         "smoothness": Bounds(defaults["smoothness"], 0.0)},
         extra=("family", "grid"))
+    # echo the cutoff the fit uses: one too large to matter is none
+    fit["omega_c"] = normalize_cutoff(fit["omega_c"])
     family = raw_fit.get("family", defaults["family"])
     if family not in ("power-law", "tabulated"):
         raise ConfigError("fit.family",
@@ -804,15 +841,14 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
                     print(f"warning: {w.message}", file=sys.stderr)
         _write_csv(out / "constraints.csv", TRANSITION_RECORD_KEYS,
                    _constraints_to_rows(constraints))
-        echo.update(pair, bath=model_to_config(truth), lambdas=lams,
-                    method=method, scan=asdict(scan_cfg))
+        echo.update(pair, bath=_record(truth), lambdas=lams,
+                    method=method, scan=_record(scan_cfg))
 
     result = fit_spectral_density(
         constraints, datum=None if datum is None else LinewidthDatum(**datum), **fit)
 
     comparison = None
-    if truth is not None and isinstance(truth, PowerLawCutoff) \
-            and result.s is not None:
+    if isinstance(truth, PowerLawCutoff) and result.s is not None:
         comparison = {"s_truth": truth.s, "s_error": result.s - truth.s}
         if result.gamma0 is not None:
             comparison["gamma0_truth"] = truth.gamma0
@@ -820,11 +856,11 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
 
     record = {
         "config": echo,
-        "reconstruction": reconstruction_to_record(result),
-        "constraints": [transition_point_to_record(tp) for tp in constraints],
+        "reconstruction": _record(result),
+        "constraints": _record(constraints),
         "failures": [{json_name("lam"): lam, "error": msg}
                      for lam, msg in failures],
-        "truth": None if truth is None else model_to_config(truth),
+        "truth": _record(truth),
         "truth_comparison": comparison,
     }
     _write_json(out / "reconstruction.json", record)

@@ -28,6 +28,7 @@ Bogoliubov angles (``fock_observable_weights``, ``eigenmode_transform``).  The
 numeric transform, the common null vector of the two annihilators that
 ``build_operators`` writes out, survives only as the test oracle both are
 held to.  All rates are plain angular frequencies in units of omega_q.
+Results are arrays and dataclasses; trajectory.csv is written by the CLI.
 """
 
 from __future__ import annotations
@@ -421,12 +422,3 @@ def default_time_grid(t_max: float = 400.0, dt: float = 0.05) -> np.ndarray:
     n = int(round(t_max / dt))
     return np.linspace(0.0, n * dt, n + 1)
 
-
-def trajectory_to_csv(traj: Trajectory, fh) -> None:
-    """Write t, sx_q, sx_p rows in full double precision."""
-    fh.write("t,sx_q,sx_p\n")
-    # Python floats format faster than numpy scalars; chunks bound the copies
-    cols = (traj.times, traj.sx_q, traj.sx_p)
-    for i in range(0, traj.times.size, 65536):
-        for row in zip(*(c[i:i + 65536].tolist() for c in cols)):
-            fh.write("%.17g,%.17g,%.17g\n" % row)

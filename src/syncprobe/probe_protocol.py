@@ -15,7 +15,7 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .bath import (
     Tabulated,
     bose_occupation,
     lindblad_rates,
-    model_to_config,
     normalize_cutoff,
 )
 from .dynamics import (
@@ -54,7 +53,6 @@ from .spin_model import (
     check_fields,
     diagonalize,
     eigenmode_transform,
-    json_name,
 )
 
 
@@ -104,11 +102,6 @@ class TransitionPoint:
         check_fields(self)
         if not self.E1 >= self.E2 > 0:
             raise ValueError(f"need E1 >= E2 > 0, got {self.E1}, {self.E2}")
-
-
-# TransitionPoint's record keys, in field order
-TRANSITION_RECORD_KEYS = tuple(json_name(f.name)
-                               for f in fields(TransitionPoint))
 
 
 @dataclass(frozen=True)
@@ -768,16 +761,3 @@ def fit_spectral_density(constraints, family: str = "power-law",
         return _fit_tabulated(constraints, datum, grid, smoothness, diagnostics)
     raise ValueError(f"unknown family {family!r}; use 'power-law' or 'tabulated'")
 
-
-def transition_point_to_record(tp: TransitionPoint) -> dict:
-    """JSON-ready dict keyed by TRANSITION_RECORD_KEYS."""
-    return dict(zip(TRANSITION_RECORD_KEYS, astuple(tp)))
-
-
-def reconstruction_to_record(result: ReconstructionResult) -> dict:
-    """JSON-ready dict; the fitted model uses the bath config schema."""
-    rec = asdict(result)
-    rec.update(model=None if result.model is None
-               else model_to_config(result.model),
-               residuals=result.residuals.tolist())
-    return rec

@@ -4,11 +4,12 @@ The synchronization measure is a windowed Pearson correlation between the two
 local observables.  Spectra come from a Hann-tapered, zero-padded DFT of a
 time window, with parabolic sub-bin peak refinement; linewidths from a fit of
 the exact line shape of a damped cosine seen through that taper and window.
+Results are arrays and dataclasses; their JSON and CSV forms are the CLI's.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -419,8 +420,9 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
     window; locked signals give c = +-1 at any window length.
 
     omega_sync is the tallest late-window spectral peak of the probe signal
-    alone (the qubit is assumed unreadable in the intended setting), or None
-    when no lock survives.
+    alone (the qubit is assumed unreadable in the intended setting).  It is
+    None for NoSync only, a verdict a probe with no peak also gets, so an
+    Indeterminate verdict keeps its peak.
 
     Everything but the c-trace itself is read from ``late_span(traj.times,
     config)``, so transition scans and sweeps pass only that span; the
@@ -469,17 +471,3 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
                        regime=regime, window=config.window,
                        c_floor=c_floor, c_ceil=c_ceil, c_min_abs=c_min_abs)
 
-
-def spectrum_to_csv(est: SpectrumEstimate, fh) -> None:
-    fh.write("freq,magnitude\n")
-    for row in zip(est.freqs.tolist(), est.magnitude.tolist()):
-        fh.write("%.17g,%.17g\n" % row)
-
-
-def sync_metrics_to_record(metrics: SyncMetrics) -> dict:
-    """JSON-ready summary (arrays included as lists, nan as None)."""
-    rec = asdict(metrics)
-    rec.update(c_times=metrics.c_times.tolist(),
-               c_values=[None if np.isnan(v) else v
-                         for v in metrics.c_values.tolist()])
-    return rec

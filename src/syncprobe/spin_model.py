@@ -140,12 +140,6 @@ def check_fields(obj) -> None:
             raise FieldError(name, f"must be {broken}{none}, got {value}")
 
 
-def json_name(name: str) -> str:
-    """A field's key in configs and records: ``lambda`` (a Python keyword)
-    for the coupling ``lam``, the field's own name otherwise."""
-    return "lambda" if name == "lam" else name
-
-
 @dataclass(frozen=True)
 class QubitPairParams:
     """Knobs of the pair Hamiltonian. lam is the XX coupling strength."""

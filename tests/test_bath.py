@@ -1,7 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncprobe.bath import (
     DegenerateSpectrumError,
@@ -11,9 +14,8 @@ from syncprobe.bath import (
     bose_occupation,
     evaluate_J,
     lindblad_rates,
-    model_from_config,
-    model_to_config,
 )
+from syncprobe.cli import _bath_from_config, _record
 from syncprobe.spin_model import QubitPairParams, diagonalize
 
 # Frozen reference values, computed independently with plain math:
@@ -239,30 +241,33 @@ def test_tabulated_rejects_non_finite_j(bad):
                   js=np.array([0.1, bad, 0.3]))
 
 
-def test_config_round_trip():
-    for m in (PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0),
-              PowerLawCutoff(gamma0=0.3, s=2.0, omega_c=None)):
-        d = model_to_config(m)
-        assert d["kind"] == "power-law"
-        assert set(d) == {"kind", "gamma0", "s", "omega_c"}
-        back = model_from_config(d)
-        assert back == m
-
-    w = np.array([0.5, 1.0, 2.0])
-    tab = Tabulated(omegas=w, js=0.1 * w)
-    d = model_to_config(tab)
-    assert d["kind"] == "tabulated"
-    assert set(d) == {"kind", "points"}
-    back = model_from_config(d)
-    np.testing.assert_array_equal(back.omegas, tab.omegas)
-    np.testing.assert_array_equal(back.js, tab.js)
+def _same(a, b) -> bool:
+    """Equal models; a tabulated one compares its grids exactly."""
+    if isinstance(a, Tabulated):
+        return (isinstance(b, Tabulated) and np.array_equal(a.omegas, b.omegas)
+                and np.array_equal(a.js, b.js))
+    return a == b
 
 
-def test_config_rejects_bad_input():
-    with pytest.raises(ValueError):
-        model_from_config({"kind": "lorentzian", "gamma0": 0.1})
-    with pytest.raises(ValueError):
-        model_from_config({"kind": "power-law", "gamma0": 0.1, "s": 1.0,
-                           "omega_c": None, "extra": 1})
-    with pytest.raises(ValueError):
-        model_from_config({"kind": "tabulated", "points": [[1.0, 0.1]]})
+_POWER_LAWS = st.builds(
+    PowerLawCutoff, gamma0=st.floats(0.0, 1e6), s=st.floats(1e-3, 1e3),
+    omega_c=st.none() | st.floats(1e-3, 1e300) | st.just(np.inf))
+_TABLES = st.integers(2, 8).flatmap(lambda n: st.builds(
+    Tabulated,
+    omegas=st.lists(st.floats(1e-6, 1e6), min_size=n, max_size=n,
+                    unique=True).map(sorted).map(np.array),
+    js=st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n).map(np.array)))
+
+
+@settings(max_examples=100)
+@given(m=_POWER_LAWS | _TABLES)
+@example(m=PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0))
+@example(m=PowerLawCutoff(gamma0=0.3, s=2.0, omega_c=None))
+@example(m=Tabulated(omegas=np.array([0.5, 1.0, 2.0]),
+                     js=np.array([0.05, 0.1, 0.2])))
+def test_config_round_trip(m):
+    """The CLI's bath record, through JSON text, reads back to the model."""
+    rec = json.loads(json.dumps(_record(m), allow_nan=False))
+    assert set(rec) == ({"kind", "gamma0", "s", "omega_c"}
+                        if isinstance(m, PowerLawCutoff) else {"kind", "points"})
+    assert _same(_bath_from_config(rec), m)

@@ -273,7 +273,7 @@ def test_evolve_rejects_short_horizon(tmp_path):
     ({"bath": dict(OHMIC, s=float("inf"))}, "s"),
     ({"bath": {"kind": "tabulated",
                "points": [[0.5, 0.01], [1.0, float("nan")], [2.0, 0.04]]}},
-     "J values"),
+     "bath.points[1]"),
     ({"initial_state": [float("nan"), 1, 0, 0]}, "initial_state"),
     ({"initial_state": [[1, float("inf")], 0, 0, 0]}, "initial_state"),
     # integers beyond the float range
@@ -348,6 +348,62 @@ def test_overflowing_bath_cutoff_is_no_cutoff(tmp_path):
         assert main(["evolve", "--config", str(cfg), "--out", str(outs[-1])]) == 0
     for fname in ("trajectory.csv", "sync_metrics.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _with_cutoff(cfg, section, text):
+    """JSON text of ``cfg`` with ``section``'s omega_c written as ``text``,
+    so a literal such as 1e400 reaches the parser as JSON reads it."""
+    cfg[section] = dict(cfg[section], omega_c="CUTOFF")
+    return json.dumps(cfg).replace('"CUTOFF"', text)
+
+
+@pytest.mark.parametrize("text", ["1e200", "1e400"])
+def test_bath_cutoff_beyond_doubles_echoes_null(tmp_path, text):
+    """bath.omega_c 1e400, which JSON reads as inf, and 1e200, whose square
+    overflows, both run with no cutoff and echo null, as null does."""
+    outs = []
+    for name, value in (("big", text), ("null", "null")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(_with_cutoff(_run_cfg(), "bath", value))
+        outs.append(tmp_path / name)
+        assert main(["evolve", "--config", str(path), "--out", str(outs[-1])]) == 0
+    rec = json.loads((outs[0] / "sync_metrics.json").read_text())
+    assert rec["config"]["bath"]["omega_c"] is None
+    for fname in ("trajectory.csv", "sync_metrics.json"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+_TABLE = {"kind": "tabulated", "points": [[0.5, 0.01], [1.0, 0.02]]}
+
+
+@pytest.mark.parametrize("bath, message", [
+    pytest.param(dict(OHMIC, s=True), "bath.s: must be a number, got True",
+                 id="s-true"),
+    pytest.param(dict(OHMIC, gamma0="0.01"),
+                 "bath.gamma0: must be a number, got '0.01'", id="gamma0-string"),
+    pytest.param(dict(_TABLE, points=[[0.5, 0.01], [1.0, True]]),
+                 "bath.points[1]: must be a number, got True", id="points-true"),
+    pytest.param(dict(_TABLE, points=[["3", 0.01], [1.0, 0.02]]),
+                 "bath.points[0]: must be a number, got '3'", id="points-string"),
+    pytest.param({"kind": "power-law", "gamma0": 0.01},
+                 "bath.s: missing required number", id="missing-s"),
+    pytest.param(dict(OHMIC, extra=1), "bath: unknown key(s): extra",
+                 id="unknown-key"),
+    pytest.param({"kind": "lorentzian", "gamma0": 0.1},
+                 "bath.kind: must be power-law or tabulated, got 'lorentzian'",
+                 id="unknown-kind"),
+    pytest.param(dict(_TABLE, points=[[1.0, 0.1]]),
+                 "bath.points: need matching 1-d grids with at least 2 points",
+                 id="one-point-table"),
+])
+def test_bath_errors_name_their_field(tmp_path, capsys, bath, message):
+    """The bath section is read like every other: booleans and strings are
+    not numbers, and each error names its place in the section."""
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _run_cfg(bath=bath))
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -939,6 +995,24 @@ def test_overflowing_cutoff_runs(tmp_path, command, cfg):
                  str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("text", ["1e200", "1e400"])
+def test_fit_cutoff_beyond_doubles_is_no_cutoff(tmp_path, text):
+    """fit.omega_c follows bath.omega_c's rule: 1e400 (inf once read) and
+    1e200 run as no cutoff, and the echo shows the null the fit used, so
+    reconstruction.json is the one a null cutoff writes."""
+    outs = []
+    for name, value in (("big", text), ("null", "null")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(_with_cutoff(_reconstruct_cfg(), "fit", value))
+        outs.append(tmp_path / name)
+        assert main(["reconstruct", "--config", str(path),
+                     "--out", str(outs[-1])]) == 0
+    rec = json.loads((outs[0] / "reconstruction.json").read_text())
+    assert rec["config"]["fit"]["omega_c"] is None
+    assert (outs[0] / "reconstruction.json").read_bytes() == \
+        (outs[1] / "reconstruction.json").read_bytes()
+
+
 def test_reconstruct_from_constraints_file(tmp_path):
     cfg = _write(tmp_path, _reconstruct_cfg())
     first = tmp_path / "first"
@@ -980,11 +1054,15 @@ def test_reconstruct_failed_write_keeps_previous_constraints(tmp_path,
 def test_evolve_failed_write_leaves_no_file(tmp_path, monkeypatch):
     from syncprobe import cli
 
-    def failing_csv(traj, fh):
-        fh.write("t,sx_q,sx_p\n")
-        raise OSError("disk quota exceeded")
+    class FailingColumn:
+        """A last column that fails once the header is written."""
 
-    monkeypatch.setattr(cli, "trajectory_to_csv", failing_csv)
+        def __getitem__(self, rows):
+            raise OSError("disk quota exceeded")
+
+    write_columns = cli._write_columns
+    monkeypatch.setattr(cli, "_write_columns", lambda path, header, *cols:
+                        write_columns(path, header, *cols[:-1], FailingColumn()))
     cfg = _write(tmp_path, _run_cfg())
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2

@@ -14,7 +14,7 @@ from dataclasses import fields
 import pytest
 
 from syncprobe.bath import PowerLawCutoff
-from syncprobe.cli import RunConfig, main
+from syncprobe.cli import RunConfig, json_name, main
 from syncprobe.probe_protocol import (
     LinewidthDatum,
     ScanConfig,
@@ -22,12 +22,7 @@ from syncprobe.probe_protocol import (
     fit_spectral_density,
 )
 from syncprobe.signal_analysis import SyncConfig
-from syncprobe.spin_model import (
-    FieldError,
-    QubitPairParams,
-    field_bounds,
-    json_name,
-)
+from syncprobe.spin_model import FieldError, QubitPairParams, field_bounds
 
 NAN, INF = float("nan"), float("inf")
 OHMIC = {"kind": "power-law", "gamma0": 0.01, "s": 1.0, "omega_c": 20.0}
@@ -132,7 +127,7 @@ def _cli_case(tmp_path, cls, name, value):
             f"params.{key}: "
     if cls is PowerLawCutoff:
         return "evolve", dict(RUN, bath=dict(OHMIC, **{key: value})), \
-            f"bath: {name} must be "
+            f"bath.{key}: "
     if cls is SyncConfig:
         return "evolve", dict(RUN, analysis={key: value}), f"analysis.{key}: "
     if cls is RunConfig:

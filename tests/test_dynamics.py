@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,9 +25,9 @@ from syncprobe import (
     steady_state,
     to_computational_basis,
     to_eigenmode_basis,
-    trajectory_to_csv,
     validate_density_matrix,
 )
+from syncprobe.cli import _write_columns
 from syncprobe.spin_model import ID2, SIGMA_X
 
 from oracles import null_vector_transform
@@ -427,11 +425,16 @@ def test_state_validation():
     validate_density_matrix(plus_plus_state())
 
 
-def test_trajectory_csv_round_trip():
+def _trajectory_csv(traj, tmp_path) -> str:
+    """The text of the CLI's trajectory.csv for ``traj``."""
+    path = tmp_path / "trajectory.csv"
+    _write_columns(path, ("t", "sx_q", "sx_p"), traj.times, traj.sx_q, traj.sx_p)
+    return path.read_text()
+
+
+def test_trajectory_csv_round_trip(tmp_path):
     traj = _setup(1.2, times=default_time_grid(5.0, 0.5))[1].traj
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    lines = buf.getvalue().splitlines()
+    lines = _trajectory_csv(traj, tmp_path).splitlines()
     assert lines[0] == "t,sx_q,sx_p"
     data = np.loadtxt(lines[1:], delimiter=",")
     np.testing.assert_array_equal(data[:, 0], traj.times)
@@ -439,16 +442,14 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(data[:, 2], traj.sx_p)
 
 
-def test_trajectory_csv_keeps_reference_format():
+def test_trajectory_csv_keeps_reference_format(tmp_path):
     """Rows are the '%.17g' text of each value, also across the writer's
     65 536-row chunks and for signed zero and subnormals."""
     times = np.linspace(0.0, 7000.0, 70001)
     sx = np.random.default_rng(3).uniform(-1.0, 1.0, times.size)
     sx[:4] = [-0.0, 5e-324, 1.0, -1e-300]
     traj = Trajectory(times=times, sx_q=sx, sx_p=sx[::-1].copy())
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    assert buf.getvalue() == "t,sx_q,sx_p\n" + "".join(
+    assert _trajectory_csv(traj, tmp_path) == "t,sx_q,sx_p\n" + "".join(
         f"{t:.17g},{q:.17g},{p:.17g}\n"
         for t, q, p in zip(traj.times, traj.sx_q, traj.sx_p))
 

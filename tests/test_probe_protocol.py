@@ -12,8 +12,8 @@ from syncprobe.bath import (
     PowerLawCutoff,
     evaluate_J,
     lindblad_rates,
-    model_from_config,
 )
+from syncprobe.cli import _bath_from_config, _record
 from syncprobe.dynamics import default_time_grid
 from syncprobe import probe_protocol
 from syncprobe.probe_protocol import (
@@ -30,11 +30,9 @@ from syncprobe.probe_protocol import (
     fit_spectral_density,
     infer_system_params,
     predict_transition,
-    reconstruction_to_record,
     scan_transition,
     simulate,
     transition_point,
-    transition_point_to_record,
 )
 from syncprobe.signal_analysis import (
     ANTI_PHASE,
@@ -457,8 +455,8 @@ def test_power_law_fit_closed_loop():
 def test_fit_overflowing_cutoff_is_no_cutoff(omega_c):
     pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     datum = _exact_datum(QUARTIC)
-    assert reconstruction_to_record(fit_spectral_density(
-        pts, datum=datum, omega_c=omega_c)) == reconstruction_to_record(
+    assert _record(fit_spectral_density(
+        pts, datum=datum, omega_c=omega_c)) == _record(
         fit_spectral_density(pts, datum=datum, omega_c=None))
 
 
@@ -549,16 +547,16 @@ def test_tabulated_fit_rank_errors():
 
 def test_records_round_trip_json():
     tp = _scan("quartic")
-    rec = transition_point_to_record(tp)
+    rec = _record(tp)
     assert json.loads(json.dumps(rec))["lambda"] == 0.2
     assert rec["omega_p_bar"] == tp.omega_p_bar
 
     pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     fit = fit_spectral_density(pts, datum=_exact_datum(QUARTIC), omega_c=20.0)
-    rec = json.loads(json.dumps(reconstruction_to_record(fit)))
+    rec = json.loads(json.dumps(_record(fit)))
     assert rec["family"] == "power-law"
     assert len(rec["residuals"]) == 3
-    restored = model_from_config(rec["model"])
+    restored = _bath_from_config(rec["model"])
     assert restored == fit.model
 
 

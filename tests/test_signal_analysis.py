@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -30,14 +29,13 @@ from syncprobe import (
     mutual_information,
     peak_linewidth,
     simulate,
-    spectrum_to_csv,
     spin_correlator,
     steady_state,
     sync_measure,
-    sync_metrics_to_record,
     to_computational_basis,
     windowed_fft,
 )
+from syncprobe.cli import _record, _write_columns
 
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 
@@ -475,6 +473,21 @@ def test_detect_sync_without_defined_late_c_is_indeterminate():
         assert m.omega_sync == pytest.approx(1.1, abs=0.03)
 
 
+def test_indeterminate_verdict_keeps_its_peak():
+    """Only NoSync clears omega_sync.  This fig3b map point's late c runs
+    from -1.00 to -0.43: never past the antiphase threshold, never near
+    zero.  It reads Indeterminate and still reports the probe's peak, E2."""
+    cfg = SyncConfig()
+    sim = simulate(QubitPairParams(omega_p=0.92372881355932202, lam=0.2),
+                   PowerLawCutoff(gamma0=0.01, s=0.5, omega_c=20.0),
+                   default_time_grid(400.0))
+    m = detect_sync(sim.traj, cfg)
+    assert m.regime == INDETERMINATE
+    assert -cfg.sync_threshold < m.c_ceil < -cfg.nosync_threshold
+    assert m.c_min_abs > cfg.nosync_threshold
+    assert m.omega_sync == pytest.approx(sim.eig.E2, abs=1e-3)
+
+
 def test_detect_sync_needs_late_window():
     times = default_time_grid(100.0)
     traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(times))
@@ -640,12 +653,12 @@ def test_regime_agrees_with_rate_comparison():
 
 # --------------------------------------------------------------------- exports
 
-def test_spectrum_csv_roundtrip():
+def test_spectrum_csv_roundtrip(tmp_path):
     _, _, _, traj = _reference(1.2)
     est = windowed_fft(traj.sx_p, traj.times, 200.0, 310.0)
-    buf = io.StringIO()
-    spectrum_to_csv(est, buf)
-    lines = buf.getvalue().strip().split("\n")
+    path = tmp_path / "spectrum.csv"
+    _write_columns(path, ("freq", "magnitude"), est.freqs, est.magnitude)
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "freq,magnitude"
     assert len(lines) == est.freqs.size + 1
     f9, m9 = map(float, lines[9].split(","))
@@ -657,7 +670,7 @@ def test_spectrum_csv_roundtrip():
 
 def test_sync_metrics_record_is_json_ready():
     _, _, _, traj = _reference(1.2)
-    rec = sync_metrics_to_record(detect_sync(traj))
+    rec = _record(detect_sync(traj))
     text = json.dumps(rec, sort_keys=True)
     back = json.loads(text)
     assert back["regime"] == IN_PHASE
@@ -669,6 +682,6 @@ def test_sync_metrics_record_is_json_ready():
     times = default_time_grid(320.0)
     flat = Trajectory(times=times, sx_q=np.zeros_like(times),
                       sx_p=np.zeros_like(times))
-    rec = sync_metrics_to_record(detect_sync(flat))
+    rec = _record(detect_sync(flat))
     assert json.dumps(rec) is not None
     assert all(v is None for v in rec["c_values"])
