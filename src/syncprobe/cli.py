@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -57,7 +56,6 @@ from .dynamics import (
 from .probe_protocol import (
     LinewidthDatum,
     NoTransitionError,
-    ResolutionError,
     ScanConfig,
     TransitionPoint,
     collect_constraints,
@@ -73,7 +71,6 @@ from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
                              evolve_analytic, lindblad_rates)
 from .signal_analysis import (
     CORRELATOR_OP,
-    NotResolvableError,
     SyncConfig,
     check_window,
     detect_sync,
@@ -710,7 +707,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
         try:
             predicted = predict_transition(model, params, bracket=(lo, hi),
                                            kappa=scan_cfg.kappa)
-        except (NoTransitionError, ValueError):
+        except ValueError:
             pass
     else:
         # No grid given: center a default one on the predicted crossing.
@@ -809,7 +806,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
     echo = {"fit": fit, "datum": datum}
 
     truth = None
-    failures: list[tuple[float, str]] = []
+    failures = []
     if from_file:
         constraints = _constraints_from_csv(Path(cfg["constraints_file"]))
         echo["constraints_file"] = str(cfg["constraints_file"])
@@ -827,18 +824,15 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             raise ConfigError("method",
                               f"must be analytic or signal, got {method!r}")
         scan_cfg = _scan_config_from(cfg.get("scan"))
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                constraints = collect_constraints(
-                    truth, lams,
-                    _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
-                    config=scan_cfg, method=method, failures=failures,
-                    workers=args.workers)
-            finally:
-                # one line per warning (a failed coupling), not Python's
-                # format with its source path and code line
-                for w in caught:
-                    print(f"warning: {w.message}", file=sys.stderr)
+        constraints, failures = collect_constraints(
+            truth, lams, _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
+            config=scan_cfg, method=method, workers=args.workers)
+        reports = [f"lam={lam:g}: {msg}" for lam, msg in failures]
+        for report in reports:
+            print(f"warning: {report}", file=sys.stderr)
+        if not constraints:
+            raise NoTransitionError("every coupling failed to produce a "
+                                    "constraint: " + "; ".join(reports))
         _write_csv(out / "constraints.csv", TRANSITION_RECORD_KEYS,
                    _constraints_to_rows(constraints))
         echo.update(pair, bath=_record(truth), lambdas=lams,
@@ -941,8 +935,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command][0](cfg, args.out, args)
-    except (ConfigError, NoTransitionError, ResolutionError,
-            NotResolvableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

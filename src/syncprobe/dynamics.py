@@ -418,7 +418,7 @@ def to_computational_basis(rho_eig: np.ndarray, transform: np.ndarray) -> np.nda
     return transform @ rho_eig @ transform.conj().T
 
 
-def default_time_grid(t_max: float = 400.0, dt: float = 0.05) -> np.ndarray:
+def default_time_grid(t_max: float, dt: float) -> np.ndarray:
     n = int(round(t_max / dt))
     return np.linspace(0.0, n * dt, n + 1)
 

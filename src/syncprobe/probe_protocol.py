@@ -7,6 +7,11 @@ from the jump of the locked frequency in simulated probe data), turn each
 located crossing into a ratio constraint J(E1)/J(E2), and fit a spectral
 density through the collected ratios.  A measured linewidth fixes the one
 overall amplitude the ratios cannot see.
+
+An input with no answer raises a ValueError (NoTransitionError,
+ResolutionError and the fit's own errors among them); collect_constraints
+returns each failed coupling as a value instead.  Nothing here prints or
+warns: reporting is the CLI's.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -22,7 +26,6 @@ import numpy as np
 
 from .bath import (
     KAPPA_DEFAULT,
-    DegenerateSpectrumError,
     LindbladRates,
     PowerLawCutoff,
     SpectralDensityModel,
@@ -56,12 +59,12 @@ from .spin_model import (
 )
 
 
-class NoTransitionError(RuntimeError):
-    """The scanned range contains no rate crossing / no regime jump."""
+class NoTransitionError(ValueError):
+    """Bad input: the scanned range holds no rate crossing / regime jump."""
 
 
-class ResolutionError(RuntimeError):
-    """The scan cannot localize the jump at the requested resolution."""
+class ResolutionError(ValueError):
+    """Bad input: the scan cannot localize the jump at its resolution."""
 
 
 class InversionError(ValueError):
@@ -550,8 +553,7 @@ def _constraint_task(task) -> TransitionPoint | str:
             return transition_point(replace(pair, omega_p=root))
         return scan_transition(
             model, pair, default_scan_grid(root, pair.omega_q), config=config)
-    except (NoTransitionError, ResolutionError, DegenerateSpectrumError,
-            ValueError) as exc:
+    except ValueError as exc:
         return str(exc)
 
 
@@ -559,40 +561,32 @@ def collect_constraints(model: SpectralDensityModel, lams,
                         params: QubitPairParams = QubitPairParams(),
                         config: ScanConfig | None = None,
                         method: str = "signal",
-                        failures: list | None = None,
-                        workers: int = 1) -> list[TransitionPoint]:
-    """One TransitionPoint per coupling, aggregated in sorted-lam order.
+                        workers: int = 1,
+                        ) -> tuple[list[TransitionPoint], list[tuple[float, str]]]:
+    """``(points, failures)``: a TransitionPoint per coupling that yields
+    one, and a (lam, message) pair per coupling that does not, both in
+    sorted-lam order whatever ``workers`` says.
 
     Each coupling replaces params.lam; omega_q and the temperature come
     from ``params``, and params.omega_p is ignored.  method="signal" scans a
     7-point grid of half-width 0.15 * omega_q centred on the predicted
     crossing; method="analytic" skips simulation and roots the rate balance
-    directly.  Failures for individual lam values are warned about and
-    appended to ``failures`` as (lam, message); the call raises only when no
-    lam yields a constraint.  Signal scans run on up to ``workers``
-    processes (analytic roots take microseconds and stay here); results and
-    warnings keep sorted-lam order whatever ``workers`` says.
+    directly.  A coupling fails when it raises a ValueError; the call itself
+    raises only for an unknown method, so ``points`` may be empty.  Signal
+    scans run on up to ``workers`` processes (analytic roots take
+    microseconds and stay here).
     """
     if method not in ("signal", "analytic"):
         raise ValueError(f"unknown method {method!r}")
     config = config or ScanConfig()
-    sink = failures if failures is not None else []
     lams = sorted(float(v) for v in lams)
     results = run_tasks(_constraint_task,
                         [(model, params, lam, config, method) for lam in lams],
                         workers if method == "signal" else 1)
-    points: list[TransitionPoint] = []
-    for lam, out in zip(lams, results):
-        if isinstance(out, str):
-            warnings.warn(f"lam={lam:g}: {out}", stacklevel=2)
-            sink.append((lam, out))
-        else:
-            points.append(out)
-    if not points:
-        raise NoTransitionError(
-            "every coupling failed to produce a constraint: "
-            + "; ".join(f"lam={l:g}: {m}" for l, m in sink))
-    return points
+    points = [out for out in results if not isinstance(out, str)]
+    failures = [(lam, out) for lam, out in zip(lams, results)
+                if isinstance(out, str)]
+    return points, failures
 
 
 def _cutoff_factor(omega, s, omega_c):

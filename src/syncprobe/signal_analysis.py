@@ -27,8 +27,8 @@ NO_SYNC = "NoSync"
 INDETERMINATE = "Indeterminate"
 
 
-class NotResolvableError(RuntimeError):
-    """Peak overlaps a neighbor too strongly for a linewidth fit."""
+class NotResolvableError(ValueError):
+    """Bad input: the peak overlaps a neighbor too strongly for a linewidth."""
 
 
 @dataclass(frozen=True)

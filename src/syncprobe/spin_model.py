@@ -70,14 +70,13 @@ from typing import NamedTuple
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
 ID2 = np.eye(2, dtype=complex)
 
 
 class ConventionError(RuntimeError):
-    """A quasiparticle branch/sign convention check failed at tolerance."""
+    """A quasiparticle branch/sign convention check failed: a bug."""
 
 
 class FieldError(ValueError):

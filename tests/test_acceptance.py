@@ -232,13 +232,13 @@ def test_criterion_07_closed_loop_reconstruction():
     with criterion(7, "s = 2 truth recovered to 1e-4 (analytic "
                       "constraints), 0.1 (signal path), gamma0 to 20% "
                       "from a measured linewidth"):
-        analytic = collect_constraints(QUARTIC, LAMS, method="analytic")
+        analytic, failures = collect_constraints(QUARTIC, LAMS,
+                                                 method="analytic")
+        assert not failures
         fit = fit_spectral_density(analytic, family="power-law", omega_c=20.0)
         assert abs(fit.s - 2.0) <= 1e-4
 
-        failures: list = []
-        signal = collect_constraints(QUARTIC, LAMS, method="signal",
-                                     failures=failures)
+        signal, failures = collect_constraints(QUARTIC, LAMS, method="signal")
         assert not failures
         fit_sig = fit_spectral_density(signal, family="power-law",
                                        omega_c=20.0)

@@ -1141,6 +1141,21 @@ def test_reconstruct_partial_failure_keeps_record_and_exit_code(tmp_path, capsys
         "(log ratio 3.13 -> 0.774)")}]
 
 
+def test_reconstruct_warns_once_per_failed_coupling(tmp_path, capsys):
+    """A coupling given twice that fails twice is reported twice, as in
+    the record and the count."""
+    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[1, 0.2, 1, 0.3]))
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
+    failure = ("rate ratio does not change sign on [0.5, 1.5] "
+               "(log ratio 3.13 -> 0.774)")
+    std = capsys.readouterr()
+    assert std.err == f"warning: lam=1: {failure}\n" * 2
+    assert std.out.endswith("; 2 coupling(s) failed\n")
+    rec = json.loads((out / "reconstruction.json").read_text())
+    assert rec["failures"] == [{"lambda": 1.0, "error": failure}] * 2
+
+
 @pytest.mark.parametrize("last_row, message", [
     (b"0.2,1.0,1.2,0.8", "row 2: cell count"),
     (b"0.2,1.076,1.2606,0.8535,2.17,0,0,,9", "row 2: cell count"),

@@ -455,6 +455,6 @@ def test_trajectory_csv_keeps_reference_format(tmp_path):
 
 
 def test_default_time_grid_shape():
-    g = default_time_grid()
+    g = default_time_grid(400.0, 0.05)
     assert g[0] == 0.0 and g[-1] == 400.0 and g.size == 8001
     assert np.allclose(np.diff(g), 0.05)

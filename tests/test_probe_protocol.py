@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,9 +75,16 @@ def _scan(model_key):
     return _scans[model_key]
 
 
+def _constraints(model, lams, *args, **kwargs):
+    """collect_constraints' points, where every coupling must yield one."""
+    points, failures = collect_constraints(model, lams, *args, **kwargs)
+    assert failures == []
+    return points
+
+
 def _forward(model, omega_p, t_max=2000.0):
     return simulate(QubitPairParams(omega_p=omega_p, lam=0.2), model,
-                    default_time_grid(t_max))
+                    default_time_grid(t_max, 0.05))
 
 
 def _closed_form_exponent(omega_p, lam):
@@ -180,9 +189,9 @@ def test_transition_point_validation():
 def test_default_bracket_and_grid_in_units_of_omega_q():
     # the crossing near omega_p = 2 lies outside an absolute (0.5, 1.5)
     pair = QubitPairParams(omega_q=2.0)
-    (analytic,) = collect_constraints(OHMIC, [0.4], pair, method="analytic")
+    (analytic,) = _constraints(OHMIC, [0.4], pair, method="analytic")
     assert analytic.omega_p_bar == pytest.approx(1.99684, abs=1e-4)
-    (signal,) = collect_constraints(OHMIC, [0.4], pair, method="signal")
+    (signal,) = _constraints(OHMIC, [0.4], pair, method="signal")
     assert abs(signal.omega_p_bar - analytic.omega_p_bar) < 0.01
 
 
@@ -231,6 +240,27 @@ def test_classify_point_same_label_on_late_span(model, lo, hi):
         assert _classify_point(model, pair, part, sync_cfg,
                                cfg.kappa) == labels[-1], w
     assert {1, 2} <= set(labels)
+
+
+@settings(max_examples=150)
+@given(s=st.floats(0.5, 3.0), lam=st.floats(0.05, 0.4),
+       omega_p=st.floats(0.6, 1.4))
+def test_classify_point_follows_the_rate_criterion(s, lam, omega_p):
+    """The paper's criterion: the mode with the smaller total rate survives.
+    The detector never names the faster-decaying mode, and names the slower
+    one wherever the rates differ by a tenth in log."""
+    cfg = ScanConfig()
+    sync_cfg = cfg.sync_config()
+    full = default_time_grid(cfg.t_max, cfg.dt)
+    model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0)
+    pair = QubitPairParams(omega_p=omega_p, lam=lam)
+    rates = lindblad_rates(diagonalize(pair), model, 0.0, cfg.kappa)
+    log_ratio = math.log(rates.g1_total / rates.g2_total)
+    label = _classify_point(model, pair, full[late_span(full, sync_cfg)],
+                            sync_cfg, cfg.kappa)
+    assert label != (2 if log_ratio < 0 else 1), log_ratio
+    if abs(log_ratio) >= 0.1:
+        assert label == (1 if log_ratio < 0 else 2), log_ratio
 
 
 def test_scan_single_branch_raises():
@@ -406,8 +436,8 @@ def test_inversion_forward_identity_randomized():
 
 
 def test_collect_analytic_constraints():
-    pts = collect_constraints(QUARTIC, [0.3, 0.1, 0.2, 0.25, 0.15],
-                              method="analytic")
+    pts = _constraints(QUARTIC, [0.3, 0.1, 0.2, 0.25, 0.15],
+                       method="analytic")
     assert [tp.lam for tp in pts] == [0.1, 0.15, 0.2, 0.25, 0.3]
     pairs = {(round(tp.E1, 9), round(tp.E2, 9)) for tp in pts}
     assert len(pairs) == 5
@@ -417,15 +447,15 @@ def test_collect_analytic_constraints():
 
 
 def test_collect_reports_partial_failures():
-    failures = []
-    with pytest.warns(UserWarning, match="lam=0"):
-        pts = collect_constraints(QUARTIC, [0.0, 0.2], method="analytic",
-                                  failures=failures)
-    assert len(pts) == 1 and pts[0].lam == 0.2
-    assert len(failures) == 1 and failures[0][0] == 0.0
-    with pytest.raises(NoTransitionError):
-        with pytest.warns(UserWarning):
-            collect_constraints(QUARTIC, [0.0], method="analytic")
+    dark = "a mode has zero total rate (dark mode); the rate ratio has no crossing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # failures are values, not warnings
+        pts, failures = collect_constraints(QUARTIC, [0.2, 0.0],
+                                            method="analytic")
+        assert [tp.lam for tp in pts] == [0.2]
+        assert failures == [(0.0, dark)]
+        assert collect_constraints(QUARTIC, [0.0], method="analytic") == \
+            ([], [(0.0, dark)])
 
 
 def _exact_datum(model, omega_p=1.2, lam=0.2):
@@ -436,16 +466,27 @@ def _exact_datum(model, omega_p=1.2, lam=0.2):
                           trig_sq=float(np.cos(sigma) ** 2))
 
 
+@settings(max_examples=40)
+@given(s=st.floats(0.5, 3.0), temperature=st.sampled_from([0.0, 0.3]),
+       omega_c=st.sampled_from([None, 20.0]))
+def test_analytic_constraints_recover_s(s, temperature, omega_c):
+    model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=omega_c)
+    pts = _constraints(model, np.linspace(0.1, 0.3, 5),
+                       QubitPairParams(temperature=temperature),
+                       method="analytic")
+    assert abs(fit_spectral_density(pts, omega_c=omega_c).s - s) <= 1e-9
+
+
 def test_power_law_fit_closed_loop():
-    pts = collect_constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
-                              method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                       method="analytic")
     fit = fit_spectral_density(pts, omega_c=20.0)
     assert fit.s == pytest.approx(2.0, abs=1e-6)
     assert fit.residuals.shape == (5,)
     assert fit.gamma0 is None and fit.model is None
 
-    pts_pure = collect_constraints(QUARTIC_PURE, [0.1, 0.2, 0.3],
-                                   method="analytic")
+    pts_pure = _constraints(QUARTIC_PURE, [0.1, 0.2, 0.3],
+                            method="analytic")
     fit_pure = fit_spectral_density(pts_pure)
     assert fit_pure.s == pytest.approx(2.0, abs=1e-8)
     assert fit_pure.diagnostics["method"] == "closed-form"
@@ -453,7 +494,7 @@ def test_power_law_fit_closed_loop():
 
 @pytest.mark.parametrize("omega_c", [float("inf"), 1e300])
 def test_fit_overflowing_cutoff_is_no_cutoff(omega_c):
-    pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     datum = _exact_datum(QUARTIC)
     assert _record(fit_spectral_density(
         pts, datum=datum, omega_c=omega_c)) == _record(
@@ -463,8 +504,8 @@ def test_fit_overflowing_cutoff_is_no_cutoff(omega_c):
 def test_cutoff_fit_is_a_function_of_the_ratios():
     """With omega_c given, s moves by rounding only when the ratios move by
     one part in 1e15, also when the constraints do not fit exactly."""
-    pts = collect_constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
-                              method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                       method="analytic")
     noisy = [replace(c, ratio=c.ratio * np.exp(0.01 * (-1) ** k))
              for k, c in enumerate(pts)]
     bumped = [replace(c, ratio=c.ratio * (1.0 + 1e-15)) for c in noisy]
@@ -473,9 +514,9 @@ def test_cutoff_fit_is_a_function_of_the_ratios():
 
 
 def test_fit_is_kappa_invariant():
-    base = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
-    other = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic",
-                                config=ScanConfig(kappa=5.0))
+    base = _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
+    other = _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic",
+                         config=ScanConfig(kappa=5.0))
     s_base = fit_spectral_density(base, omega_c=20.0).s
     s_other = fit_spectral_density(other, omega_c=20.0).s
     assert s_base == pytest.approx(s_other, rel=1e-12)
@@ -485,17 +526,17 @@ def test_fit_ignores_overall_amplitude():
     """Rescaling gamma0 of the ground truth leaves the fitted exponent alone."""
     bright = PowerLawCutoff(gamma0=0.03, s=2.0, omega_c=20.0)
     s_dim = fit_spectral_density(
-        collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic"),
+        _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic"),
         omega_c=20.0).s
     s_bright = fit_spectral_density(
-        collect_constraints(bright, [0.1, 0.2, 0.3], method="analytic"),
+        _constraints(bright, [0.1, 0.2, 0.3], method="analytic"),
         omega_c=20.0).s
     assert s_dim == pytest.approx(s_bright, rel=1e-12)
 
 
 def test_gamma0_from_linewidth_datum():
-    pts = collect_constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
-                              method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                       method="analytic")
     fit = fit_spectral_density(pts, datum=_exact_datum(QUARTIC), omega_c=20.0)
     assert fit.gamma0 == pytest.approx(0.01, rel=0.01)
     assert isinstance(fit.model, PowerLawCutoff)
@@ -517,8 +558,8 @@ def test_fit_input_validation():
 
 
 def test_tabulated_fit_tracks_truth():
-    pts = collect_constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
-                              method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                       method="analytic")
     fit = fit_spectral_density(pts, family="tabulated",
                                datum=_exact_datum(QUARTIC))
     assert fit.residuals.shape == (5,)
@@ -530,7 +571,7 @@ def test_tabulated_fit_tracks_truth():
 
 
 def test_tabulated_fit_rank_errors():
-    pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     datum = _exact_datum(QUARTIC)
     with pytest.raises(RankDeficiencyError):
         fit_spectral_density(pts[:1], family="tabulated", datum=datum)
@@ -551,7 +592,7 @@ def test_records_round_trip_json():
     assert json.loads(json.dumps(rec))["lambda"] == 0.2
     assert rec["omega_p_bar"] == tp.omega_p_bar
 
-    pts = collect_constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
+    pts = _constraints(QUARTIC, [0.1, 0.2, 0.3], method="analytic")
     fit = fit_spectral_density(pts, datum=_exact_datum(QUARTIC), omega_c=20.0)
     rec = json.loads(json.dumps(_record(fit)))
     assert rec["family"] == "power-law"
@@ -655,3 +696,18 @@ def test_brentq_port_raises_where_scipy_does(f, a, b, error):
 def test_brentq_port_returns_an_exact_zero_at_once():
     assert probe_protocol._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == \
         _scipy_brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == (1.0, 2)
+
+
+def test_simulate_memory_per_sample():
+    """simulate returns signals only: its peak allocation stays near the
+    few float arrays a trajectory needs (about 26 B per sample), where
+    (n, 4, 4) complex states alone would take 256 B per sample."""
+    times = default_time_grid(20000.0, 0.1)
+    assert times.size == 200_001
+    tracemalloc.start()
+    try:
+        simulate(QubitPairParams(omega_p=1.2, lam=0.2), OHMIC, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * times.size

@@ -49,7 +49,7 @@ def _reference(omega_p, gamma0=0.01):
         _cache[key] = simulate(
             QubitPairParams(omega_p=omega_p, lam=0.2, temperature=0.0),
             PowerLawCutoff(gamma0=gamma0, s=1.0, omega_c=20.0),
-            default_time_grid(320.0))
+            default_time_grid(320.0, 0.05))
     return _cache[key]
 
 
@@ -100,7 +100,7 @@ def test_sync_measure_window_validation():
 
 def test_single_synthetic_peak_within_one_bin():
     e2 = 0.894427190999916
-    times = default_time_grid(110.0)
+    times = default_time_grid(110.0, 0.05)
     sig = np.exp(-0.01 * times) * np.cos(e2 * times)
     est = windowed_fft(sig, times, 0.0, 110.0)
     df = est.freqs[1] - est.freqs[0]
@@ -109,7 +109,7 @@ def test_single_synthetic_peak_within_one_bin():
 
 
 def test_two_synthetic_modes_sorted_by_height():
-    times = default_time_grid(110.0)
+    times = default_time_grid(110.0, 0.05)
     sig = (0.7 * np.exp(-0.02 * times) * np.cos(1.34 * times)
            + 0.4 * np.exp(-0.02 * times) * np.cos(0.89 * times))
     est = windowed_fft(sig, times, 0.0, 110.0)
@@ -139,7 +139,7 @@ def test_late_window_single_surviving_mode():
 
 
 def test_windowed_fft_input_validation():
-    times = default_time_grid(110.0)
+    times = default_time_grid(110.0, 0.05)
     sig = np.cos(times)
     with pytest.raises(ValueError):
         windowed_fft(sig, times ** 1.01, 0.0, 110.0)
@@ -160,7 +160,7 @@ def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
 
     monkeypatch.setattr(signal_analysis, "_find_peaks", recording)
     rng = np.random.default_rng(11)
-    times = default_time_grid(320.0)
+    times = default_time_grid(320.0, 0.05)
     _, _, _, traj = _reference(1.2)
     signals = [
         (traj.sx_p, 0.0, 110.0), (traj.sx_p, 200.0, 310.0),
@@ -215,7 +215,7 @@ def test_find_peaks_matches_scipy_on_rounded_noisy_spectra(freq, decay, noise,
                                                             decimals, seed):
     """Spectra as windowed_fft builds them, rounded so that plateaus occur,
     at the floor windowed_fft would pass."""
-    times = default_time_grid(200.0)
+    times = default_time_grid(200.0, 0.05)
     rng = np.random.default_rng(seed)
     sig = (np.exp(-decay * times) * np.cos(freq * times)
            + noise * rng.normal(size=times.size))
@@ -228,7 +228,7 @@ def test_find_peaks_matches_scipy_on_rounded_noisy_spectra(freq, decay, noise,
 def test_windowed_fft_step_from_whole_grid():
     """An offset slice of a grid gives the frequencies of the grid itself;
     its first difference alone is a few ulps of t = 1600 off."""
-    times = default_time_grid(2000.0)
+    times = default_time_grid(2000.0, 0.05)
     part = slice(31980, 38220)
     assert abs((times[31981] - times[31980]) - 0.05) > 1e-13
     sig = np.cos(1.1 * times)
@@ -241,7 +241,7 @@ def test_windowed_fft_step_from_whole_grid():
 # -------------------------------------------------------------- peak_linewidth
 
 def test_linewidth_synthetic_long_window():
-    times = default_time_grid(400.0)
+    times = default_time_grid(400.0, 0.05)
     sig = np.exp(-0.5 * 0.05 * times) * np.cos(1.0 * times)
     est = windowed_fft(sig, times, 0.0, 400.0)
     assert peak_linewidth(est, 0) == pytest.approx(0.05, rel=0.10)
@@ -250,14 +250,14 @@ def test_linewidth_synthetic_long_window():
 def test_linewidth_synthetic_short_window_corrected():
     # window length only ~1.1 amplitude-decay times: the finite-window
     # convolution dominates the raw shape, and must not bias the estimate
-    times = default_time_grid(110.0)
+    times = default_time_grid(110.0, 0.05)
     sig = np.exp(-0.5 * 0.02 * times) * np.cos(1.0 * times)
     est = windowed_fft(sig, times, 0.0, 110.0)
     assert peak_linewidth(est, 0) == pytest.approx(0.02, rel=0.10)
 
 
 def test_linewidth_close_peaks_not_resolvable():
-    times = default_time_grid(400.0)
+    times = default_time_grid(400.0, 0.05)
     sig = (np.exp(-0.025 * times) * np.cos(1.0 * times)
            + 0.8 * np.exp(-0.025 * times) * np.cos(1.25 * times))
     est = windowed_fft(sig, times, 0.0, 400.0)
@@ -394,7 +394,7 @@ def _per_window_reference(traj, config):
 
 
 def test_detect_sync_matches_per_window_reference():
-    times = default_time_grid(320.0)
+    times = default_time_grid(320.0, 0.05)
     # zero-variance stretches in each channel, then constant ones in both
     sx_q = 0.8 * np.cos(0.9 * times)
     sx_p = 0.5 * np.cos(0.9 * times + 0.4) * np.exp(-0.01 * times)
@@ -423,7 +423,7 @@ def test_correlation_blocks_match_per_window_reference(monkeypatch, block):
     """Window starts processed a few (or, below one window, one) per block
     give sync_measure at every start and the single-block values bit for
     bit."""
-    times = default_time_grid(320.0)
+    times = default_time_grid(320.0, 0.05)
     sx_q = 0.8 * np.cos(0.9 * times)
     sx_p = 0.5 * np.cos(0.9 * times + 0.4) * np.exp(-0.01 * times)
     sx_q[1000:1400] = 0.0
@@ -445,7 +445,7 @@ def test_correlation_blocks_match_per_window_reference(monkeypatch, block):
 
 
 def test_detect_sync_dead_signal_is_nosync():
-    times = default_time_grid(320.0)
+    times = default_time_grid(320.0, 0.05)
     sig = 0.5 * np.exp(-0.12 * times) * np.cos(times)
     traj = Trajectory(times=times, sx_q=sig, sx_p=sig.copy())
     m = detect_sync(traj)
@@ -458,7 +458,7 @@ def test_detect_sync_without_defined_late_c_is_indeterminate():
     on, with noise_floor 0: no late c is defined, so the verdict is
     Indeterminate on the grid and on its late span, not one read off an
     earlier, in-phase c.  The probe keeps its peak."""
-    times = default_time_grid(400.0)
+    times = default_time_grid(400.0, 0.05)
     cfg = SyncConfig(noise_floor=0.0)
     sx_p = 0.5 * np.cos(1.1 * times)
     sx_q = np.where(times < cfg.late_window[0] - cfg.window, sx_p, 0.0)
@@ -480,7 +480,7 @@ def test_indeterminate_verdict_keeps_its_peak():
     cfg = SyncConfig()
     sim = simulate(QubitPairParams(omega_p=0.92372881355932202, lam=0.2),
                    PowerLawCutoff(gamma0=0.01, s=0.5, omega_c=20.0),
-                   default_time_grid(400.0))
+                   default_time_grid(400.0, 0.05))
     m = detect_sync(sim.traj, cfg)
     assert m.regime == INDETERMINATE
     assert -cfg.sync_threshold < m.c_ceil < -cfg.nosync_threshold
@@ -489,7 +489,7 @@ def test_indeterminate_verdict_keeps_its_peak():
 
 
 def test_detect_sync_needs_late_window():
-    times = default_time_grid(100.0)
+    times = default_time_grid(100.0, 0.05)
     traj = Trajectory(times=times, sx_q=np.cos(times), sx_p=np.cos(times))
     with pytest.raises(ValueError):
         detect_sync(traj)
@@ -582,7 +582,7 @@ def test_late_span_without_late_centre_raises():
 
 
 def test_late_span_window_longer_than_trajectory():
-    times = default_time_grid(400.0)
+    times = default_time_grid(400.0, 0.05)
     cfg = SyncConfig(window=500.0)
     full, part, span = _span_pair(times, cfg)
     assert span == slice(0, times.size)
@@ -595,7 +595,7 @@ def test_late_span_sparse_windows():
     # late window opens, so the span starts one stride earlier; the last
     # one ends before the late window does, so the span runs on to the
     # first sample past 311.13
-    times = default_time_grid(400.0)
+    times = default_time_grid(400.0, 0.05)
     cfg = SyncConfig(window=2.0, step=1.6, late_window=(201.05, 311.13))
     full, part, span = _span_pair(times, cfg)
     assert span == slice(4000, 6224)
@@ -604,7 +604,7 @@ def test_late_span_sparse_windows():
 
 def test_late_span_late_window_from_start():
     # late window opens before the first window centre (window / 2)
-    times = default_time_grid(100.0)
+    times = default_time_grid(100.0, 0.05)
     cfg = SyncConfig(window=3.0, late_window=(0.5, 60.0))
     full, part, span = _span_pair(times, cfg, gamma0=0.05)
     assert span.start == 0
@@ -614,8 +614,8 @@ def test_late_span_late_window_from_start():
 def test_late_span_default_grids():
     """The scan and sweep defaults evolve 6 240 and 2 250 samples."""
     scan = SyncConfig(late_window=(1600.0, 1910.0))
-    assert late_span(default_time_grid(2000.0), scan) == slice(31980, 38220)
-    assert late_span(default_time_grid(400.0)) == slice(3975, 6225)
+    assert late_span(default_time_grid(2000.0, 0.05), scan) == slice(31980, 38220)
+    assert late_span(default_time_grid(400.0, 0.05)) == slice(3975, 6225)
 
 
 def test_regime_agrees_with_rate_comparison():
@@ -679,7 +679,7 @@ def test_sync_metrics_record_is_json_ready():
     assert len(back["c_values"]) == len(back["c_times"])
 
     # undefined correlations serialize as nulls, not NaN
-    times = default_time_grid(320.0)
+    times = default_time_grid(320.0, 0.05)
     flat = Trajectory(times=times, sx_q=np.zeros_like(times),
                       sx_p=np.zeros_like(times))
     rec = _record(detect_sync(flat))
