@@ -605,10 +605,11 @@ def _write_columns(path: Path, header, *columns) -> None:
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
-        # Python floats format faster than numpy scalars; chunks bound the copies
+        # One % per chunk of Python floats (faster than numpy scalars or a
+        # row at a time); chunks bound the copies
         for i in range(0, len(columns[0]), 65536):
-            for values in zip(*(c[i:i + 65536].tolist() for c in columns)):
-                fh.write(row % values)
+            chunk = np.column_stack([c[i:i + 65536] for c in columns])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +820,11 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
             raise ConfigError("lambdas", "expected a non-empty list of couplings")
         lams = [_check_number(v, f"lambdas[{j}]", _POSITIVE)
                 for j, v in enumerate(raw_lams)]
+        seen = set()
+        for j, lam in enumerate(lams):
+            if lam in seen:
+                raise ConfigError(f"lambdas[{j}]", "duplicate coupling")
+            seen.add(lam)
         method = cfg.get("method", "analytic")
         if method not in ("analytic", "signal"):
             raise ConfigError("method",

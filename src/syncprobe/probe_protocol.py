@@ -304,11 +304,12 @@ def transition_point(params: QubitPairParams,
     """
     eig = diagonalize(params)
     sigma = eig.theta_plus + eig.theta_minus
-    n1 = bose_occupation(eig.E1, params.temperature)
-    n2 = bose_occupation(eig.E2, params.temperature)
+    e1, e2 = float(eig.E1), float(eig.E2)
+    n1 = float(bose_occupation(e1, params.temperature))
+    n2 = float(bose_occupation(e2, params.temperature))
     ratio = float(np.tan(sigma) ** 2 * (1.0 + 2.0 * n2) / (1.0 + 2.0 * n1))
     return TransitionPoint(lam=params.lam, omega_p_bar=params.omega_p,
-                           E1=eig.E1, E2=eig.E2, ratio=ratio, n1=n1, n2=n2,
+                           E1=e1, E2=e2, ratio=ratio, n1=n1, n2=n2,
                            uncertainty=uncertainty)
 
 
@@ -383,14 +384,14 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
     """Locate the regime jump from simulated probe signals alone (each grid
     point replaces params.omega_p).
 
-    Every grid point is forward-simulated from the all-plus product state and
-    fed to the synchronization detector; the jump sits between the last grid
-    point locked on one eigenfrequency branch and the first locked on the
-    other.  Local bisection then tightens the bracket until either it is
-    narrower than config.refine_tol or a midpoint falls in the undecidable
-    band; the midpoint of the final bracket is returned with half its width
-    as the uncertainty.  A lock on the other mode inside a band edge's
-    bracket raises ResolutionError: the labels are not monotone there.
+    Grid points are classified left to right up to the first switch, each
+    simulated from the all-plus product state and fed to the sync detector:
+    the jump sits between the last point locked on one eigenfrequency branch
+    and the first locked on the other.  Bisection then tightens the bracket
+    until it is narrower than config.refine_tol or a midpoint falls in the
+    undecidable band; the midpoint of the final bracket is returned with half
+    its width as the uncertainty.  A lock on the other mode inside a band
+    edge's bracket raises ResolutionError: the labels are not monotone there.
 
     The time grid is cut to its late span once per scan, so every
     classification evolves and correlates only the samples its verdict
@@ -410,19 +411,21 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
         return _classify_point(model, replace(params, omega_p=w), times,
                                sync_cfg, config.kappa)
 
-    labels = np.array([classify(w) for w in grid])
-    decided = np.flatnonzero(labels != 0)
-    if decided.size == 0:
+    locked = []   # (index, label) of each locked grid point, up to a switch
+    for k, w in enumerate(grid):
+        if label := classify(w):
+            locked.append((k, label))
+            if label != locked[0][1]:
+                break
+    if not locked:
         raise NoTransitionError("no grid point shows a locked regime; widen the "
                                 "grid or lengthen the horizon")
-    switches = [(i, j) for i, j in zip(decided[:-1], decided[1:])
-                if labels[i] != labels[j]]
-    if not switches:
+    if locked[-1][1] == locked[0][1]:
         raise NoTransitionError(
-            f"all locked grid points sit on the same branch (mode {labels[decided[0]]}); "
+            f"all locked grid points sit on the same branch (mode {locked[0][1]}); "
             "the scanned range does not contain the jump")
-    i, j = switches[0]
-    band_points = int(j - i - 1)
+    (i, side_lo), (j, side_hi) = locked[-2:]
+    band_points = j - i - 1
     if band_points >= 2:
         raise ResolutionError(
             f"{band_points} consecutive grid points between {grid[i]:g} and "
@@ -430,7 +433,6 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
             "longer simulation horizon to localize the jump")
 
     lo, hi = float(grid[i]), float(grid[j])
-    side_lo, side_hi = int(labels[i]), int(labels[j])
     tol = config.refine_tol
     if band_points == 1:
         u_lo = float(grid[i + 1])

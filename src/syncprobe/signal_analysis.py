@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-# Loaded with this module rather than by the first spectrum: numpy imports
-# np.fft, and np.ma for np.median's NaN check, on first use (about 20 ms).
+# Loaded with this module, not by the first spectrum (np.fft loads lazily).
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 
 from .dynamics import Trajectory, uniform_step
 from .spin_model import SIGMA_PLUS, FieldError, bounded, check_fields
@@ -132,7 +130,8 @@ def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimat
     # spectrum is >= 0, so no peak's prominence exceeds its height: filtering
     # on height=prom (>= floor) keeps exactly the peaks height=floor would,
     # without scanning the prominence of sidelobes that cannot pass.
-    floor = 5.0 * float(np.median(spec))
+    mid = spec.size // 2   # the median of the 2n + 1 bins of a 4n pad
+    floor = 5.0 * float(np.partition(spec, mid)[mid])
     prom = max(floor, 0.05 * float(np.max(spec)))
     idx = _find_peaks(spec, prom)
     peaks = []
@@ -444,9 +443,6 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
                            omega_sync=None, regime=NO_SYNC,
                            window=config.window, below_floor=True)
 
-    est = windowed_fft(g, times, lo, hi)
-    omega = est.peaks[0].frequency if est.peaks else None
-
     vals = c_values[window_mask(c_times, lo, hi)]
     vals = vals[~np.isnan(vals)]
     if vals.size == 0:
@@ -464,8 +460,9 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
             regime = NO_SYNC
         else:
             regime = INDETERMINATE
-    if omega is None or regime == NO_SYNC:
-        omega = None
+    peaks = () if regime == NO_SYNC else windowed_fft(g, times, lo, hi).peaks
+    omega = peaks[0].frequency if peaks else None
+    if omega is None:
         regime = NO_SYNC
     return SyncMetrics(c_times=c_times, c_values=c_values, omega_sync=omega,
                        regime=regime, window=config.window,

@@ -28,21 +28,29 @@ def _load(name):
     return module
 
 
-def test_reconstruct_check_passes_on_an_analytic_reconstruct(tmp_path):
+def _reconstruct_checks(tmp_path, method):
     checks, workloads = _load("checks"), _load("workloads")
     work = workloads.make("reconstruct-signal", 0)
-    work = dataclasses.replace(work, config=dict(work.config,
-                                                 method="analytic"))
+    work = dataclasses.replace(work, config=dict(work.config, method=method))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(work.config))
     out = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["reconstruct", "--config", str(path),
-                         "--out", str(out)]) == 0
+                         "--out", str(out), "--workers", "1"]) == 0
     results, s_err = checks.check_reconstruct(work, out, 0)
     assert len(results) == 3 + work.points
     assert [r for r in results if not r[1]] == []
     assert s_err <= checks.S_TOL
+
+
+def test_reconstruct_check_passes_on_an_analytic_reconstruct(tmp_path):
+    _reconstruct_checks(tmp_path, "analytic")
+
+
+def test_reconstruct_check_passes_on_a_signal_reconstruct(tmp_path):
+    """The workload's own scans, held to the benchmark's uncertainty bound."""
+    _reconstruct_checks(tmp_path, "signal")
 
 
 def test_oracle_agrees_with_the_closed_form_on_a_sweep_point():

@@ -1051,6 +1051,26 @@ def test_reconstruct_failed_write_keeps_previous_constraints(tmp_path,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_write_columns_matches_the_per_row_format(tmp_path):
+    """Each chunk formatted with one % gives the bytes of one '%.17g' row at
+    a time: signed zeros, subnormals, the largest doubles, NaN and inf
+    included, across a chunk boundary."""
+    cells = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+             np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 12345.678]
+    rng = np.random.default_rng(0)
+    columns = [rng.choice(cells, size=65536 + 5) for _ in range(3)]
+    columns[0][:len(cells)] = cells
+    path = tmp_path / "columns.csv"
+    cli._write_columns(path, ("a", "b", "c"), *columns)
+    rows = "".join("%.17g,%.17g,%.17g\n" % (a, b, c)
+                   for a, b, c in zip(*(col.tolist() for col in columns)))
+    text = path.read_text()
+    assert text == "a,b,c\n" + rows
+    assert [line.split(",")[0] for line in text.splitlines()[1:10]] == [
+        "-0", "0", "4.9406564584124654e-324", "-4.9406564584124654e-324",
+        "1e+308", "-1.7976931348623157e+308", "nan", "inf", "-inf"]
+
+
 def test_evolve_failed_write_leaves_no_file(tmp_path, monkeypatch):
     from syncprobe import cli
 
@@ -1142,18 +1162,33 @@ def test_reconstruct_partial_failure_keeps_record_and_exit_code(tmp_path, capsys
 
 
 def test_reconstruct_warns_once_per_failed_coupling(tmp_path, capsys):
-    """A coupling given twice that fails twice is reported twice, as in
-    the record and the count."""
-    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[1, 0.2, 1, 0.3]))
+    """Each failed coupling is reported once, in lambda order, as in the
+    record and the count."""
+    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[1.1, 0.2, 1, 0.3]))
     out = tmp_path / "o"
     assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
-    failure = ("rate ratio does not change sign on [0.5, 1.5] "
-               "(log ratio 3.13 -> 0.774)")
+    failures = {1.0: "rate ratio does not change sign on [0.5, 1.5] "
+                     "(log ratio 3.13 -> 0.774)",
+                1.1: "rate ratio does not change sign on [0.5, 1.5] "
+                     "(log ratio 3.24 -> 0.899)"}
     std = capsys.readouterr()
-    assert std.err == f"warning: lam=1: {failure}\n" * 2
+    assert std.err == "".join(f"warning: lam={lam:g}: {msg}\n"
+                              for lam, msg in failures.items())
     assert std.out.endswith("; 2 coupling(s) failed\n")
     rec = json.loads((out / "reconstruction.json").read_text())
-    assert rec["failures"] == [{"lambda": 1.0, "error": failure}] * 2
+    assert rec["failures"] == [{"lambda": lam, "error": msg}
+                               for lam, msg in failures.items()]
+
+
+def test_reconstruct_rejects_a_duplicate_coupling_before_any_scan(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "collect_constraints", None)   # never reached
+    cfg = _write(tmp_path, _reconstruct_cfg(lambdas=[0.2, 0.3, 0.2],
+                                            method="signal"))
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lambdas[2]: duplicate coupling\n"
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("last_row, message", [
@@ -1204,6 +1239,8 @@ def _header_only(tmp_path):
      [], "temperature: not used with constraints_file"),
     (_header_only, [], "constraints_file: no constraint rows"),
     (lambda d: _reconstruct_cfg(), ["--workers", "0"], "--workers must be >= 1"),
+    (lambda d: _reconstruct_cfg(lambdas=[0.1, 0.2, 0.1]),
+     [], "lambdas[2]: duplicate coupling"),
 ])
 def test_reconstruct_input_errors_name_their_field(tmp_path, capsys, make,
                                                    argv, prefix):
@@ -1240,13 +1277,14 @@ for name, cfg in jobs:
                      str(Path(sys.argv[2]) / name), "--workers", "1"])
     assert code == 0, (name, code)
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m in ("scipy", "numpy.ma")
+                        or m.startswith(("scipy.", "numpy.ma.")))))
 """
 
 
 def test_cli_commands_never_import_scipy(tmp_path):
-    """Every subcommand runs without loading scipy.  A fresh interpreter,
-    since this one has imported scipy for the tests' oracles."""
+    """Every subcommand runs without loading scipy or numpy.ma.  A fresh
+    interpreter, since this one has imported both for the tests' oracles."""
     jobs = [
         ("evolve", _run_cfg()),
         ("spectrum", _run_cfg(windows=[[200.0, 310.0]])),

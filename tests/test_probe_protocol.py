@@ -290,21 +290,21 @@ def test_scan_grid_validation():
 FAKE_GRID = np.array([0.9, 0.95, 1.0, 1.05, 1.1])
 FAKE_SCANS = {
     "clean crossing": ([(1.0123, 2)],
-                       1.01171875, 0.0007812500000000666, 10),
+                       1.01171875, 0.0007812500000000666, 9),
     "band found by bisection": ([(1.01, 2), (1.016, 0)],
-                                1.01328125, 0.0031250000000000444, 13),
+                                1.01328125, 0.0031250000000000444, 12),
     "band on the grid": ([(1.04, 2), (1.06, 0)],
                          1.05, 0.010156249999999867, 15),
     # a mode-1 pocket below the band leaves its lower edge undefined
     "far side below the band": ([(1.005, 2), (1.0075, 1), (1.01, 2),
                                  (1.016, 0)],
                                 "1.00625 locks on mode 1 between labels "
-                                "2 at 1 and 0 at 1.0125", None, 8),
+                                "2 at 1 and 0 at 1.0125", None, 7),
     # a mode-2 pocket above the band leaves its upper edge undefined
     "far side above the band": ([(1.01, 2), (1.016, 0), (1.018, 1),
                                  (1.02, 2)],
                                 "1.01875 locks on mode 2 between labels "
-                                "0 at 1.0125 and 1 at 1.025", None, 11),
+                                "0 at 1.0125 and 1 at 1.025", None, 10),
 }
 
 
@@ -337,6 +337,30 @@ def test_scan_bisection_paths(monkeypatch, case):
         (omega_p_bar, uncertainty, calls)
 
 
+def test_scan_classifies_no_grid_point_past_the_first_switch(monkeypatch):
+    """The clean crossing switches at 1.05: 1.1 is never classified, and a
+    point there that would raise (say, outside a tabulated bath's range)
+    does not fail the scan."""
+    edges, omega_p_bar, uncertainty, calls = FAKE_SCANS["clean crossing"]
+    seen = _fake_classifier(monkeypatch, edges)
+    scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+    assert [p.omega_p for p in seen[:4]] == list(FAKE_GRID[:4])
+    assert max(p.omega_p for p in seen) == 1.05
+
+    classify = probe_protocol._classify_point
+
+    def raising_past_the_switch(model, params, *args):
+        if params.omega_p > 1.06:
+            raise ValueError("omega_p outside the bath's range")
+        return classify(model, params, *args)
+
+    monkeypatch.setattr(probe_protocol, "_classify_point",
+                        raising_past_the_switch)
+    tp = scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+    assert (tp.omega_p_bar, tp.uncertainty, len(seen)) == \
+        (omega_p_bar, uncertainty, 2 * calls)
+
+
 def test_bisect_stops_when_no_double_lies_between():
     """A tolerance below one ulp of the bracket still ends: the bisection
     stops once the midpoint rounds onto an end."""
@@ -367,7 +391,7 @@ def test_scan_passes_the_pair_to_every_classification(monkeypatch):
     tp = scan_transition(QUARTIC, pair, 2.0 * FAKE_GRID)
     assert {replace(p, omega_p=1.0) for p in seen} == \
         {replace(pair, omega_p=1.0)}
-    assert len(seen) == 15
+    assert len(seen) == 14
     assert (tp.lam, tp.omega_p_bar, tp.uncertainty, tp.ratio) == \
         (0.3, 2.02578125, 0.006250000000000089, 1.4984763338547995)
     assert (tp.n1, tp.n2) == (0.0029217165942381, 0.01324736069656609)
@@ -444,6 +468,14 @@ def test_collect_analytic_constraints():
     for tp in pts:
         implied = evaluate_J(QUARTIC, tp.E1) / evaluate_J(QUARTIC, tp.E2)
         assert tp.ratio == pytest.approx(implied, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["analytic", "signal"])
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+def test_transition_points_hold_python_floats(method, temperature):
+    (tp,) = _constraints(QUARTIC, [0.2], QubitPairParams(temperature=temperature),
+                         method=method)
+    assert [type(v) for v in (tp.E1, tp.E2, tp.n1, tp.n2)] == [float] * 4
 
 
 def test_collect_reports_partial_failures():

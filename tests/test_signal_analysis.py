@@ -444,6 +444,26 @@ def test_correlation_blocks_match_per_window_reference(monkeypatch, block):
     assert np.max(np.abs(m.c_values[~nan] - ref_c[~nan])) < 1e-12
 
 
+def test_nosync_verdict_computes_no_spectrum(monkeypatch):
+    """A beating pair is NoSync from its correlations alone: with
+    windowed_fft raising, detect_sync still returns the verdict, extremes
+    and c-trace it always has."""
+    traj = _reference(1.0)[3]
+    whole = detect_sync(traj)
+
+    def no_spectrum(*args):
+        raise AssertionError("a NoSync verdict computed a spectrum")
+
+    monkeypatch.setattr(signal_analysis, "windowed_fft", no_spectrum)
+    m = detect_sync(traj)
+    assert (m.regime, m.omega_sync, m.c_floor, m.c_ceil, m.c_min_abs,
+            m.below_floor, m.window) == (NO_SYNC, None, -0.8557340314636126,
+                                         0.928634724523312, 0.02265862802458881,
+                                         False, 3.0)
+    np.testing.assert_array_equal(m.c_times, whole.c_times)
+    np.testing.assert_array_equal(m.c_values, whole.c_values)
+
+
 def test_detect_sync_dead_signal_is_nosync():
     times = default_time_grid(320.0, 0.05)
     sig = 0.5 * np.exp(-0.12 * times) * np.cos(times)
