@@ -533,11 +533,12 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
 
 
 def _sweep_task(task):
-    """Worker body: one grid point -> (row dict, error string or None)."""
+    """Worker body: one grid point -> (row dict, error string or None).
+    An input error is recorded; any other exception is a bug and propagates."""
     base, names, values, record, times = task
     try:
         return _sweep_point(base, names, values, record, times), None
-    except Exception as exc:                      # recorded, not fatal
+    except ValueError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 

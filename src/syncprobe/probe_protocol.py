@@ -192,8 +192,8 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
     """Probe frequency at which the two total mode rates are equal.
 
     Roots log(rate1/rate2) in omega_p over ``bracket`` (default
-    (0.5, 1.5) * omega_q; params.omega_p is ignored) with Brent's method
-    down to 1e-13 * omega_q, far inside the guaranteed 1e-6 * omega_q.
+    (0.5, 1.5) * omega_q; params.omega_p is ignored) by bisection to
+    adjacent doubles (``_root``), far inside the guaranteed 1e-6 * omega_q.
     ``T=None`` means params.temperature; a number overrides it.  At T=0 both
     rates are pure decay, so the root also satisfies the closed-form
     power-law line s = log(tan^2(theta_+ + theta_-)) / log(E1/E2) when J has
@@ -211,80 +211,29 @@ def predict_transition(model: SpectralDensityModel, params: QubitPairParams,
         return _rate_balance(model, replace(params, omega_p=w), kappa)
 
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0:
+    if np.sign(f_lo) == np.sign(f_hi) != 0:
         raise NoTransitionError(
             f"rate ratio does not change sign on [{lo:g}, {hi:g}] "
             f"(log ratio {f_lo:.3g} -> {f_hi:.3g})")
-    return _brentq(f, lo, hi, xtol=1e-13 * params.omega_q,
-                   ends=(f_lo, f_hi))[0]
+    return _root(f, lo, f_lo, hi, f_hi)
 
 
-_BRENTQ_RTOL = 4 * math.ulp(1.0)
-
-
-def _brentq(f, a: float, b: float, xtol: float,
-            ends: tuple[float, float] | None = None) -> tuple[float, int]:
-    """(root, function count) of ``f`` on [a, b]: scipy's C ``brentq``
-    step for step (rtol 4 eps, 100 iterations), so the root and the count
-    are those of ``scipy.optimize.brentq(f, a, b, xtol=xtol,
-    full_output=True)``.  ``ends`` are f(a) and f(b) when the caller has
-    them already; they count as evaluations.  ValueError when f(a) and f(b)
-    have the same sign or f returns NaN; RuntimeError when 100 iterations
-    do not converge."""
-    def call(x: float, fx: float | None = None) -> float:
-        fx = float(f(x) if fx is None else fx)
+def _root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """A sign change of ``f`` on [lo, hi], given f (or only its sign) at
+    both ends, which must not share a sign: an end where f is 0, else the
+    first midpoint ``_bisect`` hits where f is exactly 0, else the midpoint
+    of its final bracket, whose ends are adjacent doubles.  ValueError
+    where f is NaN."""
+    def sign(x: float, fx: float) -> int:
         if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
+            raise ValueError(f"the function is NaN at {x!r}; it has no sign")
+        return (fx > 0) - (fx < 0)
 
-    xpre, xcur = float(a), float(b)
-    f_a, f_b = ends or (None, None)
-    fpre, fcur = call(xpre, f_a), call(xcur, f_b)
-    nfev = 2
-    if fpre == 0:
-        return xpre, nfev
-    if fcur == 0:
-        return xcur, nfev
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, nfev
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-        nfev += 1
-    raise RuntimeError("Failed to converge after 100 iterations.")
+    s_lo, s_hi = sign(lo, f_lo), sign(hi, f_hi)
+    if s_lo == 0 or s_hi == 0:
+        return lo if s_lo == 0 else hi
+    a, b, zero = _bisect(lambda x: sign(x, f(x)), lo, s_lo, hi, s_hi, 0.0)
+    return 0.5 * (a + b) if zero is None else zero
 
 
 def default_scan_grid(root: float, omega_q: float) -> np.ndarray:
@@ -358,9 +307,10 @@ def _classify_point(model, params, times, sync_cfg, kappa):
 def _bisect(classify, a: float, label_a: int, b: float, label_b: int,
             tol: float) -> tuple[float, float, float | None]:
     """Halve [a, b], labelled label_a and label_b, down to ``tol`` or until
-    no double lies strictly between them; stop early, returning the
-    midpoint as third item, on label 0 (undecidable); raise ResolutionError
-    on the third mode's label (not monotone)."""
+    no double lies strictly between them.  ``classify`` returns a scan's
+    mode label (1 or 2) or the sign of a function (-1 or 1); on 0 (an
+    undecidable point, or an exact zero) stop early, returning the midpoint
+    as third item.  A third label raises ResolutionError (not monotone)."""
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -575,8 +525,8 @@ def collect_constraints(model: SpectralDensityModel, lams,
     crossing; method="analytic" skips simulation and roots the rate balance
     directly.  A coupling fails when it raises a ValueError; the call itself
     raises only for an unknown method, so ``points`` may be empty.  Signal
-    scans run on up to ``workers`` processes (analytic roots take
-    microseconds and stay here).
+    scans run on up to ``workers`` processes (an analytic root takes about
+    2 ms and stays here).
     """
     if method not in ("signal", "analytic"):
         raise ValueError(f"unknown method {method!r}")
@@ -599,6 +549,10 @@ def _cutoff_factor(omega, s, omega_c):
 
 
 def _fit_power_law(constraints, datum, omega_c, diagnostics):
+    """The exponent minimizing the squared log-ratio residuals: in closed
+    form without a cutoff; with one, the root of their gradient, bracketed
+    by doubling around the no-cutoff value and bisected (``_root``) to
+    adjacent doubles.  A datum then pins gamma0."""
     e1 = np.array([c.E1 for c in constraints])
     e2 = np.array([c.E2 for c in constraints])
     l_k = np.log(e1 / e2)
@@ -613,8 +567,8 @@ def _fit_power_law(constraints, datum, omega_c, diagnostics):
         s_fit = s_lin
         diagnostics["method"] = "closed-form"
     else:
-        # Root the gradient of sum(residuals^2) to the last bits, so s does
-        # not depend on a solver tolerance; d/ds log c = -2 log(w) (1 - c).
+        # Root the gradient of sum(residuals^2) to adjacent doubles, so s
+        # depends on no solver tolerance; d/ds log c = -2 log(w) (1 - c).
         def gradient(s):
             c1 = _cutoff_factor(e1, s, omega_c)
             c2 = _cutoff_factor(e2, s, omega_c)
@@ -629,8 +583,8 @@ def _fit_power_law(constraints, datum, omega_c, diagnostics):
         else:
             raise InversionError(f"no exponent in [{lo:.3g}, {hi:.3g}] "
                                  "minimizes the ratio residuals")
-        s_fit, nfev = _brentq(gradient, lo, hi, xtol=1e-300)
-        diagnostics.update(method="brentq", nfev=nfev)
+        s_fit = _root(gradient, lo, -1.0, hi, 1.0)   # the signs found above
+        diagnostics["method"] = "bisection"
     if not s_fit > 0:
         raise InversionError(
             f"ratio constraints imply a non-positive exponent ({s_fit:.3g}); "

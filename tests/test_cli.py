@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncprobe import cli, probe_protocol
+from syncprobe.bath import KAPPA_DEFAULT, PowerLawCutoff, evaluate_J
 from syncprobe.cli import (
     ConfigError,
     main,
@@ -590,6 +591,39 @@ def test_sweep_partial_failure(tmp_path):
     assert summary["failures"] == 4
 
 
+def _sweep_raising(monkeypatch, error):
+    """A sweep whose point at omega_p 1.2 raises ``error``."""
+    point = cli._sweep_point
+
+    def raising(base, names, values, record, times):
+        if values[0] == 1.2:
+            raise error
+        return point(base, names, values, record, times)
+
+    monkeypatch.setattr(cli, "_sweep_point", raising)
+
+
+def test_sweep_records_input_errors(tmp_path, monkeypatch):
+    _sweep_raising(monkeypatch, ValueError("bad point"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(_write(tmp_path, _small_sweep())),
+                 "--out", str(out), "--workers", "1"]) == 1
+    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    assert [r["errors"] for r in rows] == ["", "", "ValueError: bad point",
+                                           "ValueError: bad point"]
+
+
+def test_sweep_propagates_bugs(tmp_path, monkeypatch):
+    """Only input errors become cells: any other exception (a failed
+    convention check, say) stops the sweep and writes no sweep.csv."""
+    _sweep_raising(monkeypatch, RuntimeError("a bug"))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["sweep", "--config", str(_write(tmp_path, _small_sweep())),
+              "--out", str(out), "--workers", "1"])
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_records_non_finite_spectral_density(tmp_path):
     cfg = _small_sweep(axes=[{"name": "s", "values": [1.0, 5000]}])
     out = tmp_path / "out"
@@ -942,6 +976,14 @@ def test_scan_grid_field_errors(tmp_path, capsys, grid, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def test_scan_transition_needs_a_bath(tmp_path, capsys):
+    cfg = _write(tmp_path, {"lambda": 0.2})
+    assert main(["scan-transition", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "error: bath: missing required section\n"
+
+
 def test_scan_transition_no_crossing(tmp_path, capsys):
     cfg = _write(tmp_path, {
         "lambda": 0.2,
@@ -1223,6 +1265,13 @@ def _header_only(tmp_path):
     return {"constraints_file": str(path)}
 
 
+def _without_ratio(tmp_path):
+    path = tmp_path / "constraints.csv"
+    path.write_text(",".join(k for k in cli.TRANSITION_RECORD_KEYS
+                             if k != "ratio") + "\n0.2,1.076,1.26,0.85,0,0,\n")
+    return {"constraints_file": str(path)}
+
+
 @pytest.mark.parametrize("make, argv, prefix", [
     (lambda d: _reconstruct_cfg(fit={"family": "tabulated", "grid": [1.0]}),
      [], "fit.grid: expected a list of >= 2"),
@@ -1241,6 +1290,8 @@ def _header_only(tmp_path):
     (lambda d: _reconstruct_cfg(), ["--workers", "0"], "--workers must be >= 1"),
     (lambda d: _reconstruct_cfg(lambdas=[0.1, 0.2, 0.1]),
      [], "lambdas[2]: duplicate coupling"),
+    (_without_ratio, [], "constraints_file: missing column(s): ratio\n"),
+    (lambda d: {"lambdas": [0.2]}, [], "bath: missing required section\n"),
 ])
 def test_reconstruct_input_errors_name_their_field(tmp_path, capsys, make,
                                                    argv, prefix):
@@ -1250,6 +1301,21 @@ def test_reconstruct_input_errors_name_their_field(tmp_path, capsys, make,
                  *argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {prefix}")
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_reconstruct_compares_gamma0_with_the_truth(tmp_path):
+    """A datum built from the power-law truth pins gamma0 to the truth's."""
+    truth = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)
+    fwhm = KAPPA_DEFAULT * 0.5 * float(evaluate_J(truth, 1.1))
+    cfg = _write(tmp_path, _reconstruct_cfg(
+        lambdas=[0.1, 0.2, 0.3],
+        datum={"fwhm": fwhm, "omega": 1.1, "trig_sq": 0.5}))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
+    comparison = json.loads(
+        (out / "reconstruction.json").read_text())["truth_comparison"]
+    assert comparison["gamma0_truth"] == 0.01
+    assert abs(comparison["gamma0_rel_error"]) <= 1e-9
 
 
 def test_reconstruct_tabulated_on_given_grid(tmp_path):

@@ -156,6 +156,18 @@ def test_analytic_matches_numeric_property(omega_p, lam, T, s, amps):
     assert np.max(np.abs(ta.sx_p - tn.sx_p)) < 1e-12
 
 
+def test_decoupled_bath_keeps_eigenmode_populations():
+    """With gamma0 = 0 every rate vanishes, so the population propagators
+    are the identity at every time (the ``tot == 0`` branch)."""
+    dead = PowerLawCutoff(gamma0=0.0, s=1.0, omega_c=None)
+    _, sim = _setup(1.2, T=0.3, model=dead, times=default_time_grid(60.0, 0.5))
+    rho0 = _random_state(np.random.default_rng(7))
+    states = eigenmode_states(sim.eig, sim.rates, rho0, sim.traj.times)
+    pops = np.real(np.diagonal(states, axis1=1, axis2=2))
+    np.testing.assert_array_equal(pops, np.broadcast_to(
+        np.real(np.diag(rho0)), pops.shape))
+
+
 def test_zero_coupling_gives_unitary_beat():
     dead = PowerLawCutoff(gamma0=0.0, s=1.0, omega_c=None)
     times = default_time_grid(60.0, 0.03)

@@ -361,6 +361,14 @@ def test_scan_classifies_no_grid_point_past_the_first_switch(monkeypatch):
         (omega_p_bar, uncertainty, 2 * calls)
 
 
+def test_scan_with_no_locked_grid_point(monkeypatch):
+    seen = _fake_classifier(monkeypatch, [(2.0, 0)])
+    with pytest.raises(NoTransitionError,
+                       match="no grid point shows a locked regime"):
+        scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+    assert len(seen) == len(FAKE_GRID)
+
+
 def test_bisect_stops_when_no_double_lies_between():
     """A tolerance below one ulp of the bracket still ends: the bisection
     stops once the midpoint rounds onto an end."""
@@ -633,101 +641,121 @@ def test_records_round_trip_json():
     assert restored == fit.model
 
 
-# ------------------------------------------------------------------- _brentq
+# --------------------------------------------------------------------- roots
 
-def _scipy_brentq(f, a, b, xtol):
-    import scipy.optimize
-    root, info = scipy.optimize.brentq(f, a, b, xtol=xtol, full_output=True)
-    return root, info.function_calls
-
-
-def _outcome(solver, *args):
-    """(root, function count), or the type of the error raised."""
-    try:
-        return solver(*args)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
-_ROOT_FAMILIES = [
-    lambda r: lambda x: x - r,
-    lambda r: lambda x: (x - r) ** 3 + 1e-3 * (x - r),
-    lambda r: lambda x: math.tanh(40.0 * (x - r)),
-    lambda r: lambda x: math.exp(x) - math.exp(r),
-    lambda r: lambda x: math.sin(x - r) - 0.1 * (x - r) ** 2,
-]
-
-
-@settings(max_examples=300)
-@given(family=st.integers(0, len(_ROOT_FAMILIES) - 1),
-       root=st.floats(-3.0, 3.0), left=st.floats(1e-3, 1.5),
-       right=st.floats(1e-3, 1.5), xtol=st.sampled_from([1e-13, 1e-300]))
-def test_brentq_port_matches_scipy_bit_for_bit(family, root, left, right, xtol):
-    """The same root and count, or the same error (a root within 1e-285 of
-    0 at xtol 1e-300 exhausts the 100 iterations in both)."""
-    f = _ROOT_FAMILIES[family](root)
-    a, b = root - left, root + right
-    for bracket in ((a, b), (b, a)):
-        assert _outcome(probe_protocol._brentq, f, *bracket, xtol) == \
-            _outcome(_scipy_brentq, f, *bracket, xtol)
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 @settings(max_examples=25)
 @given(lam=st.floats(0.05, 0.5), s=st.floats(0.5, 3.0),
        omega_c=st.one_of(st.none(), st.floats(2.0, 50.0)),
        temperature=st.sampled_from([0.0, 0.3, 1.0]))
-def test_brentq_port_matches_scipy_on_the_rate_balance(lam, s, omega_c,
-                                                       temperature):
+def test_predicted_root_sits_on_a_sign_change(lam, s, omega_c, temperature):
+    """The root is an exact zero of the rate balance or one end of a sign
+    change between adjacent doubles, and agrees with scipy's brentq."""
+    import scipy.optimize
     model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=omega_c)
     pair = QubitPairParams(lam=lam, temperature=temperature)
-
-    def f(w):
-        return probe_protocol._rate_balance(model, replace(pair, omega_p=w), 1.0)
-
-    if f(0.5) * f(1.5) > 0:
-        return
-    for xtol in (1e-13, 1e-300):
-        assert probe_protocol._brentq(f, 0.5, 1.5, xtol) == \
-            _scipy_brentq(f, 0.5, 1.5, xtol)
-
-
-@pytest.mark.parametrize("model, temperature", [
-    (QUARTIC, 0.0), (QUARTIC_PURE, 0.0), (QUARTIC, 1.0), (OHMIC, 0.3)])
-def test_predict_transition_evaluates_each_bracket_end_once(
-        monkeypatch, model, temperature):
-    """The sign check's two values are the solver's first two: the rates
-    are evaluated as often as scipy counts, for scipy's root."""
-    pair = QubitPairParams(lam=0.2, temperature=temperature)
 
     def f(w):
         return probe_protocol._rate_balance(model, replace(pair, omega_p=w),
                                             KAPPA_DEFAULT)
 
-    root, nfev = _scipy_brentq(f, 0.5, 1.5, 1e-13)
-    calls = []
-    rates = probe_protocol.lindblad_rates
+    if _sign(f(0.5)) == _sign(f(1.5)):
+        with pytest.raises(NoTransitionError):
+            predict_transition(model, pair)
+        return
+    root = predict_transition(model, pair)
+    signs = [_sign(f(w)) for w in (np.nextafter(root, 0.0), root,
+                                   np.nextafter(root, 2.0))]
+    assert signs[1] == 0 or signs[0] != signs[1] or signs[1] != signs[2]
+    assert abs(root - scipy.optimize.brentq(f, 0.5, 1.5, xtol=1e-15)) <= 1e-13
+
+
+@pytest.mark.parametrize("model, temperature", [
+    (QUARTIC, 0.0), (QUARTIC_PURE, 0.0), (QUARTIC, 1.0), (OHMIC, 0.3)])
+def test_predict_transition_never_evaluates_a_point_twice(
+        monkeypatch, model, temperature):
+    """The bracket ends are evaluated once, for the sign check and the
+    bisection alike, and each rate evaluation is at a new omega_p."""
+    probed, calls = [], []
+    diag, rates = probe_protocol.diagonalize, probe_protocol.lindblad_rates
+    monkeypatch.setattr(probe_protocol, "diagonalize",
+                        lambda p: probed.append(p.omega_p) or diag(p))
     monkeypatch.setattr(probe_protocol, "lindblad_rates",
                         lambda *a: calls.append(a) or rates(*a))
-    assert predict_transition(model, pair) == root
-    assert len(calls) == nfev
+    predict_transition(model, QubitPairParams(lam=0.2,
+                                              temperature=temperature))
+    assert probed[:2] == [0.5, 1.5]
+    assert len(set(probed)) == len(probed) == len(calls) < 60
 
 
-@pytest.mark.parametrize("f, a, b, error", [
-    (lambda x: 1.0 if x > 0 else -1.0, -1.0, 1.3, RuntimeError),  # 100 steps
-    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),               # one sign
-    (lambda x: 1e-200, 0.0, 1.0, ValueError),    # product underflows to 0
-    (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0, ValueError),
+def _fake_balance(monkeypatch, f):
+    """predict_transition over a made-up rate balance f(omega_p)."""
+    seen = []
+    monkeypatch.setattr(probe_protocol, "_rate_balance",
+                        lambda model, params, kappa:
+                        seen.append(params.omega_p) or f(params.omega_p))
+    return seen
+
+
+@pytest.mark.parametrize("f, root, evaluations", [
+    (lambda w: w - 0.5, 0.5, 2),     # an exact zero at an end is returned
+    (lambda w: 1.5 - w, 1.5, 2),
+    (lambda w: w - 1.0, 1.0, 3),     # ... and at the first midpoint
+    (lambda w: w - 1.0123, 1.0123, None),
 ])
-def test_brentq_port_raises_where_scipy_does(f, a, b, error):
-    with pytest.raises(error):
-        _scipy_brentq(f, a, b, 1e-300)
-    with pytest.raises(error):
-        probe_protocol._brentq(f, a, b, 1e-300)
+def test_root_exact_zeros(monkeypatch, f, root, evaluations):
+    seen = _fake_balance(monkeypatch, f)
+    assert predict_transition(QUARTIC, QubitPairParams()) == root
+    if evaluations is not None:
+        assert len(seen) == evaluations
 
 
-def test_brentq_port_returns_an_exact_zero_at_once():
-    assert probe_protocol._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == \
-        _scipy_brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-13) == (1.0, 2)
+@pytest.mark.parametrize("f, error", [
+    (lambda w: w * w + 1.0, NoTransitionError),      # one sign
+    (lambda w: 1e-200, NoTransitionError),           # product underflows to 0
+    (lambda w: -1e-200 * w, NoTransitionError),
+    (lambda w: math.nan if w > 1.2 else w - 1.3, ValueError),  # NaN at an end
+    (lambda w: math.nan if w > 0.9 else w - 1.3, ValueError),  # ... inside
+    (lambda w: math.nan, ValueError),
+])
+def test_root_refuses_what_has_no_sign_change(monkeypatch, f, error):
+    _fake_balance(monkeypatch, f)
+    with pytest.raises(error):
+        predict_transition(QUARTIC, QubitPairParams())
+
+
+def test_bisect_stops_on_an_exact_zero():
+    """With signs for labels, a midpoint where the function is 0 ends the
+    halving and comes back as the third item."""
+    assert probe_protocol._bisect(lambda x: _sign(x - 1.0), 0.5, -1, 1.5, 1,
+                                  0.0) == (0.5, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_cutoff_fit_gradient_changes_sign_next_to_s(monkeypatch, noise):
+    """The fitted exponent is an exact zero of the gradient of the squared
+    residuals, or one end of its sign change between adjacent doubles."""
+    pts = _constraints(QUARTIC, [0.1, 0.15, 0.2, 0.25, 0.3],
+                       method="analytic")
+    pts = [replace(c, ratio=c.ratio * np.exp(noise * (-1) ** k))
+           for k, c in enumerate(pts)]
+    signs = []
+    bisect = probe_protocol._bisect
+
+    def spy(classify, *args):
+        signs.append(classify)
+        return bisect(classify, *args)
+
+    monkeypatch.setattr(probe_protocol, "_bisect", spy)
+    fit = fit_spectral_density(pts, omega_c=20.0)
+    assert fit.diagnostics == {"n_constraints": 5, "method": "bisection"}
+    (sign,) = signs
+    around = [sign(s) for s in (np.nextafter(fit.s, 0.0), fit.s,
+                                np.nextafter(fit.s, 10.0))]
+    assert around[1] == 0 or around[0] != around[1] or around[1] != around[2]
 
 
 def test_simulate_memory_per_sample():
