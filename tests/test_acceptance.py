@@ -372,45 +372,50 @@ def test_criterion_11_temperature_ladder():
         assert hot.regime == "NoSync" and hot.below_floor
 
 
+# Every artifact-producing command once, each job under its command name
+# (a "-signal" suffix runs the same command); criterion 12 and the digest
+# pin in test_artifact_digests.py both run these.
+_OHMIC_CFG = {"kind": "power-law", "gamma0": 0.01, "s": 1.0,
+              "omega_c": 20.0}
+_BASE = {"params": {"omega_p": 1.2, "lambda": 0.2},
+         "bath": _OHMIC_CFG,
+         "time_grid": {"t_max": 400.0, "dt": 0.05}}
+BYTE_JOBS = {
+    "evolve": dict(_BASE),
+    "spectrum": dict(_BASE, windows=[[0.0, 110.0], [200.0, 310.0]]),
+    "sweep": {
+        "base": dict(_BASE),
+        "axes": [{"name": "omega_p", "values": [0.8, 1.2]},
+                 {"name": "lambda", "values": [0.15, 0.25]}],
+        "record": ["c", "omega_sync", "regime"],
+    },
+    "scan-transition": {
+        "lambda": 0.2, "bath": _OHMIC_CFG,
+        "grid": {"lo": 0.93, "hi": 1.07, "steps": 5},
+    },
+    "reconstruct": {
+        "bath": {"kind": "power-law", "gamma0": 0.01, "s": 2.0,
+                 "omega_c": 20.0},
+        "lambdas": LAMS, "method": "analytic",
+        "fit": {"family": "power-law", "omega_c": 20.0},
+    },
+    # lam = 1 has no crossing in the bracket: exit 1, one warning
+    "reconstruct-signal": {
+        "bath": {"kind": "power-law", "gamma0": 0.01, "s": 2.0,
+                 "omega_c": 20.0},
+        "lambdas": [1.0] + LAMS, "method": "signal",
+        "fit": {"family": "power-law", "omega_c": 20.0},
+    },
+}
+
+
 def test_criterion_12_byte_determinism(tmp_path, capsys):
     with criterion(12, "repeated runs of every artifact-producing command "
                        "are byte-identical"):
-        ohmic_cfg = {"kind": "power-law", "gamma0": 0.01, "s": 1.0,
-                     "omega_c": 20.0}
-        base = {"params": {"omega_p": 1.2, "lambda": 0.2},
-                "bath": ohmic_cfg,
-                "time_grid": {"t_max": 400.0, "dt": 0.05}}
-        jobs = {
-            "evolve": dict(base),
-            "spectrum": dict(base, windows=[[0.0, 110.0], [200.0, 310.0]]),
-            "sweep": {
-                "base": dict(base),
-                "axes": [{"name": "omega_p", "values": [0.8, 1.2]},
-                         {"name": "lambda", "values": [0.15, 0.25]}],
-                "record": ["c", "omega_sync", "regime"],
-            },
-            "scan-transition": {
-                "lambda": 0.2, "bath": ohmic_cfg,
-                "grid": {"lo": 0.93, "hi": 1.07, "steps": 5},
-            },
-            "reconstruct": {
-                "bath": {"kind": "power-law", "gamma0": 0.01, "s": 2.0,
-                         "omega_c": 20.0},
-                "lambdas": LAMS, "method": "analytic",
-                "fit": {"family": "power-law", "omega_c": 20.0},
-            },
-            # lam = 1 has no crossing in the bracket: exit 1, one warning
-            "reconstruct-signal": {
-                "bath": {"kind": "power-law", "gamma0": 0.01, "s": 2.0,
-                         "omega_c": 20.0},
-                "lambdas": [1.0] + LAMS, "method": "signal",
-                "fit": {"family": "power-law", "omega_c": 20.0},
-            },
-        }
         expected_warnings = {"reconstruct-signal": [
             "warning: lam=1: rate ratio does not change sign on [0.5, 1.5] "
             "(log ratio 3.13 -> 0.774)"]}
-        for name, cfg in jobs.items():
+        for name, cfg in BYTE_JOBS.items():
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(cfg))
             outs = []
