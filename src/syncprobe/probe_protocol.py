@@ -363,7 +363,7 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
 
     locked = []   # (index, label) of each locked grid point, up to a switch
     for k, w in enumerate(grid):
-        if label := classify(w):
+        if label := classify(float(w)):
             locked.append((k, label))
             if label != locked[0][1]:
                 break

@@ -45,6 +45,11 @@ def test_power_law_frozen_values():
     assert np.isclose(evaluate_J(nc, 1.7), J_NC_S2_17, rtol=1e-13)
 
 
+def test_evaluate_J_rejects_a_negative_frequency():
+    with pytest.raises(ValueError, match="^omega must be >= 0$"):
+        evaluate_J(PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0), -0.5)
+
+
 def test_power_law_array_matches_scalar():
     m = PowerLawCutoff(gamma0=0.05, s=1.5, omega_c=8.0)
     ws = np.linspace(0.0, 12.0, 37)

@@ -437,6 +437,12 @@ def test_state_validation():
     validate_density_matrix(plus_plus_state())
 
 
+def test_state_validation_eigenvalue_floor_is_1e_10():
+    """A -1e-9 eigenvalue is a broken state, not rounding."""
+    with pytest.raises(StateValidationError, match="negative eigenvalue -1e-09"):
+        validate_density_matrix(np.diag([0.5 + 1e-9, 0.5, 0.0, -1e-9]))
+
+
 def _trajectory_csv(traj, tmp_path) -> str:
     """The text of the CLI's trajectory.csv for ``traj``."""
     path = tmp_path / "trajectory.csv"

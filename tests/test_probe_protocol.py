@@ -133,6 +133,12 @@ def test_no_crossing_in_bracket_raises():
         predict_transition(OHMIC, QubitPairParams(lam=0.2), bracket=(1.2, 1.4))
 
 
+def test_reversed_bracket_raises():
+    with pytest.raises(ValueError, match=r"^bracket must satisfy 0 < lo < hi, "
+                                         r"got \(1.2, 1.1\)$"):
+        predict_transition(OHMIC, QubitPairParams(lam=0.2), bracket=(1.2, 1.1))
+
+
 def test_dark_mode_raises():
     # lam=0 leaves mode 2 uncoupled from the observable channel: no crossing.
     with pytest.raises(NoTransitionError):
@@ -405,6 +411,23 @@ def test_scan_passes_the_pair_to_every_classification(monkeypatch):
     assert (tp.n1, tp.n2) == (0.0029217165942381, 0.01324736069656609)
 
 
+def test_two_undecidable_grid_points_raise_resolution_error(monkeypatch):
+    labels = dict(zip([0.9, 1.0, 1.1, 1.2], [1, 0, 0, 2]))
+    monkeypatch.setattr(probe_protocol, "_classify_point",
+                        lambda model, params, *rest: labels[params.omega_p])
+    with pytest.raises(ResolutionError, match="^2 consecutive grid points "
+                                              "between 0.9 and 1.2"):
+        scan_transition(QUARTIC, QubitPairParams(lam=0.2), list(labels))
+
+
+def test_scan_classifies_python_floats(monkeypatch):
+    """Grid points reach the classifier as the float that QubitPairParams
+    declares, like the bisection's midpoints, not as numpy scalars."""
+    seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
+    scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
+    assert {type(p.omega_p) for p in seen} == {float}
+
+
 def _fake_spectrum(peak_freqs):
     peaks = [Peak(frequency=f, height=h)
              for f, h in zip(peak_freqs, (1.0, 0.8, 0.5))]
@@ -428,6 +451,16 @@ def test_inversion_uncoupled_pair():
 def test_inversion_inconsistent_pair():
     with pytest.raises(InversionError):
         infer_system_params(_fake_spectrum([1.0, 0.9]), 3.0)
+
+
+@pytest.mark.parametrize("count, omega_ps, message", [
+    (1, [1.2, 0.8], "need one omega_p per spectrum"),
+    (0, [], "need at least one spectrum"),
+])
+def test_inversion_needs_matched_inputs(count, omega_ps, message):
+    spectra = [_fake_spectrum([1.341641, 0.894427])] * count
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        infer_system_params(spectra, omega_ps)
 
 
 def test_inversion_needs_two_peaks():
@@ -624,6 +657,19 @@ def test_tabulated_fit_rank_errors():
     with pytest.raises(ValueError):
         fit_spectral_density(pts, family="tabulated", datum=datum,
                              grid=np.array([0.7, 0.75, 0.78]))
+    with pytest.raises(ValueError, match="^grid must be a 1-d array with at "
+                                         "least 2 nodes$"):
+        fit_spectral_density(pts, family="tabulated", datum=datum,
+                             grid=np.array([1.0]))
+    with pytest.raises(ValueError, match="^grid must be positive and strictly "
+                                         "increasing$"):
+        fit_spectral_density(pts, family="tabulated", datum=datum,
+                             grid=np.array([0.5, 2.0, 1.0, 3.0]))
+
+
+def test_collect_constraints_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="^unknown method 'x'$"):
+        collect_constraints(QUARTIC, [0.2], method="x")
 
 
 def test_records_round_trip_json():

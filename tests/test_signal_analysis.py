@@ -515,6 +515,13 @@ def test_detect_sync_needs_late_window():
         detect_sync(traj)
 
 
+def test_window_mask_edge_tolerance_is_1e_12():
+    """A sample 5e-13 past either edge is in the window, 1e-10 past is out."""
+    times = np.array([1.0 - 1e-10, 1.0 - 5e-13, 1.5, 2.0 + 5e-13, 2.0 + 1e-10])
+    assert signal_analysis.window_mask(times, 1.0, 2.0).tolist() == \
+        [False, True, True, True, False]
+
+
 # ------------------------------------------------------------------- late_span
 
 def _span_pair(times, cfg, omega_p=1.1, gamma0=0.01, lam=0.2):
