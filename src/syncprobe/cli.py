@@ -99,10 +99,46 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _expect_mapping(value, path: str) -> dict:
+def _expect_mapping(value, path: str, required=()) -> dict:
+    """``value`` if it is a JSON object holding each ``required`` section."""
     if not isinstance(value, dict):
-        raise ConfigError(path, "expected a JSON object")
+        raise ConfigError(path or "config", "expected a JSON object")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              "missing required section")
     return value
+
+
+def _one_of(value, path: str, choices) -> str:
+    """``value`` if it is one of the names ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(path, f"must be one of {', '.join(choices)}, "
+                                f"got {value!r}")
+    return value
+
+
+def _items(value, path: str, what: str, least: int = 1,
+           most: int | None = None) -> list:
+    """``value`` if it is a JSON list of ``least`` to ``most`` (None: any
+    number of) entries, ``what`` naming them."""
+    if not (isinstance(value, list)
+            and least <= len(value) <= (most or len(value))):
+        size = ("non-empty list of" if (least, most) == (1, None)
+                else f"list of >= {least}" if most is None
+                else f"list of {least}" if least == most
+                else f"list of {least} to {most}")
+        raise ConfigError(path, f"expected a {size} {what}")
+    return value
+
+
+def _distinct(keys, path: str, what: str) -> None:
+    """Raise if an entry of the list at ``path`` repeats an earlier one's key."""
+    first = {}
+    for j, key in enumerate(keys):
+        if (i := first.setdefault(key, j)) != j:
+            raise ConfigError(f"{path}[{j}]", f"duplicate {what} {key!r} "
+                                              f"(first at {path}[{i}])")
 
 
 def _is_number(v) -> bool:
@@ -130,7 +166,7 @@ def _section(cfg, path: str, spec: dict, extra=()) -> dict:
     the section's other keys, which the caller parses; any further key is
     an error.
     """
-    cfg = _expect_mapping(cfg, path or "config")
+    cfg = _expect_mapping(cfg, path)
     unknown = sorted(set(cfg) - set(spec) - set(extra))
     if unknown:
         raise ConfigError(path or "config", f"unknown key(s): {', '.join(unknown)}")
@@ -185,12 +221,9 @@ def _defaults(fn) -> dict:
 
 
 def _pair(value, path: str) -> tuple[float, float]:
-    ok = (isinstance(value, (list, tuple)) and len(value) == 2
-          and all(_is_number(x) for x in value))
-    if not ok:
-        raise ConfigError(path, "expected a [start, end] pair of numbers")
-    a, b = float(value[0]), float(value[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or not 0.0 <= a < b:
+    a, b = (_check_number(x, path)
+            for x in _items(value, path, "numbers [start, end]", 2, 2))
+    if not 0.0 <= a < b:
         raise ConfigError(path, f"need 0 <= start < end, got [{a:g}, {b:g}]")
     return a, b
 
@@ -245,6 +278,7 @@ INITIAL_STATES = {
 }
 
 _CHANNELS = ("probe", "qubit")
+_FAMILIES = ("power-law", "tabulated")     # bath kinds, and fit families
 _SPECTRUM_FILE = "spectrum_{:g}-{:g}.csv"   # the file of one spectrum window
 
 
@@ -271,20 +305,17 @@ class RunConfig:
 
 def _bath_from_config(cfg) -> SpectralDensityModel:
     """A power-law bath, or a tabulated one from its [omega, J] points."""
-    kind = _expect_mapping(cfg, "bath").get("kind")
+    kind = _one_of(_expect_mapping(cfg, "bath").get("kind"), "bath.kind",
+                   _FAMILIES)
     if kind == "power-law":
         return _build(PowerLawCutoff, _section(
             cfg, "bath", _spec(PowerLawCutoff), extra=("kind",)), "bath")
-    if kind != "tabulated":
-        raise ConfigError("bath.kind",
-                          f"must be power-law or tabulated, got {kind!r}")
     _section(cfg, "bath", {}, extra=("kind", "points"))
-    points = cfg.get("points")
-    if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in points):
-        raise ConfigError("bath.points", "expected a list of [omega, J] pairs")
-    pts = np.array([[_check_number(x, f"bath.points[{i}]") for x in p]
-                    for i, p in enumerate(points)]).reshape(-1, 2)
+    pts = np.array([
+        [_check_number(x, f"bath.points[{i}]")
+         for x in _items(p, f"bath.points[{i}]", "numbers [omega, J]", 2, 2)]
+        for i, p in enumerate(_items(cfg.get("points"), "bath.points",
+                                     "[omega, J] pairs"))])
     try:
         return Tabulated(omegas=pts[:, 0], js=pts[:, 1])
     except ValueError as exc:
@@ -292,39 +323,31 @@ def _bath_from_config(cfg) -> SpectralDensityModel:
 
 
 def _complex_entry(value, path: str) -> complex:
-    if _is_number(value):
-        z = complex(value)
-    elif (isinstance(value, list) and len(value) == 2
-            and all(_is_number(x) for x in value)):
-        z = complex(value[0], value[1])
-    else:
-        raise ConfigError(path, "entries must be numbers or [re, im] pairs")
-    if not np.isfinite(z):
-        raise ConfigError(path, f"entries must be finite, got {value!r}")
-    return z
+    """A number, or an [re, im] pair of numbers."""
+    parts = [value] if _is_number(value) else _items(
+        value, path, "numbers [re, im], or a number", 2, 2)
+    return complex(*(_check_number(x, path) for x in parts))
 
 
 def _initial_from_config(value):
     """Preset name, 4-entry state vector, or 4x4 density matrix."""
     if isinstance(value, str):
-        if value not in INITIAL_STATES:
-            raise ConfigError("initial_state",
-                              f"unknown state preset {value!r}; available: "
-                              + ", ".join(sorted(INITIAL_STATES)))
-        return value
-    if not isinstance(value, list) or len(value) != 4:
-        raise ConfigError("initial_state",
-                          "expected a preset name, a 4-entry state vector, "
-                          "or a 4x4 density matrix")
-    if all(isinstance(row, list) and len(row) == 4 for row in value):
-        rho = np.array([[_complex_entry(x, "initial_state") for x in row]
-                        for row in value])
+        return _one_of(value, "initial_state", INITIAL_STATES)
+    rows = _items(value, "initial_state", "state vector entries or density "
+                  "matrix rows, or a preset name", 4, 4)
+    # a density matrix row has 4 entries, an [re, im] entry 2
+    if isinstance(rows[0], list) and len(rows[0]) == 4:
+        rho = np.array([[_complex_entry(x, f"initial_state[{i}][{k}]")
+                         for k, x in enumerate(_items(
+                             row, f"initial_state[{i}]", "entries", 4, 4))]
+                        for i, row in enumerate(rows)])
         try:
             validate_density_matrix(rho)
         except StateValidationError as exc:
             raise ConfigError("initial_state", str(exc))
         return rho
-    vec = np.array([_complex_entry(x, "initial_state") for x in value])
+    vec = np.array([_complex_entry(x, f"initial_state[{i}]")
+                    for i, x in enumerate(rows)])
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         raise ConfigError("initial_state", "state vector has zero norm")
@@ -343,9 +366,7 @@ def parse_run_config(cfg) -> RunConfig:
     top = _section(cfg, "", _spec(RunConfig, "kappa"),
                    extra=("params", "bath", "initial_state", "time_grid",
                           "analysis", "channel", "windows"))
-    for key in ("params", "bath"):
-        if key not in cfg:
-            raise ConfigError(key, "missing required section")
+    _expect_mapping(cfg, "", required=("params", "bath"))
     params = _build(QubitPairParams, _section(
         cfg["params"], "params", _spec(QubitPairParams, required=("omega_p",))),
         "params")
@@ -354,26 +375,17 @@ def parse_run_config(cfg) -> RunConfig:
                     _spec(RunConfig, "t_max", "dt"))
     times = _time_grid(grid["t_max"], grid["dt"], "time_grid")
 
-    channel = cfg.get("channel", defaults["channel"])
-    if channel not in _CHANNELS:
-        raise ConfigError("channel", f"must be one of {', '.join(_CHANNELS)}, "
-                                     f"got {channel!r}")
+    channel = _one_of(cfg.get("channel", defaults["channel"]), "channel",
+                      _CHANNELS)
 
     windows = None
     if cfg.get("windows") is not None:
-        raw = cfg["windows"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("windows", "expected a non-empty list of "
-                                         "[t_start, t_end] pairs")
-        pairs, files = [], {}
-        for i, w in enumerate(raw):
-            pairs.append(_pair(w, f"windows[{i}]"))
-            _checked(f"windows[{i}]", check_window, times, *pairs[-1])
-            name = _SPECTRUM_FILE.format(*pairs[-1])
-            if files.setdefault(name, i) != i:
-                raise ConfigError(f"windows[{i}]", f"writes the same file as "
-                                  f"windows[{files[name]}] ({name})")
-        windows = tuple(pairs)
+        windows = tuple(_pair(w, f"windows[{i}]") for i, w in enumerate(
+            _items(cfg["windows"], "windows", "[t_start, t_end] pairs")))
+        for i, w in enumerate(windows):
+            _checked(f"windows[{i}]", check_window, times, *w)
+        _distinct((_SPECTRUM_FILE.format(*w) for w in windows), "windows",
+                  "file name")
 
     initial_state = _initial_from_config(
         cfg.get("initial_state", defaults["initial_state"]))
@@ -426,19 +438,15 @@ class SweepSpec:
 
 def _axis_from_config(cfg, i: int) -> SweepAxis:
     path = f"axes[{i}]"
-    name = _expect_mapping(cfg, path).get("name")
-    if name not in _AXES:
-        raise ConfigError(f"{path}.name",
-                          f"must be one of {', '.join(_AXES)}, got {name!r}")
+    name = _one_of(_expect_mapping(cfg, path).get("name"), f"{path}.name",
+                   _AXES)
     _, cls, attr = _AXES[name]
     b = field_bounds(cls)[attr]
     if "values" in cfg:
         _section(cfg, path, {}, extra=("name", "values"))
-        raw = cfg["values"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}.values", "expected a non-empty list")
         values = tuple(_check_number(v, f"{path}.values[{j}]", b)
-                       for j, v in enumerate(raw))
+                       for j, v in enumerate(_items(
+                           cfg["values"], f"{path}.values", "numbers")))
         return SweepAxis(name, values, {"name": name, "values": list(values)})
     lo, hi, steps = _range(cfg, path, b.minimum, b.strict, extra=("name",))
     values = tuple(float(v) for v in np.linspace(lo, hi, steps))
@@ -447,21 +455,16 @@ def _axis_from_config(cfg, i: int) -> SweepAxis:
 
 def parse_sweep_spec(cfg) -> SweepSpec:
     _section(cfg, "", {}, extra=("base", "axes", "record"))
-    if "base" not in cfg:
-        raise ConfigError("base", "missing required section")
+    _expect_mapping(cfg, "", required=("base",))
     try:
         base = parse_run_config(cfg["base"])
     except ConfigError as exc:
         raise ConfigError(f"base.{exc.field}", exc.message)
 
-    raw_axes = cfg.get("axes")
-    if not isinstance(raw_axes, list) or not 1 <= len(raw_axes) <= 2:
-        raise ConfigError("axes", "expected a list of 1 or 2 axis objects")
-    axes = tuple(_axis_from_config(a, i) for i, a in enumerate(raw_axes))
+    axes = tuple(_axis_from_config(a, i) for i, a in enumerate(
+        _items(cfg.get("axes"), "axes", "axis objects", 1, 2)))
     names = [a.name for a in axes]
-    if len(set(names)) != len(names):
-        raise ConfigError("axes", f"duplicate axis name {names[0]!r}"
-                          if names[0] == names[-1] else "duplicate axis names")
+    _distinct(names, "axes", "axis name")
     if "s" in names and not isinstance(base.bath, PowerLawCutoff):
         raise ConfigError("axes", "an s axis needs a power-law bath in base")
     points = math.prod(len(a.values) for a in axes)
@@ -469,18 +472,10 @@ def parse_sweep_spec(cfg) -> SweepSpec:
         raise ConfigError("axes", f"{points} grid points, more than "
                                   f"{_MAX_GRID_POINTS}")
 
-    raw_rec = cfg.get("record")
-    if not isinstance(raw_rec, list) or not raw_rec:
-        raise ConfigError("record", "expected a non-empty list of quantities")
-    seen = set()
-    for q in raw_rec:
-        if q not in _RECORDABLE:
-            raise ConfigError("record", f"unknown quantity {q!r}; available: "
-                              + ", ".join(_RECORDABLE))
-        if q in seen:
-            raise ConfigError("record", f"duplicate quantity {q!r}")
-        seen.add(q)
-    return SweepSpec(base=base, axes=axes, record=tuple(raw_rec))
+    record = tuple(_one_of(q, f"record[{j}]", _RECORDABLE) for j, q in
+                   enumerate(_items(cfg.get("record"), "record", "quantities")))
+    _distinct(record, "record", "quantity")
+    return SweepSpec(base=base, axes=axes, record=record)
 
 
 def sweep_spec_to_dict(spec: SweepSpec) -> dict:
@@ -695,8 +690,7 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     pair = _spec(QubitPairParams, "omega_q", "temperature")
     pair[json_name("lam")] = _POSITIVE     # a scan needs a coupling
     echo = _section(cfg, "", pair, extra=("bath", "grid", "scan"))
-    if "bath" not in cfg:
-        raise ConfigError("bath", "missing required section")
+    _expect_mapping(cfg, "", required=("bath",))
     model = _bath_from_config(cfg["bath"])
     scan_cfg = _scan_config_from(cfg.get("scan"))
 
@@ -791,16 +785,12 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         extra=("family", "grid"))
     # echo the cutoff the fit uses: one too large to matter is none
     fit["omega_c"] = normalize_cutoff(fit["omega_c"])
-    family = raw_fit.get("family", defaults["family"])
-    if family not in ("power-law", "tabulated"):
-        raise ConfigError("fit.family",
-                          f"must be power-law or tabulated, got {family!r}")
+    family = _one_of(raw_fit.get("family", defaults["family"]), "fit.family",
+                     _FAMILIES)
     grid = raw_fit.get("grid")
     if grid is not None:
-        if not isinstance(grid, list) or len(grid) < 2:
-            raise ConfigError("fit.grid", "expected a list of >= 2 frequencies")
-        grid = [_check_number(v, f"fit.grid[{j}]", _POSITIVE)
-                for j, v in enumerate(grid)]
+        grid = [_check_number(v, f"fit.grid[{j}]", _POSITIVE) for j, v in
+                enumerate(_items(grid, "fit.grid", "frequencies", 2))]
     fit.update(family=family, grid=grid)
     datum = cfg.get("datum")
     if datum is not None:
@@ -813,23 +803,13 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         constraints = _constraints_from_csv(Path(cfg["constraints_file"]))
         echo["constraints_file"] = str(cfg["constraints_file"])
     else:
-        if "bath" not in cfg:
-            raise ConfigError("bath", "missing required section")
-        truth = _bath_from_config(cfg["bath"])
-        raw_lams = cfg.get("lambdas")
-        if not isinstance(raw_lams, list) or not raw_lams:
-            raise ConfigError("lambdas", "expected a non-empty list of couplings")
-        lams = [_check_number(v, f"lambdas[{j}]", _POSITIVE)
-                for j, v in enumerate(raw_lams)]
-        seen = set()
-        for j, lam in enumerate(lams):
-            if lam in seen:
-                raise ConfigError(f"lambdas[{j}]", "duplicate coupling")
-            seen.add(lam)
-        method = cfg.get("method", "analytic")
-        if method not in ("analytic", "signal"):
-            raise ConfigError("method",
-                              f"must be analytic or signal, got {method!r}")
+        truth = _bath_from_config(
+            _expect_mapping(cfg, "", required=("bath",))["bath"])
+        lams = [_check_number(v, f"lambdas[{j}]", _POSITIVE) for j, v in
+                enumerate(_items(cfg.get("lambdas"), "lambdas", "couplings"))]
+        _distinct(lams, "lambdas", "coupling")
+        method = _one_of(cfg.get("method", "analytic"), "method",
+                         ("analytic", "signal"))
         scan_cfg = _scan_config_from(cfg.get("scan"))
         constraints, failures = collect_constraints(
             truth, lams, _build(QubitPairParams, pair, omega_p=pair["omega_q"]),

@@ -391,7 +391,7 @@ _TABLE = {"kind": "tabulated", "points": [[0.5, 0.01], [1.0, 0.02]]}
     pytest.param(dict(OHMIC, extra=1), "bath: unknown key(s): extra",
                  id="unknown-key"),
     pytest.param({"kind": "lorentzian", "gamma0": 0.1},
-                 "bath.kind: must be power-law or tabulated, got 'lorentzian'",
+                 "bath.kind: must be one of power-law, tabulated, got 'lorentzian'",
                  id="unknown-kind"),
     pytest.param(dict(_TABLE, points=[[1.0, 0.1]]),
                  "bath.points: need matching 1-d grids with at least 2 points",
@@ -405,6 +405,82 @@ def test_bath_errors_name_their_field(tmp_path, capsys, bath, message):
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+_MATRIX = [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]]
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    pytest.param("evolve", _run_cfg(params=3),
+                 "params: expected a JSON object", id="section-not-object"),
+    pytest.param("evolve", _without(_run_cfg(), "params"),
+                 "params: missing required section", id="no-params"),
+    pytest.param("evolve", _run_cfg(analysis={"late_window": [200.0]}),
+                 "analysis.late_window: expected a list of 2 numbers "
+                 "[start, end]", id="late-window-malformed"),
+    pytest.param("evolve", _run_cfg(analysis={"late_window": [310.0, 200.0]}),
+                 "analysis.late_window: need 0 <= start < end, got [310, 200]",
+                 id="late-window-reversed"),
+    pytest.param("evolve", _run_cfg(bath=dict(_TABLE, points=[[0.5, 0.01],
+                                                              [1.0]])),
+                 "bath.points[1]: expected a list of 2 numbers [omega, J]",
+                 id="points-entry-malformed"),
+    pytest.param("evolve", _run_cfg(initial_state=[1, "x", 0, 0]),
+                 "initial_state[1]: expected a list of 2 numbers [re, im], "
+                 "or a number", id="state-entry-malformed"),
+    pytest.param("evolve", _run_cfg(initial_state=[1, 0, 0]),
+                 "initial_state: expected a list of 4 state vector entries or "
+                 "density matrix rows, or a preset name", id="state-3-entries"),
+    pytest.param("evolve", _run_cfg(initial_state=[0, [0, 0], 0, 0]),
+                 "initial_state: state vector has zero norm", id="state-zero"),
+    pytest.param("evolve", _run_cfg(initial_state=_MATRIX),
+                 "initial_state[3]: expected a list of 4 entries",
+                 id="matrix-row-malformed"),
+    pytest.param("evolve", _run_cfg(initial_state="ground"),
+                 "initial_state: must be one of plus-plus, mixed, got 'ground'",
+                 id="state-preset-unknown"),
+    pytest.param("spectrum", _run_cfg(windows=[]),
+                 "windows: expected a non-empty list of [t_start, t_end] pairs",
+                 id="windows-empty"),
+    pytest.param("sweep", _without(_sweep_cfg(), "base"),
+                 "base: missing required section", id="no-base"),
+    pytest.param("sweep", _sweep_cfg(record=["c", "regime", "c"]),
+                 "record[2]: duplicate quantity 'c' (first at record[0])",
+                 id="record-repeated"),
+    pytest.param("sweep", _sweep_cfg(record=["c", "entropy"]),
+                 "record[1]: must be one of c, omega_sync, regime, mi, "
+                 "correlator, below_floor, got 'entropy'", id="record-unknown"),
+    pytest.param("sweep", _sweep_cfg(axes=[{"name": "T", "values": [0.0]},
+                                           {"name": "T", "values": [1.0]}]),
+                 "axes[1]: duplicate axis name 'T' (first at axes[0])",
+                 id="axes-repeated"),
+    pytest.param("sweep", _sweep_cfg(axes=[{"name": ["T"], "values": [0.0]}]),
+                 "axes[0].name: must be one of omega_p, lambda, s, T, "
+                 "got ['T']", id="axis-name-a-list"),
+    pytest.param("sweep", _sweep_cfg(axes=[{"name": "T", "values": 0.5}]),
+                 "axes[0].values: expected a non-empty list of numbers",
+                 id="axis-values-not-a-list"),
+])
+def test_config_shape_errors_name_their_field(tmp_path, capsys, command, cfg,
+                                              message):
+    """Each shape (object, required section, list, choice, distinct entries)
+    is checked by one reader, whose message names the field and entry."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_config_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["evolve", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config: cannot read {tmp_path}: ")
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -703,8 +779,8 @@ def test_spectrum_file_name_collision_rejected(tmp_path, capsys, windows):
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
     j = len(windows) - 1
     assert capsys.readouterr().err == (
-        f"error: windows[{j}]: writes the same file as windows[0] "
-        "(spectrum_0-110.csv)\n")
+        f"error: windows[{j}]: duplicate file name 'spectrum_0-110.csv' "
+        "(first at windows[0])\n")
     assert not list(out.iterdir())
 
 
@@ -1229,7 +1305,8 @@ def test_reconstruct_rejects_a_duplicate_coupling_before_any_scan(
                                             method="signal"))
     out = tmp_path / "o"
     assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: lambdas[2]: duplicate coupling\n"
+    assert capsys.readouterr().err == \
+        "error: lambdas[2]: duplicate coupling 0.2 (first at lambdas[0])\n"
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -1279,9 +1356,9 @@ def _without_ratio(tmp_path):
                                      "grid": [1.0, -0.5]}),
      [], "fit.grid[1]: must be > 0"),
     (lambda d: _reconstruct_cfg(fit={"family": "spline"}),
-     [], "fit.family: must be power-law or tabulated"),
+     [], "fit.family: must be one of power-law, tabulated, got 'spline'"),
     (lambda d: _reconstruct_cfg(method="numeric"),
-     [], "method: must be analytic or signal"),
+     [], "method: must be one of analytic, signal, got 'numeric'"),
     (lambda d: _reconstruct_cfg(lambdas=[]),
      [], "lambdas: expected a non-empty list"),
     (lambda d: dict(_header_only(d), temperature=0.5),
