@@ -5,13 +5,13 @@ A pure refactor leaves every digest as it is.  A numeric change rewrites
 the pin with ``PYTHONPATH=src python tests/test_artifact_digests.py`` and
 states, in its change notes, each changed file with the deviation this
 test reports for it.  Since a digest cannot say how far a file moved,
-``artifacts.samples.json`` keeps up to ``SAMPLES`` of each CSV or JSON
-file's numbers, evenly spaced through it, for the mismatch message.
+``artifacts.samples.json`` keeps up to ``SAMPLES`` of each file's
+numbers, evenly spaced through it, for the mismatch message.
 """
 
-import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -23,6 +23,9 @@ from test_acceptance import BYTE_JOBS
 PIN = Path(__file__).with_name("artifacts.sha256")
 SAMPLE_PIN = Path(__file__).with_name("artifacts.samples.json")
 SAMPLES = 24
+# A number as %.17g and json.dumps write one (every pinned file is a CSV or
+# JSON file); digits inside names, such as E1, are read too, in file order.
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 # preset: the command that runs it (fig3b and figD take too long for tier-1)
 PRESET_JOBS = {"fig1": "evolve", "unitary": "evolve", "fig4": "spectrum",
                "fig5": "spectrum", "figtemp": "sweep", "figcorr": "sweep"}
@@ -43,31 +46,7 @@ def _regenerate(root: Path) -> dict[str, Path]:
 
 
 def _numbers(path: Path) -> list[float]:
-    """The numbers of a CSV or JSON file in file order (JSON: in its sorted
-    key order); empty cells, text and nulls are skipped."""
-    if path.suffix == ".json":
-        out = []
-
-        def walk(v):
-            if isinstance(v, dict):
-                for x in v.values():
-                    walk(x)
-            elif isinstance(v, list):
-                for x in v:
-                    walk(x)
-            elif isinstance(v, (int, float)) and not isinstance(v, bool):
-                out.append(float(v))
-        walk(json.loads(path.read_text()))
-        return out
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            for cell in row:
-                try:
-                    out.append(float(cell))
-                except ValueError:
-                    pass
-    return out
+    return [float(x) for x in NUMBER.findall(path.read_text())]
 
 
 def _sample(values: list[float]) -> dict:
@@ -92,10 +71,8 @@ def _read_pin() -> tuple[str, dict[str, str]]:
 
 
 def _deviation(name: str, path: Path, pinned: dict) -> str:
-    """How far the numbers of a changed CSV or JSON file moved, at the
-    pinned sample positions."""
-    if path.suffix not in (".csv", ".json") or name not in pinned:
-        return ""
+    """How far the numbers of a changed file moved, at the pinned sample
+    positions."""
     now = _sample(_numbers(path))
     if now["count"] != pinned[name]["count"]:
         return f" (number count {pinned[name]['count']} -> {now['count']})"
@@ -123,9 +100,9 @@ def _write_pin(root: Path) -> None:
     files = _regenerate(root)
     PIN.write_text(f"# numpy {np.__version__}\n" + "".join(
         f"{_digest(p)}  {name}\n" for name, p in files.items()))
-    SAMPLE_PIN.write_text(json.dumps(
-        {name: _sample(_numbers(p)) for name, p in files.items()
-         if p.suffix in (".csv", ".json")}, indent=1) + "\n")
+    SAMPLE_PIN.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {json.dumps(_sample(_numbers(p)))}"
+        for name, p in files.items()) + "\n}\n")
 
 
 if __name__ == "__main__":
