@@ -228,13 +228,13 @@ def _pair(value, path: str) -> tuple[float, float]:
     return a, b
 
 
-def _time_grid(t_max: float, dt: float, path: str) -> np.ndarray:
-    """The (0, t_max, dt) grid of the section at ``path``, checked."""
+def _check_grid(t_max: float, dt: float, path: str) -> None:
+    """Reject the (0, t_max, dt) grid of the section at ``path`` if dt
+    exceeds t_max or the grid would hold more than 5e6 samples."""
     if dt > t_max:
         raise ConfigError(f"{path}.dt", f"exceeds t_max ({t_max:g})")
     if t_max / dt > 5e6:
         raise ConfigError(path, "grid would exceed 5e6 samples")
-    return default_time_grid(t_max, dt)
 
 
 def _checked(path: str, check, *args) -> None:
@@ -282,13 +282,27 @@ _FAMILIES = ("power-law", "tabulated")     # bath kinds, and fit families
 _SPECTRUM_FILE = "spectrum_{:g}-{:g}.csv"   # the file of one spectrum window
 
 
+@dataclass(frozen=True)
+class TimeGrid:
+    """A run's (0, t_max, dt) time grid, in absolute time."""
+
+    t_max: float = bounded(400.0, above=0.0)
+    dt: float = bounded(0.05, above=0.0)
+
+    __post_init__ = check_fields
+
+    def times(self) -> np.ndarray:
+        return default_time_grid(self.t_max, self.dt)
+
+
 @dataclass
 class RunConfig:
+    """A run config in its JSON layout: ``_record(rc)`` is its JSON."""
+
     params: QubitPairParams
     bath: SpectralDensityModel
     initial_state: "str | np.ndarray" = "plus-plus"
-    t_max: float = bounded(400.0, above=0.0)
-    dt: float = bounded(0.05, above=0.0)
+    time_grid: TimeGrid = field(default_factory=TimeGrid)
     analysis: SyncConfig = field(default_factory=SyncConfig)
     channel: str = "probe"
     kappa: float = bounded(KAPPA_DEFAULT, above=0.0)
@@ -355,15 +369,9 @@ def _initial_from_config(value):
     return np.outer(vec, vec.conj())
 
 
-def _initial_to_config(value):
-    if isinstance(value, str):
-        return value
-    return [[[float(x.real), float(x.imag)] for x in row] for row in value]
-
-
 def parse_run_config(cfg) -> RunConfig:
     defaults = _defaults(RunConfig)
-    top = _section(cfg, "", _spec(RunConfig, "kappa"),
+    top = _section(cfg, "", _spec(RunConfig),
                    extra=("params", "bath", "initial_state", "time_grid",
                           "analysis", "channel", "windows"))
     _expect_mapping(cfg, "", required=("params", "bath"))
@@ -371,9 +379,10 @@ def parse_run_config(cfg) -> RunConfig:
         cfg["params"], "params", _spec(QubitPairParams, required=("omega_p",))),
         "params")
     bath = _bath_from_config(cfg["bath"])
-    grid = _section(cfg.get("time_grid", {}), "time_grid",
-                    _spec(RunConfig, "t_max", "dt"))
-    times = _time_grid(grid["t_max"], grid["dt"], "time_grid")
+    grid = _build(TimeGrid, _section(cfg.get("time_grid", {}), "time_grid",
+                                     _spec(TimeGrid)), "time_grid")
+    _check_grid(grid.t_max, grid.dt, "time_grid")
+    times = grid.times()
 
     channel = _one_of(cfg.get("channel", defaults["channel"]), "channel",
                       _CHANNELS)
@@ -392,22 +401,8 @@ def parse_run_config(cfg) -> RunConfig:
     analysis = _late_config(cfg.get("analysis"), "analysis", SyncConfig)
     _checked("analysis.late_window", late_span, times, analysis)
     return RunConfig(params=params, bath=bath, initial_state=initial_state,
-                     analysis=analysis, channel=channel, windows=windows,
-                     **grid, **top)
-
-
-def run_config_to_dict(rc: RunConfig) -> dict:
-    """Canonical JSON form; parse_run_config inverts it exactly."""
-    return {
-        "params": _record(rc.params),
-        "bath": _record(rc.bath),
-        "initial_state": _initial_to_config(rc.initial_state),
-        "time_grid": {"t_max": rc.t_max, "dt": rc.dt},
-        "analysis": _record(rc.analysis),
-        "channel": rc.channel,
-        "kappa": rc.kappa,
-        "windows": _record(rc.windows),
-    }
+                     time_grid=grid, analysis=analysis, channel=channel,
+                     windows=windows, **top)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +474,7 @@ def parse_sweep_spec(cfg) -> SweepSpec:
 
 
 def sweep_spec_to_dict(spec: SweepSpec) -> dict:
-    return {"base": run_config_to_dict(spec.base),
+    return {"base": _record(spec.base),
             "axes": [a.echo for a in spec.axes], "record": list(spec.record)}
 
 
@@ -566,9 +561,10 @@ def _replacing(path: Path):
 
 
 def _record(obj):
-    """The JSON form of a result or a config part: a dataclass as its
-    fields by JSON name, a bath model in the bath config schema, an array as
-    a list with NaN as null, and lists and tuples item by item."""
+    """The JSON form of a result or a config: a dataclass as its fields by
+    JSON name, a bath model in the bath config schema, a complex array (a
+    density matrix) as its [re, im] entries, any other array as a list with
+    NaN as null, and lists and tuples item by item."""
     if isinstance(obj, Tabulated):
         return {"kind": "tabulated",
                 "points": np.column_stack((obj.omegas, obj.js)).tolist()}
@@ -576,6 +572,8 @@ def _record(obj):
         kind = {"kind": "power-law"} if isinstance(obj, PowerLawCutoff) else {}
         return kind | {json_name(f.name): _record(getattr(obj, f.name))
                        for f in fields(obj)}
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return np.stack((obj.real, obj.imag), axis=-1).tolist()
     if isinstance(obj, np.ndarray):
         return [None if math.isnan(v) else v for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -613,13 +611,13 @@ def _write_columns(path: Path, header, *columns) -> None:
 
 def cmd_evolve(cfg: dict, out: Path, args) -> int:
     rc = parse_run_config(cfg)
-    times = default_time_grid(rc.t_max, rc.dt)
+    times = rc.time_grid.times()
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     _write_columns(out / "trajectory.csv", ("t", "sx_q", "sx_p"),
                    traj.times, traj.sx_q, traj.sx_p)
     metrics = detect_sync(traj, rc.analysis)
     _write_json(out / "sync_metrics.json",
-                {"config": run_config_to_dict(rc), "metrics": _record(metrics)})
+                {"config": _record(rc), "metrics": _record(metrics)})
     print(f"wrote {out / 'trajectory.csv'} and {out / 'sync_metrics.json'} "
           f"(regime: {metrics.regime})")
     return 0
@@ -629,7 +627,7 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     spec = parse_sweep_spec(cfg)
     # Every recordable reads the late window or the steady state, and the
     # axes never touch the analysis settings: one span serves every point.
-    times = default_time_grid(spec.base.t_max, spec.base.dt)
+    times = spec.base.time_grid.times()
     times = times[late_span(times, spec.base.analysis)]
     names = [a.name for a in spec.axes]
     points = list(itertools.product(*(a.values for a in spec.axes)))
@@ -658,7 +656,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     if rc.windows is None:
         raise ConfigError("windows",
                           "spectrum needs at least one [t_start, t_end] window")
-    times = default_time_grid(rc.t_max, rc.dt)
+    times = rc.time_grid.times()
     traj = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa).traj
     signal = traj.sx_p if rc.channel == "probe" else traj.sx_q
     summary = []
@@ -673,7 +671,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
             "peaks": _record(est.peaks),
         })
     _write_json(out / "spectra.json",
-                {"config": run_config_to_dict(rc), "spectra": summary})
+                {"config": _record(rc), "spectra": summary})
     print(f"wrote {len(summary)} spectra and {out / 'spectra.json'}")
     return 0
 
@@ -681,7 +679,8 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
 def _scan_config_from(cfg) -> ScanConfig:
     scan_cfg = _late_config(cfg, "scan", ScanConfig)
     if cfg is not None:
-        times = _time_grid(scan_cfg.t_max, scan_cfg.dt, "scan")
+        _check_grid(scan_cfg.t_max, scan_cfg.dt, "scan")
+        times = default_time_grid(scan_cfg.t_max, scan_cfg.dt)
         _checked("scan.late_window", late_span, times, scan_cfg.sync_config())
     return scan_cfg
 

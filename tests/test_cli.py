@@ -20,7 +20,6 @@ from syncprobe.cli import (
     main,
     parse_run_config,
     parse_sweep_spec,
-    run_config_to_dict,
     sweep_spec_to_dict,
 )
 from syncprobe.dynamics import Trajectory
@@ -56,8 +55,8 @@ def test_run_config_round_trip():
         channel="qubit",
         windows=[[0.0, 110.0], [200.0, 310.0]],
     )
-    first = run_config_to_dict(parse_run_config(cfg))
-    second = run_config_to_dict(parse_run_config(first))
+    first = cli._record(parse_run_config(cfg))
+    second = cli._record(parse_run_config(first))
     assert first == second
 
 
@@ -83,7 +82,7 @@ def _run_configs(draw):
                                 s=draw(st.floats(0.1, 5.0)),
                                 omega_c=draw(st.none() | positive)),
         initial_state=draw(st.sampled_from(sorted(cli.INITIAL_STATES))),
-        t_max=t_max, dt=dt,
+        time_grid=cli.TimeGrid(t_max=t_max, dt=dt),
         analysis=cli.SyncConfig(
             window=window, step=draw(st.none() | st.floats(dt, window)),
             sync_threshold=sync,
@@ -97,12 +96,12 @@ def _run_configs(draw):
 @settings(max_examples=100)
 @given(rc=_run_configs())
 def test_run_config_round_trip_property(rc):
-    assert parse_run_config(run_config_to_dict(rc)) == rc
+    assert parse_run_config(cli._record(rc)) == rc
 
 
 def test_run_config_defaults():
     rc = parse_run_config(_run_cfg())
-    assert rc.t_max == 400.0 and rc.dt == 0.05
+    assert rc.time_grid == cli.TimeGrid(t_max=400.0, dt=0.05)
     assert rc.initial_state == "plus-plus"
     assert rc.channel == "probe"
     assert rc.windows is None
@@ -556,7 +555,7 @@ def test_sweep_point_same_row_on_late_span():
     from syncprobe import cli
 
     base = parse_run_config(_run_cfg())
-    full = cli.default_time_grid(base.t_max, base.dt)
+    full = base.time_grid.times()
     part = full[cli.late_span(full, base.analysis)]
     assert part.size == 2250
     record = ("c", "omega_sync", "regime", "below_floor", "mi", "correlator")
@@ -579,7 +578,7 @@ def test_sweep_correlator_einsum_matches_state_loop():
     from syncprobe.signal_analysis import spin_correlator
 
     base = parse_run_config(get_preset("figcorr")["base"])
-    times = cli.default_time_grid(base.t_max, base.dt)
+    times = base.time_grid.times()
     times = times[cli.late_span(times, base.analysis)]
     lo, hi = base.analysis.late_window
     for values in ((0.5, 0.7), (1.0, 0.95), (2.0, 1.05), (1.5, 1.3)):

@@ -14,7 +14,7 @@ from dataclasses import fields
 import pytest
 
 from syncprobe.bath import PowerLawCutoff
-from syncprobe.cli import RunConfig, json_name, main
+from syncprobe.cli import RunConfig, TimeGrid, json_name, main
 from syncprobe.probe_protocol import (
     LinewidthDatum,
     ScanConfig,
@@ -47,6 +47,20 @@ VALID = {
 }
 
 
+def _bounds(cls):
+    """The bounds of ``cls``'s fields; a RunConfig's include those of its
+    time grid, a part of its own as in the JSON (``time_grid``)."""
+    return field_bounds(cls) | (field_bounds(TimeGrid) if cls is RunConfig
+                                else {})
+
+
+def _with(cls, name, value):
+    """``cls`` from its VALID arguments with ``value`` for field ``name``."""
+    if cls is RunConfig and name in field_bounds(TimeGrid):
+        return RunConfig(**VALID[RunConfig], time_grid=TimeGrid(**{name: value}))
+    return cls(**dict(VALID[cls], **{name: value}))
+
+
 def _bad_values(b):
     """NaN, the infinities the field refuses, and a value just past each
     bound: the bound itself where it is excluded, the next double out where
@@ -60,7 +74,7 @@ def _bad_values(b):
 
 
 CASES = [pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
-         for cls in VALID for name, b in field_bounds(cls).items()
+         for cls in VALID for name, b in _bounds(cls).items()
          for value in _bad_values(b)]
 
 
@@ -97,7 +111,7 @@ def _range_text(b):
 def test_declared_ranges():
     assert set(RANGES) == set(VALID)
     for cls, ranges in RANGES.items():
-        declared = {name: _range_text(b) for name, b in field_bounds(cls).items()}
+        declared = {name: _range_text(b) for name, b in _bounds(cls).items()}
         assert declared == ranges, cls.__name__
 
 
@@ -113,7 +127,7 @@ def test_every_numeric_field_is_bounded():
 @pytest.mark.parametrize("cls, name, value", CASES)
 def test_constructor_rejects_out_of_range_field(cls, name, value):
     with pytest.raises(FieldError) as err:
-        cls(**dict(VALID[cls], **{name: value}))
+        _with(cls, name, value)
     assert str(err.value).startswith(f"{name} must be ")
     assert err.value.field == name
 

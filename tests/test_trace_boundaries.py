@@ -62,7 +62,7 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
     per-layer metrics would read 0; here the span counts fail instead."""
     tracer = _installed_tracer(monkeypatch)
     base = cli.parse_run_config(get_preset("fig1"))
-    times = default_time_grid(base.t_max, base.dt)
+    times = base.time_grid.times()
     times = times[cli.late_span(times, base.analysis)]
     cli._sweep_point(base, ["omega_p"], (1.2,), ("c",), times)
     assert _layer_spans(tracer, 0) == LAYER_SPANS
