@@ -676,12 +676,13 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _scan_config_from(cfg) -> ScanConfig:
+def _scan_config_from(cfg, omega_q: float) -> ScanConfig:
+    """The ``scan`` section, checked on the grid a scan at omega_q builds."""
     scan_cfg = _late_config(cfg, "scan", ScanConfig)
     if cfg is not None:
         _check_grid(scan_cfg.t_max, scan_cfg.dt, "scan")
-        times = default_time_grid(scan_cfg.t_max, scan_cfg.dt)
-        _checked("scan.late_window", late_span, times, scan_cfg.sync_config())
+        _checked("scan.late_window", late_span, scan_cfg.times(omega_q),
+                 scan_cfg.sync_config(omega_q))
     return scan_cfg
 
 
@@ -691,9 +692,8 @@ def cmd_scan_transition(cfg: dict, out: Path, args) -> int:
     echo = _section(cfg, "", pair, extra=("bath", "grid", "scan"))
     _expect_mapping(cfg, "", required=("bath",))
     model = _bath_from_config(cfg["bath"])
-    scan_cfg = _scan_config_from(cfg.get("scan"))
-
     omega_q = echo["omega_q"]
+    scan_cfg = _scan_config_from(cfg.get("scan"), omega_q)
     params = _build(QubitPairParams, echo, omega_p=omega_q)
     if cfg.get("grid") is not None:
         lo, hi, steps = _range(cfg["grid"], "grid", 0.0, strict=True, steps=8)
@@ -775,6 +775,10 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         for key in ("temperature", "omega_q", "method", "scan"):
             if key in cfg:
                 raise ConfigError(key, "not used with constraints_file")
+        path = cfg["constraints_file"]
+        if not isinstance(path, str):
+            raise ConfigError("constraints_file",
+                              f"must be a file name, got {path!r}")
 
     raw_fit = cfg.get("fit", {})
     defaults = _defaults(fit_spectral_density)
@@ -799,8 +803,8 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
     truth = None
     failures = []
     if from_file:
-        constraints = _constraints_from_csv(Path(cfg["constraints_file"]))
-        echo["constraints_file"] = str(cfg["constraints_file"])
+        constraints = _constraints_from_csv(Path(path))
+        echo["constraints_file"] = path
     else:
         truth = _bath_from_config(
             _expect_mapping(cfg, "", required=("bath",))["bath"])
@@ -809,7 +813,7 @@ def cmd_reconstruct(cfg: dict, out: Path, args) -> int:
         _distinct(lams, "lambdas", "coupling")
         method = _one_of(cfg.get("method", "analytic"), "method",
                          ("analytic", "signal"))
-        scan_cfg = _scan_config_from(cfg.get("scan"))
+        scan_cfg = _scan_config_from(cfg.get("scan"), pair["omega_q"])
         constraints, failures = collect_constraints(
             truth, lams, _build(QubitPairParams, pair, omega_p=pair["omega_q"]),
             config=scan_cfg, method=method, workers=args.workers)

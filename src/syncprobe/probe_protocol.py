@@ -149,7 +149,11 @@ class ReconstructionResult:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Simulation and classification knobs for signal-level transition scans.
+    """Simulation and classification knobs for signal-level transition scans,
+    in units of the scanned pair's omega_q: ``t_max``, ``dt``,
+    ``late_window`` and ``window`` are times in units of 1/omega_q, and
+    ``refine_tol`` is a frequency in units of omega_q.  A scan of the same
+    physics in another unit then probes the same points and labels.
 
     The long default horizon narrows the band around the crossing where the
     two modes decay too similarly for the detector to call a regime; with
@@ -168,10 +172,17 @@ class ScanConfig:
 
     __post_init__ = check_fields
 
-    def sync_config(self) -> SyncConfig:
+    def times(self, omega_q: float) -> np.ndarray:
+        """The (0, t_max, dt) grid in absolute time at ``omega_q``."""
+        return default_time_grid(self.t_max / omega_q, self.dt / omega_q)
+
+    def sync_config(self, omega_q: float) -> SyncConfig:
+        """The detector's settings in absolute time at ``omega_q``."""
         # Noise floor off: scans run on noiseless synthetic signals whose
         # late-time amplitude is tiny by construction.
-        return SyncConfig(window=self.window, late_window=self.late_window,
+        a, b = self.late_window
+        return SyncConfig(window=self.window / omega_q,
+                          late_window=(a / omega_q, b / omega_q),
                           noise_floor=0.0)
 
 
@@ -338,14 +349,15 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
     simulated from the all-plus product state and fed to the sync detector:
     the jump sits between the last point locked on one eigenfrequency branch
     and the first locked on the other.  Bisection then tightens the bracket
-    until it is narrower than config.refine_tol or a midpoint falls in the
-    undecidable band; the midpoint of the final bracket is returned with half
-    its width as the uncertainty.  A lock on the other mode inside a band
-    edge's bracket raises ResolutionError: the labels are not monotone there.
+    until it is narrower than config.refine_tol * omega_q or a midpoint
+    falls in the undecidable band; the midpoint of the final bracket is
+    returned with half its width as the uncertainty.  A lock on the other
+    mode inside a band edge's bracket raises ResolutionError: the labels
+    are not monotone there.
 
-    The time grid is cut to its late span once per scan, so every
-    classification evolves and correlates only the samples its verdict
-    reads; the labels are those of the whole grid.
+    The time grid (``config.times`` at params.omega_q) is cut to its late
+    span once per scan, so every classification evolves and correlates only
+    the samples its verdict reads; the labels are those of the whole grid.
     """
     config = config or ScanConfig()
     grid = np.asarray(omega_p_grid, dtype=float)
@@ -353,8 +365,8 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
         raise ValueError("omega_p_grid must be a 1-d grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("omega_p_grid must be strictly increasing")
-    sync_cfg = config.sync_config()
-    times = default_time_grid(config.t_max, config.dt)
+    sync_cfg = config.sync_config(params.omega_q)
+    times = config.times(params.omega_q)
     times = times[late_span(times, sync_cfg)]
 
     def classify(w: float) -> int:
@@ -383,7 +395,7 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
             "longer simulation horizon to localize the jump")
 
     lo, hi = float(grid[i]), float(grid[j])
-    tol = config.refine_tol
+    tol = config.refine_tol * params.omega_q
     if band_points == 1:
         u_lo = float(grid[i + 1])
     else:

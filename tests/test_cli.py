@@ -99,6 +99,35 @@ def test_run_config_round_trip_property(rc):
     assert parse_run_config(cli._record(rc)) == rc
 
 
+@st.composite
+def _sweep_specs(draw):
+    """A SweepSpec on a drawn base, with 1-2 axes, each a lo/hi/steps range
+    or a list of values, and a non-empty subset of the recordables."""
+    names = draw(st.lists(st.sampled_from(sorted(cli._AXES)), min_size=1,
+                          max_size=2, unique=True))
+    positive = st.floats(1e-3, 10.0)
+    axes = []
+    for i, name in enumerate(names):
+        if draw(st.booleans()):
+            axis = {"name": name, "values": draw(st.lists(positive, min_size=1,
+                                                          max_size=5))}
+        else:
+            lo = draw(positive)
+            axis = {"name": name, "lo": lo, "hi": lo + draw(positive),
+                    "steps": draw(st.integers(2, 20))}
+        axes.append(cli._axis_from_config(axis, i))
+    record = draw(st.lists(st.sampled_from(cli._RECORDABLE), min_size=1,
+                           unique=True))
+    return cli.SweepSpec(base=draw(_run_configs()), axes=tuple(axes),
+                         record=tuple(record))
+
+
+@settings(max_examples=100)
+@given(spec=_sweep_specs())
+def test_sweep_spec_round_trip_property(spec):
+    assert parse_sweep_spec(sweep_spec_to_dict(spec)) == spec
+
+
 def test_run_config_defaults():
     rc = parse_run_config(_run_cfg())
     assert rc.time_grid == cli.TimeGrid(t_max=400.0, dt=0.05)
@@ -801,7 +830,7 @@ def test_window_sample_counts_match_windowed_fft():
      "windows[1]"),
     (lambda w: parse_sweep_spec(_sweep_cfg(base=_run_cfg(
         analysis={"late_window": w}))), "base.analysis.late_window"),
-    (lambda w: cli._scan_config_from({"t_max": 400.0, "late_window": w}),
+    (lambda w: cli._scan_config_from({"t_max": 400.0, "late_window": w}, 1.0),
      "scan.late_window"),
 ])
 def test_window_sample_floor_checked_when_parsed(parse, field):
@@ -844,7 +873,8 @@ def test_late_window_checked_for_every_run_config(tmp_path, capsys, command):
         analysis={"window": 30.0, "late_window": w}))),
      "base.analysis.late_window"),
     (lambda w: cli._scan_config_from(
-        {"t_max": 400.0, "window": 30.0, "late_window": w}), "scan.late_window"),
+        {"t_max": 400.0, "window": 30.0, "late_window": w}, 1.0),
+     "scan.late_window"),
 ])
 def test_late_window_needs_a_correlation_window_centre(parse, field):
     """With 30-long windows on a 400-long grid the last centre is 382.5:
@@ -1013,6 +1043,32 @@ def test_scan_transition_default_grid_scales_with_omega_q(tmp_path):
     grid = rec["config"]["grid"]
     assert grid[-1] - grid[0] == pytest.approx(0.6, rel=1e-9)
     assert abs(rec["difference"]) < 0.01
+
+
+def test_scan_transition_reads_scan_in_units_of_omega_q(tmp_path, capsys):
+    """The same physics at omega_q = 10 (every frequency times 10, gamma0
+    times 10^(1 - s), omega_c times 10^s) gives the omega_p_bar / omega_q
+    of omega_q = 1.  A scan's late window is checked on the grid the scan
+    builds, whose times are the config's divided by omega_q."""
+    ratios = []
+    for k in (1.0, 10.0):
+        cfg = _write(tmp_path, {
+            "omega_q": k, "lambda": 0.2 * k, "temperature": 0.3 * k,
+            "bath": dict(QUARTIC, gamma0=0.01 / k, omega_c=20.0 * k ** 2),
+            "scan": {"t_max": 2000.0, "late_window": [1600.0, 1910.0]}})
+        out = tmp_path / f"out{k:g}"
+        assert main(["scan-transition", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rec = json.loads((out / "transition.json").read_text())
+        ratios.append(rec["transition"]["omega_p_bar"] / k)
+    assert abs(ratios[1] - ratios[0]) <= 1e-15
+    cfg = _write(tmp_path, {
+        "omega_q": 10.0, "lambda": 2.0, "bath": dict(OHMIC),
+        "scan": {"t_max": 2000.02, "late_window": [1600.0, 2000.01]}})
+    assert main(["scan-transition", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: scan.late_window: ends past "
+                                       "the time grid's last sample (200)\n")
 
 
 @pytest.mark.parametrize("command", ["scan-transition", "reconstruct"])
@@ -1325,6 +1381,16 @@ def test_reconstruct_rejects_malformed_constraints_file(tmp_path, capsys,
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"constraints_file: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [3, None])
+def test_reconstruct_constraints_file_must_be_a_string(tmp_path, capsys, value):
+    cfg = _write(tmp_path, {"constraints_file": value})
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: constraints_file: must be a file name, got {value!r}\n"
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_reconstruct_rejects_mixed_modes(tmp_path, capsys):

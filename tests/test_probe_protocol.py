@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncprobe.bath import (
@@ -29,6 +29,7 @@ from syncprobe.probe_protocol import (
     TransitionPoint,
     _classify_point,
     collect_constraints,
+    default_scan_grid,
     fit_spectral_density,
     infer_system_params,
     predict_transition,
@@ -235,7 +236,7 @@ def test_classify_point_same_label_on_late_span(model, lo, hi):
     """A scan classifies on the 6 240-sample late span; every label on the
     test grids is the one the whole 40 001-sample grid gives."""
     cfg = ScanConfig()
-    sync_cfg = cfg.sync_config()
+    sync_cfg = cfg.sync_config(1.0)
     full = default_time_grid(cfg.t_max, cfg.dt)
     part = full[late_span(full, sync_cfg)]
     assert (full.size, part.size) == (40001, 6240)
@@ -256,7 +257,7 @@ def test_classify_point_follows_the_rate_criterion(s, lam, omega_p):
     The detector never names the faster-decaying mode, and names the slower
     one wherever the rates differ by a tenth in log."""
     cfg = ScanConfig()
-    sync_cfg = cfg.sync_config()
+    sync_cfg = cfg.sync_config(1.0)
     full = default_time_grid(cfg.t_max, cfg.dt)
     model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0)
     pair = QubitPairParams(omega_p=omega_p, lam=lam)
@@ -400,15 +401,18 @@ def test_scan_with_tolerance_below_an_ulp_finishes(monkeypatch):
 
 
 def test_scan_passes_the_pair_to_every_classification(monkeypatch):
-    seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
+    """At omega_q = 2 on the doubled grid, the scan probes the points of
+    the omega_q = 1 scan doubled: refine_tol is in units of omega_q."""
+    edges, omega_p_bar, uncertainty, calls = FAKE_SCANS["band found by bisection"]
+    seen = _fake_classifier(monkeypatch, edges)
     pair = QubitPairParams(omega_q=2.0, omega_p=7.0, lam=0.3, temperature=0.4)
     tp = scan_transition(QUARTIC, pair, 2.0 * FAKE_GRID)
     assert {replace(p, omega_p=1.0) for p in seen} == \
         {replace(pair, omega_p=1.0)}
-    assert len(seen) == 14
+    assert len(seen) == calls
     assert (tp.lam, tp.omega_p_bar, tp.uncertainty, tp.ratio) == \
-        (0.3, 2.02578125, 0.006250000000000089, 1.4984763338547995)
-    assert (tp.n1, tp.n2) == (0.0029217165942381, 0.01324736069656609)
+        (0.3, 2.0 * omega_p_bar, 2.0 * uncertainty, 1.5023349829800612)
+    assert (tp.n1, tp.n2) == (0.0029187630704018332, 0.013234972725500551)
 
 
 def test_two_undecidable_grid_points_raise_resolution_error(monkeypatch):
@@ -426,6 +430,74 @@ def test_scan_classifies_python_floats(monkeypatch):
     seen = _fake_classifier(monkeypatch, FAKE_SCANS["band found by bisection"][0])
     scan_transition(QUARTIC, QubitPairParams(lam=0.2), FAKE_GRID)
     assert {type(p.omega_p) for p in seen} == {float}
+
+
+def _scaled_scan(k, s, lam, temperature, omega_c):
+    """(labels in probe order, omega_p_bar / omega_q, uncertainty / omega_q),
+    or the error's type, of a default-grid scan of one physics in the unit
+    where omega_q = k: frequencies times k, gamma0 times k^(1 - s) and
+    omega_c times k^s, so that J scales by k too."""
+    model = PowerLawCutoff(gamma0=0.01 * k ** (1.0 - s), s=s,
+                           omega_c=None if omega_c is None else omega_c * k ** s)
+    pair = QubitPairParams(omega_q=k, omega_p=k, lam=lam * k,
+                           temperature=temperature * k)
+    labels = []
+
+    def classify(*args):
+        labels.append(_classify_point(*args))
+        return labels[-1]
+
+    root = predict_transition(model, pair)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probe_protocol, "_classify_point", classify)
+            tp = scan_transition(model, pair, default_scan_grid(root, k))
+    except ValueError as exc:
+        return labels, type(exc)
+    return labels, tp.omega_p_bar / k, tp.uncertainty / k
+
+
+@settings(max_examples=8)
+@given(k=st.sampled_from([0.25, 2.0, 8.0]) | st.floats(0.1, 10.0),
+       s=st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.5, 3.0),
+       lam=st.floats(0.1, 0.3), temperature=st.sampled_from([0.0, 0.3]),
+       omega_c=st.sampled_from([None, 20.0]))
+@example(k=2.0, s=2.0, lam=0.2, temperature=0.3, omega_c=20.0)
+@example(k=10.0, s=2.0, lam=0.2, temperature=0.3, omega_c=20.0)
+@example(k=0.1, s=2.0, lam=0.2, temperature=0.3, omega_c=20.0)
+def test_scan_is_unit_free(k, s, lam, temperature, omega_c):
+    """A scan in units where omega_q = k probes the same labels and finds
+    omega_p_bar / omega_q within a few ulp, exactly for a power of two k
+    and an integer s, where every scaled number is exact."""
+    one = _scaled_scan(1.0, s, lam, temperature, omega_c)
+    other = _scaled_scan(k, s, lam, temperature, omega_c)
+    assert other[0] == one[0]
+    if isinstance(one[1], type):
+        assert other[1] is one[1]
+        return
+    if math.frexp(k)[0] == 0.5 and s.is_integer():
+        assert other == one
+    # a few ulp of numbers near 1; the uncertainty is half a difference
+    # of two of them
+    assert abs(other[1] - one[1]) <= 1e-15
+    assert abs(other[2] - one[2]) <= 1e-15
+
+
+@settings(max_examples=12)
+@given(s=st.floats(0.5, 3.0), omega_c=st.sampled_from([None, 20.0]),
+       temperature=st.sampled_from([0.0, 0.3]), lam=st.floats(0.1, 0.3),
+       offset=st.floats(0.0, 1.0, exclude_max=True))
+def test_scan_band_contains_the_rate_root(s, omega_c, temperature, lam,
+                                          offset):
+    """[omega_p_bar - uncertainty, omega_p_bar + uncertainty] holds the rate
+    root, on the default grid and on one offset by a fraction of its step."""
+    model = PowerLawCutoff(gamma0=0.01, s=s, omega_c=omega_c)
+    pair = QubitPairParams(lam=lam, temperature=temperature)
+    root = predict_transition(model, pair)
+    grid = default_scan_grid(root, pair.omega_q)
+    for shift in (0.0, offset * (grid[1] - grid[0])):
+        tp = scan_transition(model, pair, grid + shift)
+        assert abs(tp.omega_p_bar - root) <= tp.uncertainty, shift
 
 
 def _fake_spectrum(peak_freqs):

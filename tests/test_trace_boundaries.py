@@ -69,7 +69,7 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
 
     first = len(tracer.code)
     scan = probe_protocol.ScanConfig()
-    sync_cfg = scan.sync_config()
+    sync_cfg = scan.sync_config(1.0)
     times = default_time_grid(scan.t_max, scan.dt)
     times = times[signal_analysis.late_span(times, sync_cfg)]
     model = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)
