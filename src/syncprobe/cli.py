@@ -72,10 +72,12 @@ from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
 from .signal_analysis import (
     CORRELATOR_OP,
     SyncConfig,
+    SyncPlan,
     check_window,
     detect_sync,
     late_span,
     mutual_information,
+    sync_plan,
     window_mask,
     windowed_fft,
 )
@@ -310,6 +312,13 @@ class RunConfig:
 
     __post_init__ = check_fields
 
+    def __eq__(self, other) -> bool:
+        """Equal JSON: a density-matrix ``initial_state`` (or a tabulated
+        bath) compares entry by entry, not as an ambiguous numpy truth."""
+        if not isinstance(other, RunConfig):
+            return NotImplemented
+        return _record(self) == _record(other)
+
     @property
     def rho0(self) -> np.ndarray:
         """Computational-basis density matrix of ``initial_state``."""
@@ -496,10 +505,14 @@ def _sweep_columns(record) -> list[str]:
     return cols
 
 
-def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
+def _sweep_point(base: RunConfig, names, values, record, grid) -> dict:
+    """One sweep row; ``grid`` is a time grid, evolved whole, or a
+    ``sync_plan``, evolved over its span and classified with it."""
     rc = _apply_axes(base, names, values)
-    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa)
-    m = detect_sync(sim.traj, rc.analysis)
+    plan = grid if isinstance(grid, SyncPlan) else None
+    times, span = (plan.times, plan.span) if plan else (grid, None)
+    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa, span)
+    m = detect_sync(sim.traj, rc.analysis, plan)
     out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
            "omega_sync": m.omega_sync, "regime": m.regime,
            "below_floor": int(m.below_floor)}
@@ -510,6 +523,7 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
         rho_ss = to_computational_basis(steady_state(sim.rates), sim.transform)
         out["mi"] = mutual_information(rho_ss)
     if "correlator" in record:
+        times = sim.traj.times
         states = eigenmode_states(sim.eig, sim.rates,
                                   to_eigenmode_basis(rc.rho0, sim.transform),
                                   times)
@@ -525,9 +539,8 @@ def _sweep_point(base: RunConfig, names, values, record, times) -> dict:
 def _sweep_task(task):
     """Worker body: one grid point -> (row dict, error string or None).
     An input error is recorded; any other exception is a bug and propagates."""
-    base, names, values, record, times = task
     try:
-        return _sweep_point(base, names, values, record, times), None
+        return _sweep_point(*task), None
     except ValueError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -626,12 +639,13 @@ def cmd_evolve(cfg: dict, out: Path, args) -> int:
 def cmd_sweep(cfg: dict, out: Path, args) -> int:
     spec = parse_sweep_spec(cfg)
     # Every recordable reads the late window or the steady state, and the
-    # axes never touch the analysis settings: one span serves every point.
-    times = spec.base.time_grid.times()
-    times = times[late_span(times, spec.base.analysis)]
+    # axes never touch the analysis settings: one late span and one plan
+    # serve every point.  The tasks share it, so a pool pickles it once per
+    # chunk of tasks.
+    plan = sync_plan(spec.base.time_grid.times(), spec.base.analysis)
     names = [a.name for a in spec.axes]
     points = list(itertools.product(*(a.values for a in spec.axes)))
-    tasks = [(spec.base, names, p, spec.record, times) for p in points]
+    tasks = [(spec.base, names, p, spec.record, plan) for p in points]
     results = run_tasks(_sweep_task, tasks, args.workers)
 
     value_cols = _sweep_columns(spec.record)

@@ -193,11 +193,20 @@ def _coherences(blocks, times: np.ndarray) -> dict:
     return out
 
 
-def _expectation(coherences: dict, w: np.ndarray) -> np.ndarray:
-    """Tr(rho W) for a real symmetric parity-odd W: twice the real part of
-    the four allowed coherences against their weights."""
-    a, b, c, d = (w[k, j] * v for (j, k), v in coherences.items())
-    return 2.0 * np.real(a + b + c + d)
+def _signal_terms(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(amps, exponents) with Tr(rho(t) W) = Re[amps[s] @ exp(exponents*t)]
+    for the s-th real symmetric parity-odd W of ``weights``.
+
+    Each block gives two exponentials, its rotation i*freq - dephase alone
+    and with its internal decay rate, and per signal two amplitudes: the
+    slow and the fast part of its entries against their weights, doubled
+    for the conjugate entries."""
+    exponents = np.array([1j * b.freq - b.dephase - r
+                          for b in blocks for r in (0.0, b.rate)])
+    amps = np.array([[2.0 * sum(w[k, j] * v for (j, k), v in zip(b.entries, part))
+                      for b in blocks for part in (b.slow, b.x - b.slow)]
+                     for w in weights])
+    return amps, exponents
 
 
 def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
@@ -230,42 +239,118 @@ def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
     return rho_t
 
 
-# Samples per chunk of evolve_analytic; the last chunk also takes the
-# remainder, so only a grid shorter than one chunk is evaluated in a short
-# piece.  Every operation is elementwise in time, and numpy runs each chunk
-# through the same vector loops as the whole grid when no chunk is short
-# and each starts on a multiple of the vector width, so chunks change no
-# bit (test_analytic_chunks_change_no_bit).  Chunks keep each temporary
-# small (32 KB per complex array), so a scan's repeated classifications
-# reuse the same heap memory: whole-grid temporaries (640 KB each on a
-# 40 001-sample grid) went back to the system and were faulted in again on
-# every classification, about 22 000 minor faults per five-coupling
-# signal reconstruction against about 1 600 in chunks.
-_EVOLVE_CHUNK = 2048
+# Samples per chunk of evolve_analytic.  Chunks bound each temporary (128 KB
+# on the table path), so long grids take little memory and a scan's
+# repeated classifications reuse the same heap memory: whole-grid
+# temporaries (640 KB each on a 40 001-sample grid) went back to the system
+# and were faulted in again on every classification.  A chunk holds a
+# scan's 6 240-sample late span whole.  Every operation is elementwise in
+# time, so chunks change no bit (test_analytic_chunks_change_no_bit).
+_EVOLVE_CHUNK = 8192
+# Samples per row of the exponential tables; it divides 64, so a chunk of
+# _EVOLVE_CHUNK samples is whole rows.
+_ROW = 64
+
+
+def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
+                  span: slice, tables: bool = True) -> np.ndarray:
+    """Re[amps @ exp(exponents * t)] at every t of ``times[span]``, with
+    one row of ``amps`` per signal and one column per exponent.
+
+    On a grid of at least four rows that is uniform over the span's rows,
+    sample m*_ROW + j of the whole grid takes exp(z*t) as the product of
+    a coarse table, exp(z*times[m*_ROW]), and a fine one, exp(z*j*dt),
+    which also carries the amplitudes: one exponential per row and _ROW
+    per call instead of one per sample.  The tables are anchored on the
+    whole grid and the sum is elementwise, so a sample has the same bits
+    in every span and chunk that holds it.  Other grids, and
+    ``tables=False`` (the tables' test oracle), take np.exp at every
+    sample.
+    """
+    n = times.size
+    start, stop, step = span.indices(n)
+    if step != 1:
+        raise ValueError("span must be a slice of consecutive samples")
+    out = np.empty((amps.shape[0], max(stop - start, 0)))
+    first = start - start % _ROW            # the span's first row
+    if tables and n >= 4 * _ROW and _uniform(times[first:stop]):
+        dt = (times[-1] - times[0]) / (n - 1)
+        fine = _parts((amps.T[:, :, None] * np.exp(
+            np.multiply.outer(exponents, np.arange(_ROW) * dt))[:, None, :]
+        ).reshape(exponents.size, -1))
+        rows = max(1, _EVOLVE_CHUNK // _ROW)
+        for a in range(first, stop, rows * _ROW):
+            anchors = times[a:min(a + rows * _ROW, stop):_ROW]
+            part = _real_sum(np.exp(np.multiply.outer(exponents, anchors)),
+                             fine).reshape(anchors.size, amps.shape[0], _ROW)
+            part = part.transpose(1, 0, 2).reshape(amps.shape[0], -1)
+            lo, hi = max(a, start), min(a + part.shape[1], stop)
+            out[:, lo - start:hi - start] = part[:, lo - a:hi - a]
+        return out
+    for a in range(start, stop, _EVOLVE_CHUNK):
+        t = times[a:min(a + _EVOLVE_CHUNK, stop)]
+        direct = np.exp(np.multiply.outer(exponents, t))
+        out[:, a - start:a - start + t.size] = _real_sum(
+            direct, _parts(amps.T)).T
+    return out
+
+
+def _uniform(t: np.ndarray) -> bool:
+    """Whether t[i] = t[0] + i*dt to 4 ulps of the largest |t|, with the
+    step dt of the end points."""
+    if t.size < 2:
+        return True
+    dev = np.arange(t.size, dtype=float)
+    dev *= (t[-1] - t[0]) / (t.size - 1)
+    dev += t[0]
+    dev -= t
+    bound = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    return bool(np.max(np.abs(dev)) <= bound)
+
+
+def _parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of ``z`` as contiguous arrays."""
+    return np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+
+
+def _real_sum(c: np.ndarray, g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Re[sum_k c[k, m] * g[k, i]] for every (m, i), g given as its
+    ``_parts``.  Each product is one IEEE multiplication (einsum's outer
+    product, faster here than a broadcast multiply) and the sum runs in a
+    fixed order, so an entry's bits depend on its own c and g alone."""
+    cr, ci = _parts(c)
+    gr, gi = g
+    out = np.einsum("i,j->ij", cr[0], gr[0])
+    tmp = np.empty_like(out)
+    for k in range(c.shape[0]):
+        if k:
+            out += np.einsum("i,j->ij", cr[k], gr[k], out=tmp)
+        out -= np.einsum("i,j->ij", ci[k], gi[k], out=tmp)
+    return out
 
 
 def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
-                    rho0: np.ndarray, times: np.ndarray) -> Trajectory:
+                    rho0: np.ndarray, times: np.ndarray,
+                    span: slice | None = None) -> Trajectory:
     """Exact block solution; ``rho0`` must be given in the eigenmode basis.
 
     Works on any increasing time grid (the closed form needs no stepping).
-    Returns the signals only: they read only the four parity-allowed
-    coherences, evaluated as O(n) vectors chunk by chunk (_EVOLVE_CHUNK).
-    The dense (n, 4, 4) states come from ``eigenmode_states``.
+    ``times`` is the whole grid and ``span`` the part of it to evaluate,
+    by default all of it; the Trajectory holds the span alone.  Returns
+    the signals only: they read only the four parity-allowed coherences,
+    two damped exponentials per coherence block, evaluated chunk by chunk
+    (_EVOLVE_CHUNK) from tables anchored on the whole grid
+    (``_oscillations``), so a sample has the same bits in any span of a
+    uniform grid.  The dense (n, 4, 4) states come from
+    ``eigenmode_states``.
     """
     validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    blocks = _blocks(eig, rates, rho0)
-    w_q, w_p = fock_observable_weights(eig)
-    sx_q, sx_p = np.empty(times.size), np.empty(times.size)
-    cuts = list(range(_EVOLVE_CHUNK, times.size - _EVOLVE_CHUNK + 1,
-                      _EVOLVE_CHUNK))
-    for start, stop in zip([0] + cuts, cuts + [times.size]):
-        part = slice(start, stop)
-        coherences = _coherences(blocks, times[part])
-        sx_q[part] = _expectation(coherences, w_q)
-        sx_p[part] = _expectation(coherences, w_p)
-    return Trajectory(times=times, sx_q=sx_q, sx_p=sx_p)
+    span = slice(None) if span is None else span
+    amps, exponents = _signal_terms(_blocks(eig, rates, rho0),
+                                    fock_observable_weights(eig))
+    sx_q, sx_p = _oscillations(amps, exponents, times, span)
+    return Trajectory(times=times[span], sx_q=sx_q, sx_p=sx_p)
 
 
 def _liouvillian(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:

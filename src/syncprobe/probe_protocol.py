@@ -45,8 +45,9 @@ from .signal_analysis import (
     ANTI_PHASE,
     IN_PHASE,
     SyncConfig,
+    SyncPlan,
     detect_sync,
-    late_span,
+    sync_plan,
 )
 from .spin_model import (
     EigenStructure,
@@ -160,7 +161,8 @@ class ScanConfig:
     t_max = 2000 the band is a few times 1e-2 wide in omega_p, safely under
     the default grid step.  A scan evolves only the late span of the
     (0, t_max, dt) grid that the verdict reads (``late_span``): 6 240 of the
-    40 001 samples with these defaults.
+    40 001 samples with these defaults, with the bits the whole grid gives
+    them.  Its ``sync_plan`` is built once per scan.
     """
 
     t_max: float = bounded(2000.0, above=0.0)
@@ -287,24 +289,32 @@ class Simulation(NamedTuple):
 # through the bindings of this module (and of cli).
 def simulate(params: QubitPairParams, model: SpectralDensityModel,
              times: np.ndarray, rho0: np.ndarray | None = None,
-             kappa: float = KAPPA_DEFAULT) -> Simulation:
+             kappa: float = KAPPA_DEFAULT,
+             span: slice | None = None) -> Simulation:
     """Closed-form evolution of ``rho0`` (computational basis; None means
     |++>) at ``params.temperature``: the one path from a setup to signals.
-    The trajectory holds the signals only; ``dynamics.eigenmode_states``
-    builds the states from ``eig``, ``rates`` and ``rho0`` rotated by
-    ``transform``."""
+    ``times`` is the whole grid and ``span`` the part of it the trajectory
+    holds, by default all of it (see ``evolve_analytic``).  The trajectory
+    holds the signals only; ``dynamics.eigenmode_states`` builds the states
+    from ``eig``, ``rates`` and ``rho0`` rotated by ``transform``."""
     eig = diagonalize(params)
     rates = lindblad_rates(eig, model, params.temperature, kappa)
     v = eigenmode_transform(params, eig)
     rho0 = plus_plus_state() if rho0 is None else rho0
-    traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times)
+    traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times,
+                           span)
     return Simulation(eig, rates, v, traj)
 
 
-def _classify_point(model, params, times, sync_cfg, kappa):
-    """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable."""
-    sim = simulate(params, model, times, kappa=kappa)
-    m = detect_sync(sim.traj, sync_cfg)
+def _classify_point(model, params, grid, sync_cfg, kappa):
+    """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable.
+    ``grid`` is a time grid, evolved whole, or a ``sync_plan``, evolved
+    over its span and classified with it; only a locked verdict builds a
+    spectrum."""
+    plan = grid if isinstance(grid, SyncPlan) else None
+    times, span = (plan.times, plan.span) if plan else (grid, None)
+    sim = simulate(params, model, times, kappa=kappa, span=span)
+    m = detect_sync(sim.traj, sync_cfg, plan, locked_only=True)
     if m.omega_sync is None:
         return 0
     on_e1 = abs(m.omega_sync - sim.eig.E1) < abs(m.omega_sync - sim.eig.E2)
@@ -355,9 +365,11 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
     mode inside a band edge's bracket raises ResolutionError: the labels
     are not monotone there.
 
-    The time grid (``config.times`` at params.omega_q) is cut to its late
-    span once per scan, so every classification evolves and correlates only
-    the samples its verdict reads; the labels are those of the whole grid.
+    The late span of the time grid (``config.times`` at params.omega_q) and
+    the detector's constants on it (``sync_plan``) are found once per scan,
+    so every classification evolves and correlates only the samples its
+    verdict reads; they have the bits of the whole grid's, so the labels
+    are the whole grid's too.
     """
     config = config or ScanConfig()
     grid = np.asarray(omega_p_grid, dtype=float)
@@ -366,11 +378,10 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
     if not np.all(np.diff(grid) > 0):
         raise ValueError("omega_p_grid must be strictly increasing")
     sync_cfg = config.sync_config(params.omega_q)
-    times = config.times(params.omega_q)
-    times = times[late_span(times, sync_cfg)]
+    plan = sync_plan(config.times(params.omega_q), sync_cfg)
 
     def classify(w: float) -> int:
-        return _classify_point(model, replace(params, omega_p=w), times,
+        return _classify_point(model, replace(params, omega_p=w), plan,
                                sync_cfg, config.kappa)
 
     locked = []   # (index, label) of each locked grid point, up to a switch

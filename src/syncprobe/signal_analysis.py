@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 # Loaded with this module, not by the first spectrum (np.fft loads lazily).
@@ -106,23 +107,63 @@ def check_window(times: np.ndarray, t_start: float, t_end: float) -> None:
                          f"need >= {MIN_SPECTRUM_SAMPLES}")
 
 
-def windowed_fft(signal, times, t_start: float, t_end: float) -> SpectrumEstimate:
+class _SpectrumPlan(NamedTuple):
+    """What ``windowed_fft`` derives from a grid and a window alone: the
+    grid (size, first and last sample), the window, its samples, their
+    taper, the padded length and the (read-only) frequency axis."""
+
+    grid: tuple[int, float, float]
+    window: tuple[float, float]
+    part: slice
+    taper: np.ndarray
+    n_fft: int
+    freqs: np.ndarray
+
+
+def _grid_key(times: np.ndarray) -> tuple[int, float, float]:
+    return times.size, float(times[0]), float(times[-1])
+
+
+def _as_slice(mask: np.ndarray) -> slice:
+    """The run of True of a mask over increasing times as a slice."""
+    idx = np.flatnonzero(mask)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def _spectrum_plan(times: np.ndarray, t_start: float,
+                   t_end: float) -> _SpectrumPlan:
+    dt = uniform_step(times)
+    check_window(times, t_start, t_end)
+    part = _as_slice(window_mask(times, t_start, t_end))
+    n_fft = 4 * (part.stop - part.start)
+    freqs = np.fft.rfftfreq(n_fft, d=dt)
+    freqs *= 2.0 * np.pi
+    freqs.flags.writeable = False
+    return _SpectrumPlan(_grid_key(times), (float(t_start), float(t_end)),
+                         part, _hann(part.stop - part.start), n_fft, freqs)
+
+
+def windowed_fft(signal, times, t_start: float, t_end: float,
+                 plan: _SpectrumPlan | None = None) -> SpectrumEstimate:
     """Spectrum of the mean-subtracted, Hann-tapered segment [t_start, t_end].
 
     Zero-pads by 4x for sub-bin interpolation; peaks are local maxima whose
-    height and prominence both exceed 5x the median magnitude.
+    height and prominence both exceed 5x the median magnitude.  ``plan``,
+    a ``SyncPlan``'s ``spectrum``, saves the checks, taper and frequency
+    axis of its grid and window (ValueError on another grid or window);
+    the spectra of one plan share its read-only ``freqs``.
     """
     signal = np.asarray(signal, dtype=float)
     times = np.asarray(times, dtype=float)
-    dt = uniform_step(times)
-    check_window(times, t_start, t_end)
-    seg = signal[window_mask(times, t_start, t_end)]   # a copy
+    if plan is None:
+        plan = _spectrum_plan(times, t_start, t_end)
+    elif plan.grid != _grid_key(times) or plan.window != (t_start, t_end):
+        raise ValueError("the spectrum plan is for another grid or window")
+    seg = signal[plan.part].copy()
     seg -= seg.mean()
-    seg *= _hann(seg.size)
-    n_fft = 4 * seg.size
-    spec = np.abs(np.fft.rfft(seg, n=n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=dt)
-    freqs *= 2.0 * np.pi
+    seg *= plan.taper
+    spec = np.abs(np.fft.rfft(seg, n=plan.n_fft))
+    freqs = plan.freqs
 
     # Height floor per the 5x-median rule; the prominence floor additionally
     # scales with the strongest feature so Hann sidelobe ripples (-31 dB,
@@ -166,7 +207,7 @@ def _find_peaks(x: np.ndarray, floor: float) -> np.ndarray:
     neighbouring runs are lower; so a run that starts at the first sample or
     ends at the last is never a peak.  Each prominence side walks out to the
     first strictly higher sample or the edge; the base is the higher of the
-    two side minima.
+    two side minima.  One pass over ``x`` finds every candidate's bases.
     """
     x = np.asarray(x, dtype=float)
     # Runs that rise above the sample before them and reach the floor, and
@@ -177,13 +218,22 @@ def _find_peaks(x: np.ndarray, floor: float) -> np.ndarray:
     starts, ends = starts[j < ends.size], ends[j[j < ends.size]]
     top = x[ends + 1] < x[starts]
     peaks = (starts[top] + ends[top]) // 2
+    # Every other local maximum is below the floor, so the first strictly
+    # higher sample out from a candidate is on the slope of the nearest
+    # strictly higher candidate, or of an edge run, and nothing on that
+    # slope is lower than the candidate: a base is the minimum of x between
+    # the candidate and that neighbour (or the edge).  gaps[k] is the
+    # minimum from candidate k - 1 (or the start) up to candidate k, the
+    # last one from the last candidate to the end.
+    gaps = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    heights = x[peaks]
     keep = np.zeros(peaks.size, dtype=bool)
-    for k, p in enumerate(peaks):
-        higher = np.flatnonzero(x > x[p])
-        i = int(np.searchsorted(higher, p))
+    for k, h in enumerate(heights):
+        higher = np.flatnonzero(heights > h)
+        i = int(np.searchsorted(higher, k))
         lo = higher[i - 1] + 1 if i > 0 else 0
-        hi = higher[i] if i < higher.size else x.size
-        keep[k] = floor <= x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+        hi = higher[i] + 1 if i < higher.size else peaks.size + 1
+        keep[k] = floor <= h - max(gaps[lo:k + 1].min(), gaps[k + 1:hi].min())
     return peaks[keep]
 
 
@@ -384,14 +434,17 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
     last late-centred window or at ``check_window``'s end sample, whichever
     is later, so the check passes on the span iff it does on the grid.
     When no correlation window fits the grid, the span is the whole grid.
-    Transition scans and sweeps evolve only this span; ``evolve`` and
-    ``spectrum`` keep the full grid, since they write every sample and the
-    whole c-trace.
+    Transition scans and sweeps evolve only this span (``sync_plan`` holds
+    it), passing the whole grid and the span to ``simulate``; ``evolve``
+    and ``spectrum`` keep the full grid, since they write every sample and
+    the whole c-trace.
 
-    ``detect_sync`` on the span agrees with the full grid: the same regime
-    and c values, and omega_sync to the rounding of the grid step.  Raises
-    the ValueError ``detect_sync`` raises on a late window that
-    ``check_window`` rejects or that holds no correlation window centre.
+    Evolved that way, the span's samples have the bits of the whole grid's
+    (``dynamics.evolve_analytic``), so ``detect_sync`` on the span agrees
+    with the full grid: the same regime and c values, and omega_sync to the
+    rounding of the grid step.  Raises the ValueError ``detect_sync``
+    raises on a late window that ``check_window`` rejects or that holds no
+    correlation window centre.
     """
     times = np.asarray(times, dtype=float)
     win_n, step_n, starts, centres = _correlation_windows(times, config)
@@ -407,7 +460,48 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
                  max(int(late[-1]) + win_n, last, reach))
 
 
-def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetrics:
+class SyncPlan(NamedTuple):
+    """A grid, the span of it that trajectories hold, and what
+    ``detect_sync`` derives from that span and a SyncConfig alone: the
+    span's size and end samples, the correlation window length, the window
+    starts and centres (read-only), the centres and the samples in the
+    late window, and the late window's spectrum plan.  ``sync_plan``
+    builds it."""
+
+    times: np.ndarray
+    span: slice
+    config: SyncConfig
+    grid: tuple[int, float, float]
+    win_n: int
+    starts: np.ndarray
+    c_times: np.ndarray
+    late_c: slice
+    late: slice
+    spectrum: _SpectrumPlan
+
+
+def sync_plan(times, config: SyncConfig = SyncConfig(),
+              span: slice | None = None) -> SyncPlan:
+    """The plan of a uniform grid, evolved over ``span`` (by default its
+    ``late_span``), for a scan or sweep to build once and pass to the
+    verdict of every trajectory on ``times[span]``.  Raises the ValueError
+    ``late_span`` and ``detect_sync`` raise for that grid and config."""
+    times = np.asarray(times, dtype=float)
+    span = late_span(times, config) if span is None else span
+    part = times[span]
+    win_n, _, starts, c_times = _correlation_windows(part, config)
+    lo, hi = config.late_window
+    spectrum = _spectrum_plan(part, lo, hi)
+    for a in (starts, c_times):
+        a.flags.writeable = False
+    return SyncPlan(times, span, config, spectrum.grid, win_n, starts,
+                    c_times, _as_slice(window_mask(c_times, lo, hi)),
+                    spectrum.part, spectrum)
+
+
+def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
+                plan: SyncPlan | None = None, *,
+                locked_only: bool = False) -> SyncMetrics:
     """Sliding-window correlation, regime label, probe-only peak frequency.
 
     Classification is a persistence test over every correlation window
@@ -421,29 +515,36 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
     omega_sync is the tallest late-window spectral peak of the probe signal
     alone (the qubit is assumed unreadable in the intended setting).  It is
     None for NoSync only, a verdict a probe with no peak also gets, so an
-    Indeterminate verdict keeps its peak.
+    Indeterminate verdict keeps its peak; with ``locked_only`` only
+    InPhase and AntiPhase build a spectrum, and Indeterminate reads None.
 
     Everything but the c-trace itself is read from ``late_span(traj.times,
     config)``, so transition scans and sweeps pass only that span; the
-    c-trace then covers the span alone.  ValueError unless ``check_window``
-    accepts the late window and, when any correlation window fits the grid,
-    one is centred in it; ``window_mask`` picks its samples and windows.  A
-    late window with no defined c (every late window has zero variance)
-    reads Indeterminate, or NoSync without a probe peak.
+    c-trace then covers the span alone.  ``plan``, a ``sync_plan`` for
+    ``config`` whose span is ``traj.times``, saves rebuilding the
+    detector's constants on every call (ValueError for another span or
+    config).  ValueError unless ``check_window`` accepts the late window
+    and, when any correlation window fits the grid, one is centred in it;
+    ``window_mask`` picks its samples and windows.  A late window with no
+    defined c (every late window has zero variance) reads Indeterminate,
+    or NoSync without a probe peak.
     """
     times, f, g = traj.times, traj.sx_q, traj.sx_p
-    lo, hi = config.late_window
-    win_n, _, starts, c_times = _correlation_windows(times, config)
-    c_values = _windowed_correlation(f, g, win_n, starts)
+    if plan is None:
+        plan = sync_plan(times, config, slice(None))
+    elif plan.config != config or plan.grid != _grid_key(times):
+        raise ValueError("the sync plan is for another grid or SyncConfig")
+    c_times = plan.c_times
+    c_values = _windowed_correlation(f, g, plan.win_n, plan.starts)
 
-    if np.max(np.abs(g[window_mask(times, lo, hi)])) < config.noise_floor:
+    if np.max(np.abs(g[plan.late])) < config.noise_floor:
         # Dead channel, not an unlocked one: the pair never got to show its
         # late-time phase relation at measurable amplitude.
         return SyncMetrics(c_times=c_times, c_values=c_values,
                            omega_sync=None, regime=NO_SYNC,
                            window=config.window, below_floor=True)
 
-    vals = c_values[window_mask(c_times, lo, hi)]
+    vals = c_values[plan.late_c]
     vals = vals[~np.isnan(vals)]
     if vals.size == 0:
         c_floor = c_ceil = c_min_abs = None
@@ -460,11 +561,12 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig()) -> SyncMetr
             regime = NO_SYNC
         else:
             regime = INDETERMINATE
-    peaks = () if regime == NO_SYNC else windowed_fft(g, times, lo, hi).peaks
+    skip = regime == NO_SYNC or (locked_only and regime == INDETERMINATE)
+    peaks = () if skip else windowed_fft(g, times, *config.late_window,
+                                         plan.spectrum).peaks
     omega = peaks[0].frequency if peaks else None
-    if omega is None:
+    if omega is None and not skip:
         regime = NO_SYNC
     return SyncMetrics(c_times=c_times, c_values=c_values, omega_sync=omega,
                        regime=regime, window=config.window,
                        c_floor=c_floor, c_ceil=c_ceil, c_min_abs=c_min_abs)
-

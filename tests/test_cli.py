@@ -61,6 +61,16 @@ def test_run_config_round_trip():
 
 
 @st.composite
+def _density_matrices(draw):
+    """A full-rank 4x4 density matrix, (A A^dagger + 1) over its trace."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32,
+                                   max_size=32)))
+    a = (parts[:16] + 1j * parts[16:]).reshape(4, 4)
+    rho = a @ a.conj().T + np.eye(4)
+    return rho / np.trace(rho).real
+
+
+@st.composite
 def _run_configs(draw):
     """A RunConfig whose every section is in bounds.  The late window spans
     130 or more samples, so it holds a centre of any correlation window of
@@ -81,7 +91,8 @@ def _run_configs(draw):
         bath=cli.PowerLawCutoff(gamma0=draw(st.floats(0.0, 1.0)),
                                 s=draw(st.floats(0.1, 5.0)),
                                 omega_c=draw(st.none() | positive)),
-        initial_state=draw(st.sampled_from(sorted(cli.INITIAL_STATES))),
+        initial_state=draw(st.sampled_from(sorted(cli.INITIAL_STATES))
+                           | _density_matrices()),
         time_grid=cli.TimeGrid(t_max=t_max, dt=dt),
         analysis=cli.SyncConfig(
             window=window, step=draw(st.none() | st.floats(dt, window)),
@@ -96,7 +107,20 @@ def _run_configs(draw):
 @settings(max_examples=100)
 @given(rc=_run_configs())
 def test_run_config_round_trip_property(rc):
+    """A drawn config, a preset name or a density matrix as its initial
+    state, parses back from its JSON form to an equal config."""
     assert parse_run_config(cli._record(rc)) == rc
+
+
+def test_run_configs_compare_by_their_json():
+    """Two parses of a density-matrix config are equal, where comparing
+    the numpy matrix field by field raised ValueError; another state, or
+    a preset name, makes them differ."""
+    cfg = _run_cfg(initial_state=[1, 0, 0, 1])
+    assert parse_run_config(cfg) == parse_run_config(cfg)
+    assert parse_run_config(cfg) != parse_run_config(
+        _run_cfg(initial_state=[1, 0, 0, -1]))
+    assert parse_run_config(cfg) != parse_run_config(_run_cfg())
 
 
 @st.composite
@@ -126,6 +150,65 @@ def _sweep_specs(draw):
 @given(spec=_sweep_specs())
 def test_sweep_spec_round_trip_property(spec):
     assert parse_sweep_spec(sweep_spec_to_dict(spec)) == spec
+
+
+def _in_unit(cfg: dict, k: float) -> dict:
+    """``cfg`` in the unit where every frequency is k times as large:
+    params times k, gamma0 times k^(1 - s) and omega_c times k^s (so J
+    scales by k), and the time grid and analysis times divided by k."""
+    bath, grid, analysis = cfg["bath"], cfg["time_grid"], cfg["analysis"]
+    s = bath["s"]
+    return {**cfg,
+            "params": {name: v * k for name, v in cfg["params"].items()},
+            "bath": {**bath, "gamma0": bath["gamma0"] * k ** (1.0 - s),
+                     "omega_c": None if bath["omega_c"] is None
+                     else bath["omega_c"] * k ** s},
+            "time_grid": {"t_max": grid["t_max"] / k, "dt": grid["dt"] / k},
+            "analysis": {**analysis, "window": analysis["window"] / k,
+                         "late_window": [t / k for t in
+                                         analysis["late_window"]]}}
+
+
+def _regimes(tmp_path, cfg: dict, omega_ps) -> tuple[str, list[str]]:
+    """The regime ``evolve`` reports for ``cfg``, and those ``sweep``
+    reports with ``cfg`` as its base at each of ``omega_ps``."""
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "sync_metrics.json").read_text())["metrics"]
+    sweep = {"base": cfg, "axes": [{"name": "omega_p", "values": omega_ps}],
+             "record": ["regime"]}
+    assert main(["sweep", "--config", str(_write(tmp_path, sweep)),
+                 "--out", str(out), "--workers", "1"]) == 0
+    rows = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    return metrics["regime"], [row["regime"] for row in rows]
+
+
+@settings(max_examples=10)
+@given(k=st.sampled_from([0.25, 2.0, 8.0]) | st.floats(0.1, 10.0),
+       s=st.floats(0.5, 3.0), lam=st.floats(0.05, 0.4),
+       omega_p=st.floats(0.6, 1.4), temperature=st.sampled_from([0.0, 0.3]),
+       omega_c=st.sampled_from([None, 20.0]))
+@example(k=10.0, s=2.0, lam=0.2, omega_p=1.2, temperature=0.3,
+         omega_c=20.0)
+@example(k=0.1, s=1.0, lam=0.3, omega_p=0.8, temperature=0.0,
+         omega_c=None)
+def test_run_config_regimes_are_unit_free(tmp_path_factory, k, s, lam,
+                                          omega_p, temperature, omega_c):
+    """A run config in units where every frequency is k times as large,
+    with its time grid and analysis times divided by k, gets the regimes
+    of the original from ``evolve`` and from a ``sweep`` over omega_p."""
+    cfg = _run_cfg(params={"omega_q": 1.0, "omega_p": omega_p, "lambda": lam,
+                           "temperature": temperature},
+                   bath={"kind": "power-law", "gamma0": 0.01, "s": s,
+                         "omega_c": omega_c},
+                   analysis={"window": 3.0, "step": None,
+                             "late_window": [200.0, 310.0]})
+    omega_ps = [0.7, 0.9, 1.1, 1.3]
+    want = _regimes(tmp_path_factory.mktemp("unit"), cfg, omega_ps)
+    got = _regimes(tmp_path_factory.mktemp("scaled"), _in_unit(cfg, k),
+                   [w * k for w in omega_ps])
+    assert got == want
 
 
 def test_run_config_defaults():
@@ -591,7 +674,8 @@ def test_sweep_point_same_row_on_late_span():
     regimes = set()
     for values in ((0.8, 0.2), (1.2, 0.2), (1.0, 0.05), (1.3, 0.45)):
         a = cli._sweep_point(base, ["omega_p", "lambda"], values, record, full)
-        b = cli._sweep_point(base, ["omega_p", "lambda"], values, record, part)
+        b = cli._sweep_point(base, ["omega_p", "lambda"], values, record,
+                             cli.sync_plan(full, base.analysis))
         wa, wb = a.pop("omega_sync"), b.pop("omega_sync")
         assert b == a, values
         assert (wa is None and wb is None) or abs(wb - wa) <= 1e-15 * wa

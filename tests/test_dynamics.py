@@ -417,6 +417,86 @@ def test_analytic_chunks_change_no_bit(monkeypatch, chunk):
         assert getattr(whole, name).tobytes() == getattr(parts, name).tobytes()
 
 
+def _terms(omega_p, lam, T, s, seed):
+    """(eig, rates, eigenmode-basis rho0, amps, exponents) of one pair from
+    a random state."""
+    p = QubitPairParams(omega_p=omega_p, lam=lam, temperature=T)
+    sim = simulate(p, PowerLawCutoff(gamma0=0.01, s=s, omega_c=20.0), SHORT)
+    rho0 = _random_state(np.random.default_rng(seed))
+    amps, exponents = dynamics._signal_terms(
+        dynamics._blocks(sim.eig, sim.rates, rho0),
+        fock_observable_weights(sim.eig))
+    return sim.eig, sim.rates, rho0, amps, exponents
+
+
+@st.composite
+def _uniform_grids(draw):
+    """np.linspace grids, as default_time_grid builds them, from 0 or a
+    later start: four table rows up to 40 001 samples, ending by t = 2000."""
+    n = draw(st.integers(4 * dynamics._ROW, 40001))
+    end = draw(st.floats(1.0, 2000.0))
+    start = draw(st.just(0.0) | st.floats(0.0, 0.9)) * end
+    return np.linspace(start, end, n)
+
+
+_PAIRS = dict(omega_p=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.45),
+              T=st.sampled_from([0.0, 0.5]), s=st.floats(0.5, 3.0),
+              seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=40)
+@given(times=_uniform_grids(), **_PAIRS)
+def test_tables_match_direct_exponentials(times, omega_p, lam, T, s, seed):
+    """On uniform grids the signals come from the coarse and fine tables,
+    within 1e-12 of np.exp at every sample (the oracle path)."""
+    *_, amps, exponents = _terms(omega_p, lam, T, s, seed)
+    assert dynamics._uniform(times)
+    tables = dynamics._oscillations(amps, exponents, times, slice(None))
+    direct = dynamics._oscillations(amps, exponents, times, slice(None),
+                                    tables=False)
+    assert np.max(np.abs(tables - direct)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(times=_uniform_grids(), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+       **_PAIRS)
+def test_span_has_the_bits_of_the_whole_grid(times, a, b, omega_p, lam, T, s,
+                                             seed):
+    """Tables are anchored on the whole grid, so any span of it, however
+    it cuts the table rows, evaluates each of its samples to the bit."""
+    eig, rates, rho0, *_ = _terms(omega_p, lam, T, s, seed)
+    start = int(a * (times.size - 2))
+    span = slice(start, start + 2 + int(b * (times.size - start - 2)))
+    whole = evolve_analytic(eig, rates, rho0, times)
+    part = evolve_analytic(eig, rates, rho0, times, span)
+    assert part.times.tobytes() == times[span].tobytes()
+    for name in ("sx_q", "sx_p"):
+        assert getattr(part, name).tobytes() == \
+            getattr(whole, name)[span].tobytes()
+
+
+@settings(max_examples=20)
+@given(n=st.integers(4 * dynamics._ROW, 5000), nudge=st.integers(0, 4999),
+       jitter=st.booleans(), **_PAIRS)
+def test_nonuniform_grid_takes_direct_exponentials(n, nudge, jitter, omega_p,
+                                                   lam, T, s, seed):
+    """A long grid that is not uniform (random samples, or a uniform one
+    with one sample moved by 1e-9) is still evolved: each sample by np.exp,
+    to the bit of the oracle path."""
+    eig, rates, rho0, amps, exponents = _terms(omega_p, lam, T, s, seed)
+    if jitter:
+        times = np.unique(np.random.default_rng(seed).uniform(0.0, 2000.0, n))
+    else:
+        times = default_time_grid(0.05 * (n - 1), 0.05)
+        times[1 + nudge % (n - 2)] += 1e-9
+    assert not dynamics._uniform(times)
+    traj = evolve_analytic(eig, rates, rho0, times)
+    direct = dynamics._oscillations(amps, exponents, times, slice(None),
+                                    tables=False)
+    assert traj.sx_q.tobytes() == direct[0].tobytes()
+    assert traj.sx_p.tobytes() == direct[1].tobytes()
+
+
 def test_numeric_rejects_nonuniform_grid():
     p = QubitPairParams(omega_p=1.2, lam=0.2)
     with pytest.raises(ValueError):

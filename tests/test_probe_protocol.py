@@ -45,6 +45,7 @@ from syncprobe.signal_analysis import (
     SyncConfig,
     detect_sync,
     late_span,
+    sync_plan,
     windowed_fft,
 )
 from syncprobe.spin_model import QubitPairParams, diagonalize
@@ -244,8 +245,8 @@ def test_classify_point_same_label_on_late_span(model, lo, hi):
     for w in np.arange(lo, hi, 0.05):
         pair = QubitPairParams(omega_p=w, lam=0.2)
         labels.append(_classify_point(model, pair, full, sync_cfg, cfg.kappa))
-        assert _classify_point(model, pair, part, sync_cfg,
-                               cfg.kappa) == labels[-1], w
+        assert _classify_point(model, pair, sync_plan(full, sync_cfg),
+                               sync_cfg, cfg.kappa) == labels[-1], w
     assert {1, 2} <= set(labels)
 
 
