@@ -210,12 +210,16 @@ def _find_peaks(x: np.ndarray, floor: float) -> np.ndarray:
     two side minima.  One pass over ``x`` finds every candidate's bases.
     """
     x = np.asarray(x, dtype=float)
-    # Runs that rise above the sample before them and reach the floor, and
-    # the last sample of each run (none for the final run, never a peak).
-    starts = np.flatnonzero((x[:-1] < x[1:]) & (floor <= x[1:])) + 1
-    ends = np.flatnonzero(x[:-1] != x[1:])
-    j = np.searchsorted(ends, starts)
-    starts, ends = starts[j < ends.size], ends[j[j < ends.size]]
+    # Runs that reach the floor and rise above the sample before them, and
+    # the last sample of each: the first one unless the next repeats it.
+    # A run that reaches the last sample is never a peak.
+    up = np.flatnonzero(floor <= x[1:]) + 1
+    starts = up[x[up - 1] < x[up]]
+    ends = starts.copy()
+    for k in np.flatnonzero(x[np.minimum(starts + 1, x.size - 1)] == x[starts]):
+        rest = np.flatnonzero(x[starts[k] + 1:] != x[starts[k]])
+        ends[k] = starts[k] + rest[0] if rest.size else x.size - 1
+    starts, ends = starts[ends < x.size - 1], ends[ends < x.size - 1]
     top = x[ends + 1] < x[starts]
     peaks = (starts[top] + ends[top]) // 2
     # Every other local maximum is below the floor, so the first strictly
