@@ -26,9 +26,12 @@ SAMPLES = 24
 # A number as %.17g and json.dumps write one (every pinned file is a CSV or
 # JSON file); digits inside names, such as E1, are read too, in file order.
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
-# preset: the command that runs it (fig3b and figD take too long for tier-1)
+# preset: the command that runs it.  figD (410 points, about 0.5 s) pins
+# the sweep's batching, a grid of many batches with a ragged tail; fig3b
+# (2 501 points at t_max 1000) takes too long for tier-1.
 PRESET_JOBS = {"fig1": "evolve", "unitary": "evolve", "fig4": "spectrum",
-               "fig5": "spectrum", "figtemp": "sweep", "figcorr": "sweep"}
+               "fig5": "spectrum", "figtemp": "sweep", "figcorr": "sweep",
+               "figD": "sweep"}
 
 
 def _regenerate(root: Path) -> dict[str, Path]:
