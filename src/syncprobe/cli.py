@@ -11,11 +11,11 @@ Five subcommands cover the workflows the library supports:
 Every run takes its input from ``--config FILE`` (JSON) or ``--preset NAME``
 (see presets.py; run-config presets serve evolve/spectrum, sweep presets serve
 sweep).  Outputs land in ``--out DIR``.  Identical inputs produce byte-identical
-outputs, whatever ``--workers`` says: the worker pool only distributes sweep
-grid points or signal-reconstruct couplings, and results are gathered in input
-order (grid order, sorted couplings).  Exit codes: 0 success, 1 completed with
-per-point failures (recorded in the output), 2 invalid input, with a message
-naming the offending config field.
+outputs, whatever ``--workers`` says: the worker pool only distributes batches
+of sweep grid points or signal-reconstruct couplings, and results are gathered
+in input order (grid order, sorted couplings).  Exit codes: 0 success, 1
+completed with per-point failures (recorded in the output), 2 invalid input,
+with a message naming the offending config field.
 
 This module alone knows the file formats: its config readers, ``_record``
 (the JSON form of results and config parts) and its CSV writers.  The other
@@ -61,6 +61,7 @@ from .probe_protocol import (
     collect_constraints,
     default_scan_grid,
     fit_spectral_density,
+    pair_setup,
     predict_transition,
     run_tasks,
     scan_transition,
@@ -505,14 +506,64 @@ def _sweep_columns(record) -> list[str]:
     return cols
 
 
-def _sweep_point(base: RunConfig, names, values, record, grid) -> dict:
-    """One sweep row; ``grid`` is a time grid, evolved whole, or a
-    ``sync_plan``, evolved over its span and classified with it."""
-    rc = _apply_axes(base, names, values)
+# Grid points per sweep task.  A batch is evolved, correlated and
+# transformed at once, which saves the per-call overhead of many small
+# numpy calls.  Its temporaries grow with it, about 190 KB per point on a
+# 2 250-sample span (test_sweep_batch_memory_per_point): 8 points raised a
+# serial figD-shaped sweep's peak RSS by about 0.4 MB over batches of one.
+_SWEEP_BATCH = 8
+
+
+def _sweep_rows(base: RunConfig, names, batch, record, grid) -> list:
+    """The row of each point of ``batch`` (a list of axis values), or the
+    ValueError the point raised; ``grid`` is a time grid, evolved whole,
+    or a ``sync_plan``, evolved over its span and classified with it.
+
+    Each point gets its own setup; the points that pass it are evolved and
+    classified as one batch, in which every point has the bits it has
+    alone.  If the batch raises a ValueError (a point's signals fail their
+    checks), each point is evaluated alone, so the error stays on its row.
+    Any other exception propagates.
+    """
     plan = grid if isinstance(grid, SyncPlan) else None
-    times, span = (plan.times, plan.span) if plan else (grid, None)
-    sim = simulate(rc.params, rc.bath, times, rc.rho0, rc.kappa, span)
-    m = detect_sync(sim.traj, rc.analysis, plan)
+    times, span = (plan.times, plan.span) if plan else (grid, slice(None))
+    configs = [_apply_axes(base, names, values) for values in batch]
+    out = []
+    for rc in configs:
+        try:
+            out.append(pair_setup(rc.params, rc.bath, rc.kappa))
+        except ValueError as exc:
+            out.append(exc)
+    live = [k for k, o in enumerate(out) if not isinstance(o, ValueError)]
+
+    def classify(ks):
+        traj = evolve_analytic(
+            [out[k][0] for k in ks], [out[k][1] for k in ks],
+            [to_eigenmode_basis(configs[k].rho0, out[k][2]) for k in ks],
+            times, span)
+        return dict(zip(ks, detect_sync(traj, base.analysis, plan).rows))
+
+    try:
+        metrics = classify(live) if live else {}
+    except ValueError:
+        # some point's signals failed a check: classify each point alone
+        metrics = {}
+        for k in live:
+            try:
+                metrics |= classify([k])
+            except ValueError as exc:
+                out[k] = exc
+    for k, m in metrics.items():
+        try:
+            out[k] = _sweep_row(configs[k], *out[k], times[span], m, record)
+        except ValueError as exc:
+            out[k] = exc
+    return out
+
+
+def _sweep_row(rc: RunConfig, eig, rates, v, times, m, record) -> dict:
+    """One point's row from its setup, the times its signals span and its
+    SyncMetrics ``m``."""
     out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
            "omega_sync": m.omega_sync, "regime": m.regime,
            "below_floor": int(m.below_floor)}
@@ -520,29 +571,45 @@ def _sweep_point(base: RunConfig, names, values, record, grid) -> dict:
         # Exact fixed point, not the last sample: at T=0 it is the dressed
         # vacuum, so MI depends on the pair alone and stays smooth across
         # the transition whatever the bath does.
-        rho_ss = to_computational_basis(steady_state(sim.rates), sim.transform)
+        rho_ss = to_computational_basis(steady_state(rates), v)
         out["mi"] = mutual_information(rho_ss)
     if "correlator" in record:
-        times = sim.traj.times
-        states = eigenmode_states(sim.eig, sim.rates,
-                                  to_eigenmode_basis(rc.rho0, sim.transform),
+        states = eigenmode_states(eig, rates, to_eigenmode_basis(rc.rho0, v),
                                   times)
         sel = window_mask(times, *rc.analysis.late_window)
         # spin_correlator is Tr(rho op): rotate op into the eigenmode basis
         # once instead of every state out of it
-        op = sim.transform.T @ CORRELATOR_OP @ sim.transform
+        op = v.T @ CORRELATOR_OP @ v
         vals = np.einsum("njk,kj->n", states[sel], op)
         out["correlator"] = float(np.mean(np.abs(vals)))
     return out
 
 
-def _sweep_task(task):
-    """Worker body: one grid point -> (row dict, error string or None).
-    An input error is recorded; any other exception is a bug and propagates."""
-    try:
-        return _sweep_point(*task), None
-    except ValueError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+def _sweep_point(base: RunConfig, names, values, record, grid) -> dict:
+    """One sweep row, as a batch of one (``_sweep_rows``); raises the
+    point's ValueError."""
+    (row,) = _sweep_rows(base, names, [values], record, grid)
+    if isinstance(row, ValueError):
+        raise row
+    return row
+
+
+def _sweep_task(task) -> list:
+    """Worker body: a batch of grid points -> a (row dict, error string or
+    None) per point.  An input error is recorded; any other exception is a
+    bug and propagates."""
+    return [(None, f"{type(row).__name__}: {row}")
+            if isinstance(row, ValueError) else (row, None)
+            for row in _sweep_rows(*task)]
+
+
+def _sweep_results(base: RunConfig, names, points, record, plan,
+                   workers: int) -> list:
+    """``_sweep_task``'s (row, error) of each of ``points``, in order, from
+    batches of _SWEEP_BATCH points on up to ``workers`` processes."""
+    tasks = [(base, names, points[k:k + _SWEEP_BATCH], record, plan)
+             for k in range(0, len(points), _SWEEP_BATCH)]
+    return [r for rows in run_tasks(_sweep_task, tasks, workers) for r in rows]
 
 
 def _cell(value) -> str:
@@ -645,8 +712,8 @@ def cmd_sweep(cfg: dict, out: Path, args) -> int:
     plan = sync_plan(spec.base.time_grid.times(), spec.base.analysis)
     names = [a.name for a in spec.axes]
     points = list(itertools.product(*(a.values for a in spec.axes)))
-    tasks = [(spec.base, names, p, spec.record, plan) for p in points]
-    results = run_tasks(_sweep_task, tasks, args.workers)
+    results = _sweep_results(spec.base, names, points, spec.record, plan,
+                             args.workers)
 
     value_cols = _sweep_columns(spec.record)
     header = names + value_cols + ["errors"]

@@ -70,8 +70,11 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Observable record of one evolution; only the numeric oracle stores
-    its (computational-basis) states."""
+    """Observable record of one evolution, or of a batch of them; only the
+    numeric oracle stores its (computational-basis) states.
+
+    ``sx_q`` and ``sx_p`` hold one value per time, or, for a batch (see
+    ``evolve_analytic``), one row of them per point."""
 
     times: np.ndarray
     sx_q: np.ndarray
@@ -84,11 +87,13 @@ class Trajectory:
             raise ValueError("times must be a strictly increasing 1-d grid")
         for name in ("sx_q", "sx_p"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != t.shape:
+            if v.shape[-1:] != t.shape or v.ndim > 2:
                 raise ValueError(f"{name} length does not match times")
             if not np.max(np.abs(v)) <= 1.0 + 1e-9:
                 raise ValueError(f"{name} is not finite or exceeds the Pauli bound")
             object.__setattr__(self, name, v)
+        if self.sx_q.shape != self.sx_p.shape:
+            raise ValueError("sx_q and sx_p hold different numbers of rows")
         object.__setattr__(self, "times", t)
         if self.states is not None and self.states.shape != (t.size, 4, 4):
             raise ValueError("states must have shape (len(times), 4, 4)")
@@ -239,9 +244,11 @@ def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
     return rho_t
 
 
-# Samples per chunk of evolve_analytic.  Chunks bound each temporary (128 KB
-# on the table path), so long grids take little memory and a scan's
-# repeated classifications reuse the same heap memory: whole-grid
+# Samples per chunk of evolve_analytic, over all the points of a batch.
+# Chunks bound each temporary (128 KB on the table path), so long grids and
+# large batches take little memory, a batch's kernel passes over
+# temporaries that stay in cache, and a scan's repeated classifications
+# reuse the same heap memory: whole-grid
 # temporaries (640 KB each on a 40 001-sample grid) went back to the system
 # and were faulted in again on every classification.  A chunk holds a
 # scan's 6 240-sample late span whole.  Every operation is elementwise in
@@ -254,44 +261,48 @@ _ROW = 64
 
 def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
                   span: slice, tables: bool = True) -> np.ndarray:
-    """Re[amps @ exp(exponents * t)] at every t of ``times[span]``, with
-    one row of ``amps`` per signal and one column per exponent.
+    """Re[amps[p] @ exp(exponents[p] * t)] at every t of ``times[span]``
+    for each point p of a batch, shape (P, S, span length): ``amps`` is
+    (P, S, K), one row per signal and one column per exponent, and
+    ``exponents`` is (P, K).
 
     On a grid of at least four rows that is uniform over the span's rows,
     sample m*_ROW + j of the whole grid takes exp(z*t) as the product of
     a coarse table, exp(z*times[m*_ROW]), and a fine one, exp(z*j*dt),
     which also carries the amplitudes: one exponential per row and _ROW
     per call instead of one per sample.  The tables are anchored on the
-    whole grid and the sum is elementwise, so a sample has the same bits
-    in every span and chunk that holds it.  Other grids, and
-    ``tables=False`` (the tables' test oracle), take np.exp at every
-    sample.
+    whole grid, and every product and sum is elementwise along the point
+    axis, so a sample has the same bits in every span, chunk and batch
+    that holds it.  Other grids, and ``tables=False`` (the tables' test
+    oracle), take np.exp at every sample.
     """
     n = times.size
     start, stop, step = span.indices(n)
     if step != 1:
         raise ValueError("span must be a slice of consecutive samples")
-    out = np.empty((amps.shape[0], max(stop - start, 0)))
+    points, signals, _ = amps.shape
+    out = np.empty((points, signals, max(stop - start, 0)))
     first = start - start % _ROW            # the span's first row
     if tables and n >= 4 * _ROW and _uniform(times[first:stop]):
         dt = (times[-1] - times[0]) / (n - 1)
-        fine = _parts((amps.T[:, :, None] * np.exp(
-            np.multiply.outer(exponents, np.arange(_ROW) * dt))[:, None, :]
-        ).reshape(exponents.size, -1))
-        rows = max(1, _EVOLVE_CHUNK // _ROW)
+        fine = _parts((amps.transpose(0, 2, 1)[:, :, :, None] * np.exp(
+            exponents[:, :, None] * (np.arange(_ROW) * dt))[:, :, None, :]
+        ).reshape(points, exponents.shape[1], -1))
+        rows = max(1, _EVOLVE_CHUNK // (_ROW * points))
         for a in range(first, stop, rows * _ROW):
             anchors = times[a:min(a + rows * _ROW, stop):_ROW]
-            part = _real_sum(np.exp(np.multiply.outer(exponents, anchors)),
-                             fine).reshape(anchors.size, amps.shape[0], _ROW)
-            part = part.transpose(1, 0, 2).reshape(amps.shape[0], -1)
-            lo, hi = max(a, start), min(a + part.shape[1], stop)
-            out[:, lo - start:hi - start] = part[:, lo - a:hi - a]
+            part = _real_sum(np.exp(exponents[:, :, None] * anchors), fine)
+            part = part.reshape(points, anchors.size, signals, _ROW)
+            part = part.transpose(0, 2, 1, 3).reshape(points, signals, -1)
+            lo, hi = max(a, start), min(a + part.shape[2], stop)
+            out[:, :, lo - start:hi - start] = part[:, :, lo - a:hi - a]
         return out
-    for a in range(start, stop, _EVOLVE_CHUNK):
-        t = times[a:min(a + _EVOLVE_CHUNK, stop)]
-        direct = np.exp(np.multiply.outer(exponents, t))
-        out[:, a - start:a - start + t.size] = _real_sum(
-            direct, _parts(amps.T)).T
+    chunk = max(1, _EVOLVE_CHUNK // points)
+    for a in range(start, stop, chunk):
+        t = times[a:min(a + chunk, stop)]
+        direct = np.exp(exponents[:, :, None] * t)
+        out[:, :, a - start:a - start + t.size] = _real_sum(
+            direct, _parts(amps.transpose(0, 2, 1))).transpose(0, 2, 1)
     return out
 
 
@@ -314,43 +325,53 @@ def _parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _real_sum(c: np.ndarray, g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Re[sum_k c[k, m] * g[k, i]] for every (m, i), g given as its
-    ``_parts``.  Each product is one IEEE multiplication (einsum's outer
-    product, faster here than a broadcast multiply) and the sum runs in a
-    fixed order, so an entry's bits depend on its own c and g alone."""
+    """Re[sum_k c[p, k, m] * g[p, k, i]] for every (p, m, i), g given as
+    its ``_parts``.  Each product is one IEEE multiplication (einsum's
+    outer product, faster here than a broadcast multiply) and the sum runs
+    in a fixed order, so an entry's bits depend on its own c and g alone."""
     cr, ci = _parts(c)
     gr, gi = g
-    out = np.einsum("i,j->ij", cr[0], gr[0])
+    out = np.einsum("pi,pj->pij", cr[:, 0], gr[:, 0])
     tmp = np.empty_like(out)
-    for k in range(c.shape[0]):
+    for k in range(c.shape[1]):
         if k:
-            out += np.einsum("i,j->ij", cr[k], gr[k], out=tmp)
-        out -= np.einsum("i,j->ij", ci[k], gi[k], out=tmp)
+            out += np.einsum("pi,pj->pij", cr[:, k], gr[:, k], out=tmp)
+        out -= np.einsum("pi,pj->pij", ci[:, k], gi[:, k], out=tmp)
     return out
 
 
-def evolve_analytic(eig: EigenStructure, rates: LindbladRates,
-                    rho0: np.ndarray, times: np.ndarray,
+def evolve_analytic(eig, rates, rho0, times: np.ndarray,
                     span: slice | None = None) -> Trajectory:
     """Exact block solution; ``rho0`` must be given in the eigenmode basis.
 
-    Works on any increasing time grid (the closed form needs no stepping).
-    ``times`` is the whole grid and ``span`` the part of it to evaluate,
-    by default all of it; the Trajectory holds the span alone.  Returns
-    the signals only: they read only the four parity-allowed coherences,
-    two damped exponentials per coherence block, evaluated chunk by chunk
+    ``eig``, ``rates`` and ``rho0`` describe one setup (an EigenStructure,
+    its LindbladRates and a state), or are equal-length sequences of them,
+    a batch of setups on one grid: the Trajectory then holds one row of
+    signals per setup, each with the bits it has alone.  Works on any
+    increasing time grid (the closed form needs no stepping).  ``times``
+    is the whole grid and ``span`` the part of it to evaluate, by default
+    all of it; the Trajectory holds the span alone.  Returns the signals
+    only: they read only the four parity-allowed coherences, two damped
+    exponentials per coherence block, evaluated chunk by chunk
     (_EVOLVE_CHUNK) from tables anchored on the whole grid
     (``_oscillations``), so a sample has the same bits in any span of a
     uniform grid.  The dense (n, 4, 4) states come from
     ``eigenmode_states``.
     """
-    validate_density_matrix(rho0)
+    batch = not isinstance(eig, EigenStructure)
+    setups = zip(eig, rates, rho0, strict=True) if batch else [(eig, rates, rho0)]
+    terms = []
+    for e, r, rho in setups:
+        validate_density_matrix(rho)
+        terms.append(_signal_terms(_blocks(e, r, rho), fock_observable_weights(e)))
     times = np.asarray(times, dtype=float)
     span = slice(None) if span is None else span
-    amps, exponents = _signal_terms(_blocks(eig, rates, rho0),
-                                    fock_observable_weights(eig))
-    sx_q, sx_p = _oscillations(amps, exponents, times, span)
-    return Trajectory(times=times[span], sx_q=sx_q, sx_p=sx_p)
+    signals = _oscillations(np.array([a for a, _ in terms]),
+                            np.array([z for _, z in terms]), times, span)
+    if not batch:
+        signals = signals[0]
+    return Trajectory(times=times[span], sx_q=signals[..., 0, :],
+                      sx_p=signals[..., 1, :])
 
 
 def _liouvillian(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:

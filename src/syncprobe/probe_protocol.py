@@ -287,6 +287,17 @@ class Simulation(NamedTuple):
 
 # Here, not in dynamics, because benchmarks/tracing.py times each layer
 # through the bindings of this module (and of cli).
+def pair_setup(params: QubitPairParams, model: SpectralDensityModel,
+               kappa: float = KAPPA_DEFAULT
+               ) -> tuple[EigenStructure, LindbladRates, np.ndarray]:
+    """(eig, rates, transform) of one pair at ``params.temperature``: what
+    ``simulate`` evolves from, and what a sweep builds for each point of a
+    batch it evolves at once (``dynamics.evolve_analytic``)."""
+    eig = diagonalize(params)
+    rates = lindblad_rates(eig, model, params.temperature, kappa)
+    return eig, rates, eigenmode_transform(params, eig)
+
+
 def simulate(params: QubitPairParams, model: SpectralDensityModel,
              times: np.ndarray, rho0: np.ndarray | None = None,
              kappa: float = KAPPA_DEFAULT,
@@ -297,9 +308,7 @@ def simulate(params: QubitPairParams, model: SpectralDensityModel,
     holds, by default all of it (see ``evolve_analytic``).  The trajectory
     holds the signals only; ``dynamics.eigenmode_states`` builds the states
     from ``eig``, ``rates`` and ``rho0`` rotated by ``transform``."""
-    eig = diagonalize(params)
-    rates = lindblad_rates(eig, model, params.temperature, kappa)
-    v = eigenmode_transform(params, eig)
+    eig, rates, v = pair_setup(params, model, kappa)
     rho0 = plus_plus_state() if rho0 is None else rho0
     traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times,
                            span)

@@ -9,7 +9,7 @@ Results are arrays and dataclasses; their JSON and CSV forms are the CLI's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -48,6 +48,14 @@ class SpectrumEstimate:
         return self.window[1] - self.window[0]
 
 
+class SpectrumBatch(NamedTuple):
+    """``windowed_fft`` of a batch of signals: the frequency axis the rows
+    share, and each row's SpectrumEstimate."""
+
+    freqs: np.ndarray
+    rows: tuple[SpectrumEstimate, ...]
+
+
 @dataclass(frozen=True)
 class SyncMetrics:
     c_times: np.ndarray        # window-center times
@@ -59,6 +67,14 @@ class SyncMetrics:
     c_ceil: float | None = None      # max windowed c over the late window
     c_min_abs: float | None = None   # min |c| over the late window
     below_floor: bool = False        # probe amplitude died before the late window
+
+
+class SyncBatch(NamedTuple):
+    """``detect_sync`` of a batch trajectory: the window centres the rows
+    share, and each row's SyncMetrics."""
+
+    c_times: np.ndarray
+    rows: tuple[SyncMetrics, ...]
 
 
 def sync_measure(f, g, t_index: int, window: int) -> float | None:
@@ -144,14 +160,17 @@ def _spectrum_plan(times: np.ndarray, t_start: float,
 
 
 def windowed_fft(signal, times, t_start: float, t_end: float,
-                 plan: _SpectrumPlan | None = None) -> SpectrumEstimate:
+                 plan: _SpectrumPlan | None = None):
     """Spectrum of the mean-subtracted, Hann-tapered segment [t_start, t_end].
 
     Zero-pads by 4x for sub-bin interpolation; peaks are local maxima whose
     height and prominence both exceed 5x the median magnitude.  ``plan``,
     a ``SyncPlan``'s ``spectrum``, saves the checks, taper and frequency
     axis of its grid and window (ValueError on another grid or window);
-    the spectra of one plan share its read-only ``freqs``.
+    the spectra of one plan share its read-only ``freqs``.  A 2-d
+    ``signal`` is a batch, one signal per row: one rfft covers the rows,
+    each with the bits it has alone, and a SpectrumBatch holds their
+    estimates.
     """
     signal = np.asarray(signal, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -159,12 +178,19 @@ def windowed_fft(signal, times, t_start: float, t_end: float,
         plan = _spectrum_plan(times, t_start, t_end)
     elif plan.grid != _grid_key(times) or plan.window != (t_start, t_end):
         raise ValueError("the spectrum plan is for another grid or window")
-    seg = signal[plan.part].copy()
-    seg -= seg.mean()
+    seg = signal[..., plan.part].copy()
+    seg -= seg.mean(axis=-1, keepdims=True)
     seg *= plan.taper
-    spec = np.abs(np.fft.rfft(seg, n=plan.n_fft))
-    freqs = plan.freqs
+    spec = np.abs(np.fft.rfft(seg, n=plan.n_fft, axis=-1))
+    window = (float(t_start), float(t_end))
+    rows = tuple(SpectrumEstimate(freqs=plan.freqs, magnitude=row,
+                                  peaks=_peaks(row, plan.freqs), window=window)
+                 for row in spec.reshape(-1, spec.shape[-1]))
+    return rows[0] if signal.ndim == 1 else SpectrumBatch(plan.freqs, rows)
 
+
+def _peaks(spec: np.ndarray, freqs: np.ndarray) -> tuple[Peak, ...]:
+    """The peaks of one magnitude spectrum, tallest first."""
     # Height floor per the 5x-median rule; the prominence floor additionally
     # scales with the strongest feature so Hann sidelobe ripples (-31 dB,
     # under 3% of the main lobe) never register as peaks of their own.  The
@@ -174,9 +200,8 @@ def windowed_fft(signal, times, t_start: float, t_end: float,
     mid = spec.size // 2   # the median of the 2n + 1 bins of a 4n pad
     floor = 5.0 * float(np.partition(spec, mid)[mid])
     prom = max(floor, 0.05 * float(np.max(spec)))
-    idx = _find_peaks(spec, prom)
     peaks = []
-    for i in idx:
+    for i in _find_peaks(spec, prom):
         # 3-point parabolic refinement
         y0, y1, y2 = spec[i - 1], spec[i], spec[i + 1]
         denom = y0 - 2.0 * y1 + y2
@@ -186,8 +211,7 @@ def windowed_fft(signal, times, t_start: float, t_end: float,
         h_hat = y1 - 0.25 * (y0 - y2) * shift
         peaks.append(Peak(frequency=float(f_hat), height=float(h_hat)))
     peaks.sort(key=lambda p: p.height, reverse=True)
-    return SpectrumEstimate(freqs=freqs, magnitude=spec, peaks=tuple(peaks),
-                            window=(float(t_start), float(t_end)))
+    return tuple(peaks)
 
 
 @cache
@@ -374,22 +398,39 @@ def spin_correlator(rho: np.ndarray) -> complex:
 _CORRELATION_BLOCK = 1 << 20
 
 
-def _windowed_correlation(f, g, win_n: int, starts: np.ndarray) -> np.ndarray:
-    """``sync_measure`` at each of ``starts``, NaN on zero variance, in blocks
-    of starts whose windows hold at most _CORRELATION_BLOCK samples."""
-    c_values = np.full(starts.size, np.nan)
-    rows = max(1, _CORRELATION_BLOCK // win_n)
-    for k in range(0, starts.size, rows):
-        da = np.lib.stride_tricks.sliding_window_view(f, win_n)[starts[k:k + rows]]
-        db = np.lib.stride_tricks.sliding_window_view(g, win_n)[starts[k:k + rows]]
-        da -= da.mean(axis=1, keepdims=True)
-        db -= db.mean(axis=1, keepdims=True)
-        na = np.sqrt(np.einsum("ij,ij->i", da, da))
-        nb = np.sqrt(np.einsum("ij,ij->i", db, db))
-        num = np.einsum("ij,ij->i", da, db)
-        defined = (na != 0.0) & (nb != 0.0)
-        c_values[k:k + rows][defined] = np.clip(
-            num[defined] / (na[defined] * nb[defined]), -1.0, 1.0)
+def _windowed_correlation(f, g, win_n: int, step_n: int) -> np.ndarray:
+    """``sync_measure`` of each row of ``f`` against the same row of ``g``
+    (both (P, n)) in every window of ``win_n`` samples that starts on a
+    multiple of ``step_n``, shape (P, windows), NaN on zero variance.
+
+    Windows are copied out of strided views in blocks of at most
+    _CORRELATION_BLOCK samples: whole rows while a row's windows fit a
+    block, else part of one row.  Each window's arithmetic is its own, so
+    a row has the same bits in any batch and block."""
+    points, n = f.shape
+    count = len(range(0, n - win_n + 1, step_n))
+    c_values = np.full((points, count), np.nan)
+    if count == 0:
+        return c_values
+    views = [np.lib.stride_tricks.sliding_window_view(x, win_n, axis=-1)[:, ::step_n]
+             for x in (f, g)]
+    most = max(1, _CORRELATION_BLOCK // win_n)     # windows per block
+    per = max(1, most // count)                     # rows per block
+    for p in range(0, points, per):
+        for k in range(0, count, most):
+            block = c_values[p:p + per, k:k + most]
+            da, db = (v[p:p + per, k:k + most].copy().reshape(-1, win_n)
+                      for v in views)
+            da -= da.mean(axis=1, keepdims=True)
+            db -= db.mean(axis=1, keepdims=True)
+            na = np.sqrt(np.einsum("ij,ij->i", da, da))
+            nb = np.sqrt(np.einsum("ij,ij->i", db, db))
+            num = np.einsum("ij,ij->i", da, db)
+            c = np.full(num.size, np.nan)
+            defined = (na != 0.0) & (nb != 0.0)
+            c[defined] = np.clip(num[defined] / (na[defined] * nb[defined]),
+                                 -1.0, 1.0)
+            block[...] = c.reshape(block.shape)
     return c_values
 
 
@@ -467,9 +508,10 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
 class SyncPlan(NamedTuple):
     """A grid, the span of it that trajectories hold, and what
     ``detect_sync`` derives from that span and a SyncConfig alone: the
-    span's size and end samples, the correlation window length, the window
-    starts and centres (read-only), the centres and the samples in the
-    late window, and the late window's spectrum plan.  ``sync_plan``
+    span's size and end samples, the correlation window length and stride
+    (a window starts on every multiple of it), the window centres
+    (read-only), the centres and the samples in the late window, and the
+    late window's spectrum plan.  ``sync_plan``
     builds it."""
 
     times: np.ndarray
@@ -477,7 +519,7 @@ class SyncPlan(NamedTuple):
     config: SyncConfig
     grid: tuple[int, float, float]
     win_n: int
-    starts: np.ndarray
+    step_n: int
     c_times: np.ndarray
     late_c: slice
     late: slice
@@ -493,19 +535,18 @@ def sync_plan(times, config: SyncConfig = SyncConfig(),
     times = np.asarray(times, dtype=float)
     span = late_span(times, config) if span is None else span
     part = times[span]
-    win_n, _, starts, c_times = _correlation_windows(part, config)
+    win_n, step_n, _, c_times = _correlation_windows(part, config)
     lo, hi = config.late_window
     spectrum = _spectrum_plan(part, lo, hi)
-    for a in (starts, c_times):
-        a.flags.writeable = False
-    return SyncPlan(times, span, config, spectrum.grid, win_n, starts,
+    c_times.flags.writeable = False
+    return SyncPlan(times, span, config, spectrum.grid, win_n, step_n,
                     c_times, _as_slice(window_mask(c_times, lo, hi)),
                     spectrum.part, spectrum)
 
 
 def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
                 plan: SyncPlan | None = None, *,
-                locked_only: bool = False) -> SyncMetrics:
+                locked_only: bool = False):
     """Sliding-window correlation, regime label, probe-only peak frequency.
 
     Classification is a persistence test over every correlation window
@@ -532,31 +573,51 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
     ``window_mask`` picks its samples and windows.  A late window with no
     defined c (every late window has zero variance) reads Indeterminate,
     or NoSync without a probe peak.
+
+    A batch trajectory (one row of signals per point) gives a SyncBatch:
+    one correlation pass and one ``windowed_fft`` over the rows that need
+    a spectrum, and per row the SyncMetrics it gets alone.
     """
-    times, f, g = traj.times, traj.sx_q, traj.sx_p
+    times = traj.times
+    f, g = np.atleast_2d(traj.sx_q), np.atleast_2d(traj.sx_p)
     if plan is None:
         plan = sync_plan(times, config, slice(None))
     elif plan.config != config or plan.grid != _grid_key(times):
         raise ValueError("the sync plan is for another grid or SyncConfig")
-    c_times = plan.c_times
-    c_values = _windowed_correlation(f, g, plan.win_n, plan.starts)
+    c_values = _windowed_correlation(f, g, plan.win_n, plan.step_n)
+    rows = [_verdict(c, probe[plan.late], plan, config)
+            for c, probe in zip(c_values, g)]
+    spectral = [k for k, m in enumerate(rows)
+                if not (m.regime == NO_SYNC
+                        or locked_only and m.regime == INDETERMINATE)]
+    if spectral:
+        spectra = windowed_fft(g[spectral], times, *config.late_window,
+                               plan.spectrum).rows
+        for k, est in zip(spectral, spectra):
+            rows[k] = (replace(rows[k], omega_sync=est.peaks[0].frequency)
+                       if est.peaks else replace(rows[k], regime=NO_SYNC))
+    return rows[0] if traj.sx_q.ndim == 1 else SyncBatch(plan.c_times,
+                                                         tuple(rows))
 
-    if np.max(np.abs(g[plan.late])) < config.noise_floor:
-        # Dead channel, not an unlocked one: the pair never got to show its
-        # late-time phase relation at measurable amplitude.
-        return SyncMetrics(c_times=c_times, c_values=c_values,
-                           omega_sync=None, regime=NO_SYNC,
-                           window=config.window, below_floor=True)
 
+def _verdict(c_values: np.ndarray, late_probe: np.ndarray, plan: SyncPlan,
+             config: SyncConfig) -> SyncMetrics:
+    """One row's SyncMetrics from its correlations and late-window probe
+    samples, before any spectrum: omega_sync is None."""
+    # Dead channel, not an unlocked one: the pair never got to show its
+    # late-time phase relation at measurable amplitude.
+    below_floor = bool(np.max(np.abs(late_probe)) < config.noise_floor)
     vals = c_values[plan.late_c]
     vals = vals[~np.isnan(vals)]
-    if vals.size == 0:
-        c_floor = c_ceil = c_min_abs = None
+    extremes = (None, None, None)
+    if below_floor:
+        regime = NO_SYNC
+    elif vals.size == 0:
         regime = INDETERMINATE
     else:
-        c_floor = float(np.min(vals))
-        c_ceil = float(np.max(vals))
-        c_min_abs = float(np.min(np.abs(vals)))
+        extremes = c_floor, c_ceil, c_min_abs = (
+            float(np.min(vals)), float(np.max(vals)),
+            float(np.min(np.abs(vals))))
         if c_floor >= config.sync_threshold:
             regime = IN_PHASE
         elif c_ceil <= -config.sync_threshold:
@@ -565,12 +626,5 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
             regime = NO_SYNC
         else:
             regime = INDETERMINATE
-    skip = regime == NO_SYNC or (locked_only and regime == INDETERMINATE)
-    peaks = () if skip else windowed_fft(g, times, *config.late_window,
-                                         plan.spectrum).peaks
-    omega = peaks[0].frequency if peaks else None
-    if omega is None and not skip:
-        regime = NO_SYNC
-    return SyncMetrics(c_times=c_times, c_values=c_values, omega_sync=omega,
-                       regime=regime, window=config.window,
-                       c_floor=c_floor, c_ceil=c_ceil, c_min_abs=c_min_abs)
+    return SyncMetrics(plan.c_times, c_values, None, regime, config.window,
+                       *extremes, below_floor)

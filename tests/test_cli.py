@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -650,7 +651,12 @@ def test_sweep_grid_order_and_columns(tmp_path):
 
 
 def test_sweep_workers_do_not_change_bytes(tmp_path):
-    cfg = _write(tmp_path, _small_sweep())
+    """25 points: three full batches and a ragged tail of one, spread over
+    one or two processes."""
+    assert 3 * cli._SWEEP_BATCH < 25 < 4 * cli._SWEEP_BATCH
+    cfg = _write(tmp_path, _small_sweep(axes=[
+        {"name": "omega_p", "lo": 0.8, "hi": 1.2, "steps": 5},
+        {"name": "lambda", "lo": 0.1, "hi": 0.3, "steps": 5}]))
     blobs = []
     for workers, sub in (("1", "a"), ("2", "b")):
         out = tmp_path / sub
@@ -658,6 +664,66 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
                      "--workers", workers]) == 0
         blobs.append((out / "sweep.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+_SWEEP_AXES = ["omega_p", "lambda", "s", "T"]
+_SWEEP_RECORD = ("c", "omega_sync", "regime", "below_floor", "mi")
+_SWEEP_POINTS = st.tuples(st.floats(0.5, 1.5), st.floats(0.05, 0.45),
+                          st.floats(0.5, 3.0),
+                          st.sampled_from([0.0, 0.3]) | st.floats(0.0, 2.0))
+
+
+def _sweep_cells(base, points, plan):
+    """The sweep.csv cells of ``points``, evaluated as cmd_sweep does: in
+    batches of _SWEEP_BATCH, serially."""
+    return [[cli._cell(row[c]) for c in cli._sweep_columns(_SWEEP_RECORD)]
+            if err is None else err
+            for row, err in cli._sweep_results(base, _SWEEP_AXES, points,
+                                               _SWEEP_RECORD, plan, 1)]
+
+
+@settings(max_examples=25)
+@given(points=st.lists(_SWEEP_POINTS, min_size=9, max_size=9),
+       failing=st.integers(1, 6))
+def test_sweep_batches_give_the_rows_of_single_points(points, failing):
+    """A point's row does not depend on the batch it is evaluated in:
+    grids one short of a batch, one batch, and one batch plus a ragged
+    tail give, cell for cell, the rows of the same points evaluated one by
+    one (batches of one).  A point whose setup fails mid-batch (s = 5000
+    makes J non-finite) keeps its error text on its own row, and its
+    neighbours keep their rows."""
+    size = cli._SWEEP_BATCH
+    assert size == 8
+    base = parse_run_config(_run_cfg())
+    plan = cli.sync_plan(base.time_grid.times(), base.analysis)
+    # E1 > omega_p = 1.5, so J(E1) ~ E1**5000 overflows
+    points[failing] = (1.5, points[failing][1], 5000.0, points[failing][3])
+    alone = [_sweep_cells(base, [p], plan)[0] for p in points]
+    assert alone[failing].startswith("ValueError: bath: J must be finite")
+    assert all(isinstance(c, list) for k, c in enumerate(alone) if k != failing)
+    for n in (size - 1, size, size + 1):
+        assert _sweep_cells(base, points[:n], plan) == alone[:n]
+
+
+def test_sweep_batch_keeps_a_signal_failure_on_its_row(monkeypatch):
+    """A point that passes its setup but fails inside the batch (here a
+    state of trace 2, which the evolution's state check rejects) has the
+    error it has alone: the batch is then evaluated point by point, and
+    its neighbours keep their rows."""
+    base = parse_run_config(_run_cfg())
+    plan = cli.sync_plan(base.time_grid.times(), base.analysis)
+    points = [(w, 0.2, 1.0, 0.0) for w in (0.8, 0.9, 1.1, 1.2)]
+    good = _sweep_cells(base, points, plan)
+    apply = cli._apply_axes
+
+    def broken(base, names, values):
+        rc = apply(base, names, values)
+        return replace(rc, initial_state=2.0 * rc.rho0) if values[0] == 1.1 else rc
+
+    monkeypatch.setattr(cli, "_apply_axes", broken)
+    cells = _sweep_cells(base, points, plan)
+    assert cells[2] == "StateValidationError: trace deviates from 1 by 1"
+    assert cells[:2] + cells[3:] == good[:2] + good[3:]
 
 
 def test_sweep_point_same_row_on_late_span():
@@ -780,15 +846,16 @@ def test_sweep_partial_failure(tmp_path):
 
 
 def _sweep_raising(monkeypatch, error):
-    """A sweep whose point at omega_p 1.2 raises ``error``."""
-    point = cli._sweep_point
+    """A sweep whose point at omega_p 1.2 raises ``error`` in its setup,
+    the one step a sweep takes for each point of a batch."""
+    setup = cli.pair_setup
 
-    def raising(base, names, values, record, times):
-        if values[0] == 1.2:
+    def raising(params, model, kappa):
+        if params.omega_p == 1.2:
             raise error
-        return point(base, names, values, record, times)
+        return setup(params, model, kappa)
 
-    monkeypatch.setattr(cli, "_sweep_point", raising)
+    monkeypatch.setattr(cli, "pair_setup", raising)
 
 
 def test_sweep_records_input_errors(tmp_path, monkeypatch):

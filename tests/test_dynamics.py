@@ -451,9 +451,10 @@ def test_tables_match_direct_exponentials(times, omega_p, lam, T, s, seed):
     within 1e-12 of np.exp at every sample (the oracle path)."""
     *_, amps, exponents = _terms(omega_p, lam, T, s, seed)
     assert dynamics._uniform(times)
-    tables = dynamics._oscillations(amps, exponents, times, slice(None))
-    direct = dynamics._oscillations(amps, exponents, times, slice(None),
-                                    tables=False)
+    tables = dynamics._oscillations(amps[None], exponents[None], times,
+                                    slice(None))
+    direct = dynamics._oscillations(amps[None], exponents[None], times,
+                                    slice(None), tables=False)
     assert np.max(np.abs(tables - direct)) <= 1e-12
 
 
@@ -491,8 +492,8 @@ def test_nonuniform_grid_takes_direct_exponentials(n, nudge, jitter, omega_p,
         times[1 + nudge % (n - 2)] += 1e-9
     assert not dynamics._uniform(times)
     traj = evolve_analytic(eig, rates, rho0, times)
-    direct = dynamics._oscillations(amps, exponents, times, slice(None),
-                                    tables=False)
+    (direct,) = dynamics._oscillations(amps[None], exponents[None], times,
+                                       slice(None), tables=False)
     assert traj.sx_q.tobytes() == direct[0].tobytes()
     assert traj.sx_p.tobytes() == direct[1].tobytes()
 

@@ -890,3 +890,29 @@ def test_simulate_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * times.size
+
+
+def test_sweep_batch_memory_per_point():
+    """One full sweep batch on figD's grid (the benchmark's sweep-map
+    shape: 2 250-sample late spans) peaks at about 190 KB per point,
+    mostly the correlation windows it copies, so the batch's peak grows
+    with the batch size.  Its points together stay under 1.7 MB, 5 % of a
+    34 MB peak RSS: a larger batch constant fails here before it costs the
+    benchmark's peak_rss_mb."""
+    from syncprobe import cli
+    from syncprobe.presets import get_preset
+
+    spec = cli.parse_sweep_spec(get_preset("figD"))
+    plan = sync_plan(spec.base.time_grid.times(), spec.base.analysis)
+    points = [(0.5 + 0.01 * k, 0.2) for k in range(cli._SWEEP_BATCH)]
+    task = (spec.base, ["omega_p", "lambda"], points, spec.record, plan)
+    cli._sweep_task(task)   # the taper cache, built on the first spectrum
+    tracemalloc.start()
+    try:
+        rows = cli._sweep_task(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(err is None for _, err in rows)
+    assert peak <= 200_000 * len(points)
+    assert peak <= 1_700_000

@@ -7,6 +7,7 @@ unit tests, not only the benchmark's traced pass.
 """
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -76,3 +77,28 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
     pair = QubitPairParams(omega_p=1.1, lam=0.2)
     probe_protocol._classify_point(model, pair, times, sync_cfg, scan.kappa)
     assert _layer_spans(tracer, first) == LAYER_SPANS
+
+
+def test_sweep_batches_record_setup_per_point_and_one_span_per_batch(
+        monkeypatch, tmp_path):
+    """``sweep`` sets each point up through the traced bindings and
+    evolves and classifies each batch in one span of each: 20 points in
+    batches of 8 (two full and a tail of 4) give 20 setups and 3 evolve
+    and detect spans, each evolve span over the 2 250-sample late span."""
+    tracer = _installed_tracer(monkeypatch)
+    cfg = {"base": get_preset("fig1"), "record": ["c", "omega_sync", "regime"],
+           "axes": [{"name": "omega_p", "lo": 0.8, "hi": 1.2, "steps": 4},
+                    {"name": "lambda", "lo": 0.1, "hi": 0.3, "steps": 5}]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    assert cli._SWEEP_BATCH == 8
+    assert cli.main(["sweep", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--workers", "1"]) == 0
+    points, batches = 20, 3
+    assert _layer_spans(tracer, 0) == {
+        "spin_model.setup": 2 * points, "bath.lindblad_rates": points,
+        "dynamics.evolve_analytic": batches,
+        "signal_analysis.detect_sync": batches}
+    evolve = tracer.names.index("dynamics.evolve_analytic")
+    assert [n for c, n in zip(tracer.code, tracer.items)
+            if c == evolve] == [2250] * batches
