@@ -60,6 +60,7 @@ from .probe_protocol import (
     TransitionPoint,
     collect_constraints,
     default_scan_grid,
+    evolve_analytic,
     fit_spectral_density,
     pair_setup,
     predict_transition,
@@ -69,11 +70,10 @@ from .probe_protocol import (
 )
 # Not called here: benchmarks/tracing.py wraps these bindings of this module.
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
-                             evolve_analytic, lindblad_rates)
+                             lindblad_rates)
 from .signal_analysis import (
     CORRELATOR_OP,
     SyncConfig,
-    SyncPlan,
     check_window,
     detect_sync,
     late_span,
@@ -514,10 +514,10 @@ def _sweep_columns(record) -> list[str]:
 _SWEEP_BATCH = 8
 
 
-def _sweep_rows(base: RunConfig, names, batch, record, grid) -> list:
+def _sweep_rows(base: RunConfig, names, batch, record, plan) -> list:
     """The row of each point of ``batch`` (a list of axis values), or the
-    ValueError the point raised; ``grid`` is a time grid, evolved whole,
-    or a ``sync_plan``, evolved over its span and classified with it.
+    ValueError the point raised, evolved over the span of ``plan`` (a
+    ``sync_plan`` for ``base.analysis``) and classified with it.
 
     Each point gets its own setup; the points that pass it are evolved and
     classified as one batch, in which every point has the bits it has
@@ -525,8 +525,6 @@ def _sweep_rows(base: RunConfig, names, batch, record, grid) -> list:
     checks), each point is evaluated alone, so the error stays on its row.
     Any other exception propagates.
     """
-    plan = grid if isinstance(grid, SyncPlan) else None
-    times, span = (plan.times, plan.span) if plan else (grid, slice(None))
     configs = [_apply_axes(base, names, values) for values in batch]
     out = []
     for rc in configs:
@@ -540,8 +538,8 @@ def _sweep_rows(base: RunConfig, names, batch, record, grid) -> list:
         traj = evolve_analytic(
             [out[k][0] for k in ks], [out[k][1] for k in ks],
             [to_eigenmode_basis(configs[k].rho0, out[k][2]) for k in ks],
-            times, span)
-        return dict(zip(ks, detect_sync(traj, base.analysis, plan).rows))
+            plan.times, plan.span)
+        return dict(zip(ks, detect_sync(traj, plan.config, plan).rows))
 
     try:
         metrics = classify(live) if live else {}
@@ -555,7 +553,8 @@ def _sweep_rows(base: RunConfig, names, batch, record, grid) -> list:
                 out[k] = exc
     for k, m in metrics.items():
         try:
-            out[k] = _sweep_row(configs[k], *out[k], times[span], m, record)
+            out[k] = _sweep_row(configs[k], *out[k], plan.times[plan.span],
+                                m, record)
         except ValueError as exc:
             out[k] = exc
     return out
@@ -585,10 +584,12 @@ def _sweep_row(rc: RunConfig, eig, rates, v, times, m, record) -> dict:
     return out
 
 
-def _sweep_point(base: RunConfig, names, values, record, grid) -> dict:
+def _sweep_point(base: RunConfig, names, values, record, plan) -> dict:
     """One sweep row, as a batch of one (``_sweep_rows``); raises the
-    point's ValueError."""
-    (row,) = _sweep_rows(base, names, [values], record, grid)
+    point's ValueError.  ``sweep`` does not call it: it is kept as the
+    binding that benchmarks/tracing.py wraps as ``cli.point``, and as a
+    helper for the tests."""
+    (row,) = _sweep_rows(base, names, [values], record, plan)
     if isinstance(row, ValueError):
         raise row
     return row

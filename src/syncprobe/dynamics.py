@@ -245,7 +245,7 @@ def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
 
 
 # Samples per chunk of evolve_analytic, over all the points of a batch.
-# Chunks bound each temporary (128 KB on the table path), so long grids and
+# Chunks bound each temporary (128 KB with 64-sample rows), so long grids and
 # large batches take little memory, a batch's kernel passes over
 # temporaries that stay in cache, and a scan's repeated classifications
 # reuse the same heap memory: whole-grid
@@ -260,21 +260,21 @@ _ROW = 64
 
 
 def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
-                  span: slice, tables: bool = True) -> np.ndarray:
+                  span: slice) -> np.ndarray:
     """Re[amps[p] @ exp(exponents[p] * t)] at every t of ``times[span]``
     for each point p of a batch, shape (P, S, span length): ``amps`` is
     (P, S, K), one row per signal and one column per exponent, and
     ``exponents`` is (P, K).
 
-    On a grid of at least four rows that is uniform over the span's rows,
-    sample m*_ROW + j of the whole grid takes exp(z*t) as the product of
-    a coarse table, exp(z*times[m*_ROW]), and a fine one, exp(z*j*dt),
-    which also carries the amplitudes: one exponential per row and _ROW
-    per call instead of one per sample.  The tables are anchored on the
-    whole grid, and every product and sum is elementwise along the point
-    axis, so a sample has the same bits in every span, chunk and batch
-    that holds it.  Other grids, and ``tables=False`` (the tables' test
-    oracle), take np.exp at every sample.
+    Sample m*row + j of the whole grid takes exp(z*t) as the product of a
+    coarse table, exp(z*times[m*row]), and a fine one, exp(z*j*dt), which
+    also carries the amplitudes: one exponential per row instead of one
+    per sample.  Rows hold _ROW samples on a grid of at least four rows
+    that is uniform over the span's rows, and one sample on any other
+    grid, whose fine table is then the amplitudes themselves.  The tables
+    are anchored on the whole grid, and every product and sum is
+    elementwise along the point axis, so a sample has the same bits in
+    every span, chunk and batch that holds it.
     """
     n = times.size
     start, stop, step = span.indices(n)
@@ -282,27 +282,23 @@ def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
         raise ValueError("span must be a slice of consecutive samples")
     points, signals, _ = amps.shape
     out = np.empty((points, signals, max(stop - start, 0)))
-    first = start - start % _ROW            # the span's first row
-    if tables and n >= 4 * _ROW and _uniform(times[first:stop]):
+    uniform = n >= 4 * _ROW and _uniform(times[start - start % _ROW:stop])
+    row = _ROW if uniform else 1
+    first = start - start % row             # the span's first row
+    fine = amps.transpose(0, 2, 1)
+    if row > 1:
         dt = (times[-1] - times[0]) / (n - 1)
-        fine = _parts((amps.transpose(0, 2, 1)[:, :, :, None] * np.exp(
-            exponents[:, :, None] * (np.arange(_ROW) * dt))[:, :, None, :]
-        ).reshape(points, exponents.shape[1], -1))
-        rows = max(1, _EVOLVE_CHUNK // (_ROW * points))
-        for a in range(first, stop, rows * _ROW):
-            anchors = times[a:min(a + rows * _ROW, stop):_ROW]
-            part = _real_sum(np.exp(exponents[:, :, None] * anchors), fine)
-            part = part.reshape(points, anchors.size, signals, _ROW)
-            part = part.transpose(0, 2, 1, 3).reshape(points, signals, -1)
-            lo, hi = max(a, start), min(a + part.shape[2], stop)
-            out[:, :, lo - start:hi - start] = part[:, :, lo - a:hi - a]
-        return out
-    chunk = max(1, _EVOLVE_CHUNK // points)
-    for a in range(start, stop, chunk):
-        t = times[a:min(a + chunk, stop)]
-        direct = np.exp(exponents[:, :, None] * t)
-        out[:, :, a - start:a - start + t.size] = _real_sum(
-            direct, _parts(amps.transpose(0, 2, 1))).transpose(0, 2, 1)
+        fine = fine[:, :, :, None] * np.exp(
+            exponents[:, :, None] * (np.arange(row) * dt))[:, :, None, :]
+    fine = _parts(fine.reshape(points, exponents.shape[1], -1))
+    rows = max(1, _EVOLVE_CHUNK // (row * points))
+    for a in range(first, stop, rows * row):
+        anchors = times[a:min(a + rows * row, stop):row]
+        part = _real_sum(np.exp(exponents[:, :, None] * anchors), fine)
+        part = part.reshape(points, anchors.size, signals, row)
+        part = part.transpose(0, 2, 1, 3).reshape(points, signals, -1)
+        lo, hi = max(a, start), min(a + part.shape[2], stop)
+        out[:, :, lo - start:hi - start] = part[:, :, lo - a:hi - a]
     return out
 
 

@@ -45,7 +45,6 @@ from .signal_analysis import (
     ANTI_PHASE,
     IN_PHASE,
     SyncConfig,
-    SyncPlan,
     detect_sync,
     sync_plan,
 )
@@ -315,15 +314,12 @@ def simulate(params: QubitPairParams, model: SpectralDensityModel,
     return Simulation(eig, rates, v, traj)
 
 
-def _classify_point(model, params, grid, sync_cfg, kappa):
-    """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable.
-    ``grid`` is a time grid, evolved whole, or a ``sync_plan``, evolved
-    over its span and classified with it; only a locked verdict builds a
-    spectrum."""
-    plan = grid if isinstance(grid, SyncPlan) else None
-    times, span = (plan.times, plan.span) if plan else (grid, None)
-    sim = simulate(params, model, times, kappa=kappa, span=span)
-    m = detect_sync(sim.traj, sync_cfg, plan, locked_only=True)
+def _classify_point(model, params, plan, kappa):
+    """1 if mode 1 survives (in-phase), 2 if mode 2 does, 0 if undecidable,
+    from the signals over the span of ``plan`` (a ``sync_plan``) and its
+    verdict; only a locked verdict builds a spectrum."""
+    sim = simulate(params, model, plan.times, kappa=kappa, span=plan.span)
+    m = detect_sync(sim.traj, plan.config, plan, locked_only=True)
     if m.omega_sync is None:
         return 0
     on_e1 = abs(m.omega_sync - sim.eig.E1) < abs(m.omega_sync - sim.eig.E2)
@@ -386,12 +382,12 @@ def scan_transition(model: SpectralDensityModel, params: QubitPairParams,
         raise ValueError("omega_p_grid must be a 1-d grid with at least 2 points")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("omega_p_grid must be strictly increasing")
-    sync_cfg = config.sync_config(params.omega_q)
-    plan = sync_plan(config.times(params.omega_q), sync_cfg)
+    plan = sync_plan(config.times(params.omega_q),
+                     config.sync_config(params.omega_q))
 
     def classify(w: float) -> int:
         return _classify_point(model, replace(params, omega_p=w), plan,
-                               sync_cfg, config.kappa)
+                               config.kappa)
 
     locked = []   # (index, label) of each locked grid point, up to a switch
     for k, w in enumerate(grid):

@@ -508,21 +508,19 @@ def late_span(times, config: SyncConfig = SyncConfig()) -> slice:
 class SyncPlan(NamedTuple):
     """A grid, the span of it that trajectories hold, and what
     ``detect_sync`` derives from that span and a SyncConfig alone: the
-    span's size and end samples, the correlation window length and stride
-    (a window starts on every multiple of it), the window centres
-    (read-only), the centres and the samples in the late window, and the
-    late window's spectrum plan.  ``sync_plan``
-    builds it."""
+    correlation window length and stride (a window starts on every
+    multiple of it), the window centres (read-only), the centres in the
+    late window, and the late window's spectrum plan, which holds the
+    span's size and end samples and the late-window samples.
+    ``sync_plan`` builds it."""
 
     times: np.ndarray
     span: slice
     config: SyncConfig
-    grid: tuple[int, float, float]
     win_n: int
     step_n: int
     c_times: np.ndarray
     late_c: slice
-    late: slice
     spectrum: _SpectrumPlan
 
 
@@ -539,9 +537,8 @@ def sync_plan(times, config: SyncConfig = SyncConfig(),
     lo, hi = config.late_window
     spectrum = _spectrum_plan(part, lo, hi)
     c_times.flags.writeable = False
-    return SyncPlan(times, span, config, spectrum.grid, win_n, step_n,
-                    c_times, _as_slice(window_mask(c_times, lo, hi)),
-                    spectrum.part, spectrum)
+    return SyncPlan(times, span, config, win_n, step_n, c_times,
+                    _as_slice(window_mask(c_times, lo, hi)), spectrum)
 
 
 def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
@@ -582,10 +579,10 @@ def detect_sync(traj: Trajectory, config: SyncConfig = SyncConfig(),
     f, g = np.atleast_2d(traj.sx_q), np.atleast_2d(traj.sx_p)
     if plan is None:
         plan = sync_plan(times, config, slice(None))
-    elif plan.config != config or plan.grid != _grid_key(times):
+    elif plan.config != config or plan.spectrum.grid != _grid_key(times):
         raise ValueError("the sync plan is for another grid or SyncConfig")
     c_values = _windowed_correlation(f, g, plan.win_n, plan.step_n)
-    rows = [_verdict(c, probe[plan.late], plan, config)
+    rows = [_verdict(c, probe[plan.spectrum.part], plan, config)
             for c, probe in zip(c_values, g)]
     spectral = [k for k, m in enumerate(rows)
                 if not (m.regime == NO_SYNC

@@ -29,3 +29,21 @@ def null_vector_transform(ops: OperatorSet) -> np.ndarray:
     if np.max(np.abs(v.conj().T @ v - np.eye(4))) > 1e-10:
         raise ConventionError("Fock columns not orthonormal")
     return v
+
+
+def direct_oscillations(amps: np.ndarray, exponents: np.ndarray,
+                        times: np.ndarray) -> np.ndarray:
+    """Re[amps[p] @ exp(exponents[p] * t)] at every t of ``times``, shape
+    (P, S, n), with ``amps`` (P, S, K) and ``exponents`` (P, K): the
+    reference of ``dynamics._oscillations``, with np.exp at every sample
+    and no chunks or tables.  The sum runs over the exponents in order,
+    each adding the product of the real parts and subtracting that of the
+    imaginary ones, one IEEE multiplication each."""
+    z = np.exp(exponents[:, None, :, None] * times)     # (P, 1, K, n)
+    a = amps[..., None]                                 # (P, S, K, 1)
+    out = a[:, :, 0].real * z[:, :, 0].real
+    out -= a[:, :, 0].imag * z[:, :, 0].imag
+    for k in range(1, amps.shape[2]):
+        out += a[:, :, k].real * z[:, :, k].real
+        out -= a[:, :, k].imag * z[:, :, k].imag
+    return out

@@ -739,7 +739,8 @@ def test_sweep_point_same_row_on_late_span():
     record = ("c", "omega_sync", "regime", "below_floor", "mi", "correlator")
     regimes = set()
     for values in ((0.8, 0.2), (1.2, 0.2), (1.0, 0.05), (1.3, 0.45)):
-        a = cli._sweep_point(base, ["omega_p", "lambda"], values, record, full)
+        a = cli._sweep_point(base, ["omega_p", "lambda"], values, record,
+                             cli.sync_plan(full, base.analysis, slice(None)))
         b = cli._sweep_point(base, ["omega_p", "lambda"], values, record,
                              cli.sync_plan(full, base.analysis))
         wa, wb = a.pop("omega_sync"), b.pop("omega_sync")
@@ -762,7 +763,8 @@ def test_sweep_correlator_einsum_matches_state_loop():
     lo, hi = base.analysis.late_window
     for values in ((0.5, 0.7), (1.0, 0.95), (2.0, 1.05), (1.5, 1.3)):
         row = cli._sweep_point(base, ["s", "omega_p"], values,
-                               ("correlator",), times)
+                               ("correlator",),
+                               cli.sync_plan(times, base.analysis, slice(None)))
         rc = cli._apply_axes(base, ["s", "omega_p"], values)
         eig, rates, v, _ = cli.simulate(rc.params, rc.bath, times, rc.rho0,
                                         rc.kappa)

@@ -30,7 +30,7 @@ from syncprobe import (
 from syncprobe.cli import _write_columns
 from syncprobe.spin_model import ID2, SIGMA_X
 
-from oracles import null_vector_transform
+from oracles import direct_oscillations, null_vector_transform
 
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 
@@ -448,13 +448,12 @@ _PAIRS = dict(omega_p=st.floats(0.5, 1.5), lam=st.floats(0.05, 0.45),
 @given(times=_uniform_grids(), **_PAIRS)
 def test_tables_match_direct_exponentials(times, omega_p, lam, T, s, seed):
     """On uniform grids the signals come from the coarse and fine tables,
-    within 1e-12 of np.exp at every sample (the oracle path)."""
+    within 1e-12 of np.exp at every sample (the oracle)."""
     *_, amps, exponents = _terms(omega_p, lam, T, s, seed)
     assert dynamics._uniform(times)
     tables = dynamics._oscillations(amps[None], exponents[None], times,
                                     slice(None))
-    direct = dynamics._oscillations(amps[None], exponents[None], times,
-                                    slice(None), tables=False)
+    direct = direct_oscillations(amps[None], exponents[None], times)
     assert np.max(np.abs(tables - direct)) <= 1e-12
 
 
@@ -482,8 +481,8 @@ def test_span_has_the_bits_of_the_whole_grid(times, a, b, omega_p, lam, T, s,
 def test_nonuniform_grid_takes_direct_exponentials(n, nudge, jitter, omega_p,
                                                    lam, T, s, seed):
     """A long grid that is not uniform (random samples, or a uniform one
-    with one sample moved by 1e-9) is still evolved: each sample by np.exp,
-    to the bit of the oracle path."""
+    with one sample moved by 1e-9) is still evolved: in one-sample rows,
+    each sample by np.exp, to the bit of the oracle."""
     eig, rates, rho0, amps, exponents = _terms(omega_p, lam, T, s, seed)
     if jitter:
         times = np.unique(np.random.default_rng(seed).uniform(0.0, 2000.0, n))
@@ -492,10 +491,40 @@ def test_nonuniform_grid_takes_direct_exponentials(n, nudge, jitter, omega_p,
         times[1 + nudge % (n - 2)] += 1e-9
     assert not dynamics._uniform(times)
     traj = evolve_analytic(eig, rates, rho0, times)
-    (direct,) = dynamics._oscillations(amps[None], exponents[None], times,
-                                       slice(None), tables=False)
+    (direct,) = direct_oscillations(amps[None], exponents[None], times)
     assert traj.sx_q.tobytes() == direct[0].tobytes()
     assert traj.sx_p.tobytes() == direct[1].tobytes()
+
+
+@st.composite
+def _one_sample_row_grids(draw):
+    """Grids evolved in one-sample rows: uniform ones of under four table
+    rows, and random ones up to 5 000 samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        return np.linspace(0.0, draw(st.floats(1.0, 2000.0)),
+                           draw(st.integers(1, 4 * dynamics._ROW - 1)))
+    return np.unique(rng.uniform(0.0, 2000.0, draw(st.integers(2, 5000))))
+
+
+@settings(max_examples=60)
+@given(times=_one_sample_row_grids(), a=st.floats(0.0, 1.0),
+       b=st.floats(0.0, 1.0), points=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 16))
+def test_one_sample_rows_match_the_oracle_in_spans_and_batches(
+        times, a, b, points, seed):
+    """On grids without tables, every span (cutting chunks anywhere) of
+    every batch of damped exponentials has, per point, the bits of np.exp
+    at each of its samples."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(points, 2, 4)) + 1j * rng.normal(size=(points, 2, 4))
+    exponents = (1j * rng.uniform(0.0, 3.0, (points, 4))
+                 - rng.uniform(0.0, 0.05, (points, 4)))
+    start = int(a * (times.size - 1))
+    span = slice(start, start + 1 + int(b * (times.size - start - 1)))
+    got = dynamics._oscillations(amps, exponents, times, span)
+    assert got.tobytes() == \
+        direct_oscillations(amps, exponents, times[span]).tobytes()
 
 
 def test_numeric_rejects_nonuniform_grid():

@@ -244,9 +244,10 @@ def test_classify_point_same_label_on_late_span(model, lo, hi):
     labels = []
     for w in np.arange(lo, hi, 0.05):
         pair = QubitPairParams(omega_p=w, lam=0.2)
-        labels.append(_classify_point(model, pair, full, sync_cfg, cfg.kappa))
+        labels.append(_classify_point(
+            model, pair, sync_plan(full, sync_cfg, slice(None)), cfg.kappa))
         assert _classify_point(model, pair, sync_plan(full, sync_cfg),
-                               sync_cfg, cfg.kappa) == labels[-1], w
+                               cfg.kappa) == labels[-1], w
     assert {1, 2} <= set(labels)
 
 
@@ -264,8 +265,7 @@ def test_classify_point_follows_the_rate_criterion(s, lam, omega_p):
     pair = QubitPairParams(omega_p=omega_p, lam=lam)
     rates = lindblad_rates(diagonalize(pair), model, 0.0, cfg.kappa)
     log_ratio = math.log(rates.g1_total / rates.g2_total)
-    label = _classify_point(model, pair, full[late_span(full, sync_cfg)],
-                            sync_cfg, cfg.kappa)
+    label = _classify_point(model, pair, sync_plan(full, sync_cfg), cfg.kappa)
     assert label != (2 if log_ratio < 0 else 1), log_ratio
     if abs(log_ratio) >= 0.1:
         assert label == (1 if log_ratio < 0 else 2), log_ratio
@@ -319,7 +319,7 @@ FAKE_SCANS = {
 def _fake_classifier(monkeypatch, edges):
     seen = []
 
-    def classify(model, params, times, sync_cfg, kappa):
+    def classify(model, params, plan, kappa):
         seen.append(params)
         for edge, label in edges:
             if params.omega_p / params.omega_q < edge:

@@ -63,19 +63,17 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
     per-layer metrics would read 0; here the span counts fail instead."""
     tracer = _installed_tracer(monkeypatch)
     base = cli.parse_run_config(get_preset("fig1"))
-    times = base.time_grid.times()
-    times = times[cli.late_span(times, base.analysis)]
-    cli._sweep_point(base, ["omega_p"], (1.2,), ("c",), times)
+    plan = cli.sync_plan(base.time_grid.times(), base.analysis)
+    cli._sweep_point(base, ["omega_p"], (1.2,), ("c",), plan)
     assert _layer_spans(tracer, 0) == LAYER_SPANS
 
     first = len(tracer.code)
     scan = probe_protocol.ScanConfig()
-    sync_cfg = scan.sync_config(1.0)
-    times = default_time_grid(scan.t_max, scan.dt)
-    times = times[signal_analysis.late_span(times, sync_cfg)]
+    plan = signal_analysis.sync_plan(default_time_grid(scan.t_max, scan.dt),
+                                     scan.sync_config(1.0))
     model = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)
     pair = QubitPairParams(omega_p=1.1, lam=0.2)
-    probe_protocol._classify_point(model, pair, times, sync_cfg, scan.kappa)
+    probe_protocol._classify_point(model, pair, plan, scan.kappa)
     assert _layer_spans(tracer, first) == LAYER_SPANS
 
 
