@@ -162,10 +162,21 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
         if not np.isfinite(j):
             raise ValueError(f"bath: J must be finite at mode {mode} "
                              f"(E{mode} = {energy:g}), got {j}")
-    w1 = kappa * np.cos(s_ang) ** 2 * j1
-    w2 = kappa * np.sin(s_ang) ** 2 * j2
     n1 = bose_occupation(eig.E1, T)
     n2 = bose_occupation(eig.E2, T)
-    return LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
-                         g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
+    with np.errstate(over="ignore", invalid="ignore"):  # T = 0 gives inf * 0
+        w1 = kappa * np.cos(s_ang) ** 2 * j1
+        w2 = kappa * np.sin(s_ang) ** 2 * j2
+        rates = LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
+                              g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
+        totals = (rates.g1_total, rates.g2_total)
+        total = rates.g1_total + rates.g2_total
+    for mode, energy, tot in ((1, eig.E1, totals[0]), (2, eig.E2, totals[1])):
+        if not np.isfinite(tot):
+            raise ValueError(f"bath: the mode-{mode} rates overflow "
+                             f"(E{mode} = {energy:g}, T = {T:g})")
+    if not np.isfinite(total):
+        raise ValueError(f"bath: the summed rates of both modes overflow "
+                         f"(E1 = {eig.E1:g}, E2 = {eig.E2:g}, T = {T:g})")
+    return rates
 

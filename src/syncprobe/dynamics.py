@@ -223,22 +223,25 @@ def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
     times = np.asarray(times, dtype=float)
     n = times.size
     diag0 = np.real(np.diag(rho0))
-    u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
-    u2 = _two_state_propagators(rates.g2_up, rates.g2_down, times)
-    # population propagator is the Kronecker product of the per-mode ones
-    pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
+    # decay exponents have real part <= 0: an overflow is -inf, exp gives 0
+    with np.errstate(over="ignore"):
+        u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
+        u2 = _two_state_propagators(rates.g2_up, rates.g2_down, times)
+        # population propagator is the Kronecker product of the per-mode ones
+        pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
 
-    # the two parity-even coherences only dephase, at the full total rate
-    eps = fock_energies(eig)
-    anti = -0.5 * (rates.g1_total + rates.g2_total)
-    rho_t = np.zeros((n, 4, 4), dtype=complex)
-    for k in range(4):
-        rho_t[:, k, k] = pop[:, k]
-    for (j, k), val in _coherences(_blocks(eig, rates, rho0), times).items():
-        rho_t[:, j, k] = val
-    for j, k in ((0, 3), (1, 2)):
-        rho_t[:, j, k] = rho0[j, k] * np.exp(
-            (anti - 1j * (eps[j] - eps[k])) * times)
+        # the two parity-even coherences only dephase, at the full total rate
+        eps = fock_energies(eig)
+        anti = -0.5 * (rates.g1_total + rates.g2_total)
+        rho_t = np.zeros((n, 4, 4), dtype=complex)
+        for k in range(4):
+            rho_t[:, k, k] = pop[:, k]
+        for (j, k), val in _coherences(_blocks(eig, rates, rho0),
+                                       times).items():
+            rho_t[:, j, k] = val
+        for j, k in ((0, 3), (1, 2)):
+            rho_t[:, j, k] = rho0[j, k] * np.exp(
+                (anti - 1j * (eps[j] - eps[k])) * times)
     iu = np.triu_indices(4, k=1)
     rho_t[:, iu[1], iu[0]] = np.conj(rho_t[:, iu[0], iu[1]])
     return rho_t
@@ -274,7 +277,8 @@ def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
     grid, whose fine table is then the amplitudes themselves.  The tables
     are anchored on the whole grid, and every product and sum is
     elementwise along the point axis, so a sample has the same bits in
-    every span, chunk and batch that holds it.
+    every span, chunk and batch that holds it.  Decay exponents have real
+    part <= 0, so an overflowing product is -inf and its exponential 0.
     """
     n = times.size
     start, stop, step = span.indices(n)
@@ -286,19 +290,20 @@ def _oscillations(amps: np.ndarray, exponents: np.ndarray, times: np.ndarray,
     row = _ROW if uniform else 1
     first = start - start % row             # the span's first row
     fine = amps.transpose(0, 2, 1)
-    if row > 1:
-        dt = (times[-1] - times[0]) / (n - 1)
-        fine = fine[:, :, :, None] * np.exp(
-            exponents[:, :, None] * (np.arange(row) * dt))[:, :, None, :]
-    fine = _parts(fine.reshape(points, exponents.shape[1], -1))
-    rows = max(1, _EVOLVE_CHUNK // (row * points))
-    for a in range(first, stop, rows * row):
-        anchors = times[a:min(a + rows * row, stop):row]
-        part = _real_sum(np.exp(exponents[:, :, None] * anchors), fine)
-        part = part.reshape(points, anchors.size, signals, row)
-        part = part.transpose(0, 2, 1, 3).reshape(points, signals, -1)
-        lo, hi = max(a, start), min(a + part.shape[2], stop)
-        out[:, :, lo - start:hi - start] = part[:, :, lo - a:hi - a]
+    with np.errstate(over="ignore"):
+        if row > 1:
+            dt = (times[-1] - times[0]) / (n - 1)
+            fine = fine[:, :, :, None] * np.exp(
+                exponents[:, :, None] * (np.arange(row) * dt))[:, :, None, :]
+        fine = _parts(fine.reshape(points, exponents.shape[1], -1))
+        rows = max(1, _EVOLVE_CHUNK // (row * points))
+        for a in range(first, stop, rows * row):
+            anchors = times[a:min(a + rows * row, stop):row]
+            part = _real_sum(np.exp(exponents[:, :, None] * anchors), fine)
+            part = part.reshape(points, anchors.size, signals, row)
+            part = part.transpose(0, 2, 1, 3).reshape(points, signals, -1)
+            lo, hi = max(a, start), min(a + part.shape[2], stop)
+            out[:, :, lo - start:hi - start] = part[:, :, lo - a:hi - a]
     return out
 
 

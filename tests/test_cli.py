@@ -1,6 +1,8 @@
 """CLI behavior: config parsing, artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import multiprocessing
 import os
@@ -617,6 +619,82 @@ def test_evolve_at_low_temperature_is_quiet(tmp_path, capsys):
     assert main(["evolve", "--config", str(_write(tmp_path, cfg)),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _overflow_cfg(gamma0, T):
+    return _run_cfg(params={"omega_p": 1.2, "lambda": 0.2, "temperature": T},
+                    bath=dict(OHMIC, gamma0=gamma0, omega_c=None))
+
+
+@pytest.mark.parametrize("gamma0, T", [(6e307, 0.0), (1.0, 1e308)])
+def test_overflowing_rates_are_a_bath_error(tmp_path, capsys, gamma0, T):
+    """A finite J whose rates overflow fails naming the bath, the mode, its
+    energy and T, with no numpy warning first and no trajectory written."""
+    out = tmp_path / "out"
+    path = _write(tmp_path, _overflow_cfg(gamma0, T))
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bath: the mode-1 rates overflow (E1 = 1.34164, T = ")
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("gamma0, T", [(1e307, 0.0), (0.01, 1e308)])
+def test_overflowing_decay_products_are_quiet(tmp_path, capsys, gamma0, T):
+    """Finite rates so large that rate * t overflows: the decayed terms are
+    exactly 0, and neither evolve nor a sweep recording the correlator
+    prints anything on stderr."""
+    cfg = _overflow_cfg(gamma0, T)
+    assert main(["evolve", "--config", str(_write(tmp_path, cfg)),
+                 "--out", str(tmp_path / "evolve")]) == 0
+    sweep = {"base": cfg, "axes": [{"name": "omega_p", "values": [0.8, 1.2]}],
+             "record": ["regime", "mi", "correlator"]}
+    assert main(["sweep", "--config", str(_write(tmp_path, sweep, "sw.json")),
+                 "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _main_stderr(*argv) -> tuple[int, str]:
+    """``main``'s exit code and what it wrote on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _log_spread(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150)
+@given(gamma0=st.just(0.0) | _log_spread(-300.0, 308.25),
+       s=st.floats(0.1, 5.0), omega_c=st.none() | _log_spread(-3.0, 300.0),
+       T=st.just(0.0) | _log_spread(-300.0, 308.0))
+def test_any_bath_and_temperature_fail_by_name_or_run_quietly(
+        tmp_path_factory, gamma0, s, omega_c, T):
+    """Every bath section and temperature the validator accepts either runs
+    with nothing on stderr or fails with a message naming the bath or the
+    temperature; a sweep over such a bath records each point's failure as
+    a ValueError and prints nothing."""
+    tmp = tmp_path_factory.mktemp("bath")
+    cfg = _run_cfg(params={"omega_p": 1.2, "lambda": 0.2, "temperature": T},
+                   bath={"kind": "power-law", "gamma0": gamma0, "s": s,
+                         "omega_c": omega_c},
+                   time_grid={"t_max": 20.0, "dt": 0.05},
+                   analysis={"window": 1.0, "late_window": [10.0, 20.0]})
+    code, err = _main_stderr("evolve", "--config", str(_write(tmp, cfg)),
+                             "--out", str(tmp / "evolve"))
+    assert (code, err) == (0, "") or (
+        code == 2 and err.startswith(("error: bath", "error: temperature",
+                                      "error: params.temperature"))), err
+    sweep = {"base": cfg, "axes": [{"name": "omega_p", "values": [0.8, 1.2]}],
+             "record": ["regime", "mi", "correlator"]}
+    code, err = _main_stderr("sweep", "--config",
+                             str(_write(tmp, sweep, "sw.json")),
+                             "--out", str(tmp / "sweep"), "--workers", "1")
+    assert code in (0, 1) and err == ""
+    rows = list(csv.DictReader(open(tmp / "sweep" / "sweep.csv")))
+    assert all(row["errors"] == "" or row["errors"].split(":")[0].endswith(
+        "Error") for row in rows), rows
 
 
 # ---------------------------------------------------------------------------
