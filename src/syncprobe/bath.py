@@ -151,6 +151,8 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
     with trig_1 = cos(theta_plus + theta_minus), trig_2 = sin(same).  kappa is
     the global golden-rule prefactor; every synchronization/transition result
     downstream depends only on rate ratios, so its value is a unit choice.
+    A J, a mode's rates or their sum that is not finite raises a ValueError
+    starting with ``bath:``.
     """
     if not eig.E2 > 0:
         raise DegenerateSpectrumError(
