@@ -164,21 +164,21 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
         if not np.isfinite(j):
             raise ValueError(f"bath: J must be finite at mode {mode} "
                              f"(E{mode} = {energy:g}), got {j}")
-    n1 = bose_occupation(eig.E1, T)
-    n2 = bose_occupation(eig.E2, T)
-    with np.errstate(over="ignore", invalid="ignore"):  # T = 0 gives inf * 0
-        w1 = kappa * np.cos(s_ang) ** 2 * j1
-        w2 = kappa * np.sin(s_ang) ** 2 * j2
-        rates = LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
-                              g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
-        totals = (rates.g1_total, rates.g2_total)
-        total = rates.g1_total + rates.g2_total
-    for mode, energy, tot in ((1, eig.E1, totals[0]), (2, eig.E2, totals[1])):
-        if not np.isfinite(tot):
-            raise ValueError(f"bath: the mode-{mode} rates overflow "
-                             f"(E{mode} = {energy:g}, T = {T:g})")
-    if not np.isfinite(total):
-        raise ValueError(f"bath: the summed rates of both modes overflow "
+    # In Python floats an overflow gives inf, and at T = 0 inf * 0 gives
+    # nan, without numpy's warnings; both are reported below.
+    w1 = float(kappa) * float(np.cos(s_ang) ** 2) * j1
+    w2 = float(kappa) * float(np.sin(s_ang) ** 2) * j2
+    n1 = float(bose_occupation(eig.E1, T))
+    n2 = float(bose_occupation(eig.E2, T))
+    rates = LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
+                          g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
+    if not math.isfinite(rates.g1_total + rates.g2_total):
+        for mode, energy, total in ((1, eig.E1, rates.g1_total),
+                                    (2, eig.E2, rates.g2_total)):
+            if not math.isfinite(total):
+                raise ValueError(f"bath: the mode-{mode} rates overflow "
+                                 f"(E{mode} = {energy:g}, T = {T:g})")
+        raise ValueError("bath: the summed rates of both modes overflow "
                          f"(E1 = {eig.E1:g}, E2 = {eig.E2:g}, T = {T:g})")
     return rates
 
