@@ -692,9 +692,9 @@ def test_any_bath_and_temperature_fail_by_name_or_run_quietly(
                              str(_write(tmp, sweep, "sw.json")),
                              "--out", str(tmp / "sweep"), "--workers", "1")
     assert code in (0, 1) and err == ""
-    rows = list(csv.DictReader(open(tmp / "sweep" / "sweep.csv")))
+    rows = csv.DictReader((tmp / "sweep" / "sweep.csv").read_text().splitlines())
     assert all(row["errors"] == "" or row["errors"].split(":")[0].endswith(
-        "Error") for row in rows), rows
+        "Error") for row in rows)
 
 
 # ---------------------------------------------------------------------------
