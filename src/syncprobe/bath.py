@@ -84,7 +84,7 @@ SpectralDensityModel = PowerLawCutoff | Tabulated
 def evaluate_J(model: SpectralDensityModel, omega):
     """J(omega) for scalar or array omega >= 0."""
     w = np.asarray(omega, dtype=float)
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("omega must be >= 0")
     if isinstance(model, PowerLawCutoff):
         base = 2.0 * model.gamma0 * np.power(w, model.s)
@@ -111,21 +111,29 @@ def evaluate_J(model: SpectralDensityModel, omega):
     raise TypeError(f"unknown spectral density model {type(model).__name__}")
 
 
-def bose_occupation(omega: float, T: float) -> float:
-    """Thermal occupation 1/(exp(omega/T) - 1); zero at T = 0."""
-    if not omega > 0:
+def bose_occupation(omega, T):
+    """Thermal occupation 1/(exp(omega/T) - 1); zero at T = 0.  Broadcasts
+    over arrays of ``omega`` and ``T``, a float for scalars."""
+    w, t = np.asarray(omega, dtype=float), np.asarray(T, dtype=float)
+    if not (w > 0).all():
         raise ValueError(f"omega must be > 0, got {omega}")
-    if T < 0:
+    if (t < 0).any():
         raise ValueError(f"T must be >= 0, got {T}")
-    if T == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):    # omega/T > ~709 gives exactly 0.0
-        return 1.0 / np.expm1(omega / T)
+    n = _occupation(w, t)
+    return n if n.ndim else float(n)
+
+
+def _occupation(w: np.ndarray, t) -> np.ndarray:
+    """1/(exp(w/t) - 1) for w > 0 and t >= 0, unchecked: omega/T past
+    about 709, and T = 0, give exactly 0.0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.expm1(w / t)
 
 
 @dataclass(frozen=True)
 class LindbladRates:
-    """The four secular rates: mode-i decay (down) and thermal pumping (up)."""
+    """The four secular rates: mode-i decay (down) and thermal pumping (up);
+    floats, or arrays with one entry per pair of a batch."""
 
     g1_down: float
     g1_up: float
@@ -141,8 +149,8 @@ class LindbladRates:
         return self.g2_down + self.g2_up
 
 
-def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
-                   T: float, kappa: float = KAPPA_DEFAULT) -> LindbladRates:
+def lindblad_rates(eig: EigenStructure, model, T, kappa=KAPPA_DEFAULT
+                   ) -> LindbladRates:
     """Secular rates for the two quasiparticle modes.
 
     g_i_down = kappa * trig_i^2 * J(E_i) * (1 + n(E_i)),
@@ -151,34 +159,54 @@ def lindblad_rates(eig: EigenStructure, model: SpectralDensityModel,
     with trig_1 = cos(theta_plus + theta_minus), trig_2 = sin(same).  kappa is
     the global golden-rule prefactor; every synchronization/transition result
     downstream depends only on rate ratios, so its value is a unit choice.
-    A J, a mode's rates or their sum that is not finite raises a ValueError
-    starting with ``bath:``.
+
+    For a batch EigenStructure (array fields) the rates broadcast over its
+    pairs, with ``T`` and ``kappa`` scalars or one per pair, and ``model``
+    one SpectralDensityModel or a sequence of one per pair; every pair's
+    rates have the bits they have alone.  An E2 that is not positive (the
+    pair's E2 underflows) raises DegenerateSpectrumError naming
+    ``params``; a J, a mode's rates or their sum that is not finite raises
+    a ValueError starting with ``bath:``.  In a batch, the first pair that
+    fails raises.
     """
-    if not eig.E2 > 0:
+    energies = np.array([eig.E1, eig.E2])      # mode first, then any pairs
+    lowest = np.min(energies[1])
+    if not lowest > 0:
         raise DegenerateSpectrumError(
-            f"E2 = {eig.E2:g} <= 0: rates undefined at the degenerate point")
+            f"params: E2 = {lowest:g} <= 0: the pair's lower eigenfrequency "
+            "underflows, so its rates are undefined")
+    if (np.asarray(T) < 0).any():
+        raise ValueError(f"T must be >= 0, got {T}")
     s_ang = eig.theta_plus + eig.theta_minus
     with np.errstate(over="ignore", invalid="ignore"):    # reported below
-        j1, j2 = evaluate_J(model, eig.E1), evaluate_J(model, eig.E2)
-    for mode, energy, j in ((1, eig.E1, j1), (2, eig.E2, j2)):
-        if not np.isfinite(j):
-            raise ValueError(f"bath: J must be finite at mode {mode} "
-                             f"(E{mode} = {energy:g}), got {j}")
-    # In Python floats an overflow gives inf, and at T = 0 inf * 0 gives
-    # nan, without numpy's warnings; both are reported below.
-    w1 = float(kappa) * float(np.cos(s_ang) ** 2) * j1
-    w2 = float(kappa) * float(np.sin(s_ang) ** 2) * j2
-    n1 = float(bose_occupation(eig.E1, T))
-    n2 = float(bose_occupation(eig.E2, T))
-    rates = LindbladRates(g1_down=w1 * (1.0 + n1), g1_up=w1 * n1,
-                          g2_down=w2 * (1.0 + n2), g2_up=w2 * n2)
-    if not math.isfinite(rates.g1_total + rates.g2_total):
-        for mode, energy, total in ((1, eig.E1, rates.g1_total),
-                                    (2, eig.E2, rates.g2_total)):
-            if not math.isfinite(total):
-                raise ValueError(f"bath: the mode-{mode} rates overflow "
-                                 f"(E{mode} = {energy:g}, T = {T:g})")
-        raise ValueError("bath: the summed rates of both modes overflow "
-                         f"(E1 = {eig.E1:g}, E2 = {eig.E2:g}, T = {T:g})")
-    return rates
-
+        if isinstance(model, (list, tuple)):
+            j = np.array([evaluate_J(m, e) for m, e in
+                          zip(model, energies.T, strict=True)]).T
+        else:
+            j = evaluate_J(model, energies)
+        # An overflow gives inf, and at T = 0 inf * 0 gives nan; both are
+        # reported below.
+        w = kappa * np.array([np.cos(s_ang) ** 2, np.sin(s_ang) ** 2]) * j
+        n = _occupation(energies, T)    # E1 >= E2 > 0 and T >= 0: checked
+        down, up = w * (1.0 + n), w * n
+        total = down + up
+        finite = np.isfinite(total[0] + total[1])
+    if finite.all():
+        return LindbladRates(g1_down=down[0], g1_up=up[0],
+                             g2_down=down[1], g2_up=up[1])
+    # the first pair that fails, with its checks in order
+    k = (slice(None), *np.unravel_index(np.argmin(finite), finite.shape))
+    energies, j, total = (np.broadcast_to(x, energies.shape)[k]
+                          for x in (energies, j, total))
+    T = np.broadcast_to(T, finite.shape)[k[1:]]
+    for mode in (1, 2):
+        if not np.isfinite(j[mode - 1]):
+            raise ValueError(f"bath: J must be finite at mode {mode} (E{mode} "
+                             f"= {energies[mode - 1]:g}), got {j[mode - 1]}")
+    for mode in (1, 2):
+        if not np.isfinite(total[mode - 1]):
+            raise ValueError(f"bath: the mode-{mode} rates overflow (E{mode} "
+                             f"= {energies[mode - 1]:g}, T = {T:g})")
+    raise ValueError("bath: the summed rates of both modes overflow "
+                     f"(E1 = {energies[0]:g}, E2 = {energies[1]:g}, "
+                     f"T = {T:g})")

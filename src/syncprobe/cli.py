@@ -83,8 +83,8 @@ from .signal_analysis import (
     windowed_fft,
 )
 from .presets import get_preset
-from .spin_model import (Bounds, FieldError, QubitPairParams, bounded,
-                         check_fields, field_bounds)
+from .spin_model import (Bounds, FieldError, PairBatch, QubitPairParams,
+                         bounded, check_fields, field_bounds)
 
 
 def json_name(name: str) -> str:
@@ -424,6 +424,8 @@ _AXES = {"omega_p": ("params", QubitPairParams, "omega_p"),
          json_name("lam"): ("params", QubitPairParams, "lam"),
          "s": ("bath", PowerLawCutoff, "s"),
          "T": ("params", QubitPairParams, "temperature")}
+_PAIR_AXES = {attr: name for name, (part, _, attr) in _AXES.items()
+              if part == "params"}      # QubitPairParams field: axis name
 _RECORDABLE = ("c", "omega_sync", "regime", "mi", "correlator", "below_floor")
 
 
@@ -491,12 +493,20 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 # ---------------------------------------------------------------------------
 # simulation helpers
 
-def _apply_axes(base: RunConfig, names, values) -> RunConfig:
-    parts = {"params": base.params, "bath": base.bath}
-    for name, val in zip(names, values):
-        part, _, attr = _AXES[name]
-        parts[part] = replace(parts[part], **{attr: val})
-    return replace(base, **parts)
+@dataclass(frozen=True)
+class SweepPoint:
+    """One grid point of a sweep: its axis values by axis name, each
+    checked when the spec was parsed, over the base config's fields, and
+    the state it starts from."""
+
+    values: dict
+    initial_state: "str | np.ndarray"
+
+    rho0 = RunConfig.rho0
+
+
+def _apply_axes(base: RunConfig, names, values) -> SweepPoint:
+    return SweepPoint(dict(zip(names, values)), base.initial_state)
 
 
 def _sweep_columns(record) -> list[str]:
@@ -506,12 +516,34 @@ def _sweep_columns(record) -> list[str]:
     return cols
 
 
-# Grid points per sweep task.  A batch is evolved, correlated and
-# transformed at once, which saves the per-call overhead of many small
-# numpy calls.  Its temporaries grow with it, about 190 KB per point on a
-# 2 250-sample span (test_sweep_batch_memory_per_point): 8 points raised a
-# serial figD-shaped sweep's peak RSS by about 0.4 MB over batches of one.
+# Grid points per sweep task.  A batch is set up as arrays over its
+# points, then evolved, correlated and transformed at once, which saves
+# the per-call overhead of many small numpy calls.  Its temporaries grow
+# with it, about 190 KB per point on a 2 250-sample span
+# (test_sweep_batch_memory_per_point): 8 points raised a serial
+# figD-shaped sweep's peak RSS by about 0.4 MB over batches of one.
 _SWEEP_BATCH = 8
+
+
+def _batch_setup(base: RunConfig, points) -> tuple:
+    """(eig, rates, transform, initial state in the eigenmode basis) of
+    every point at once: ``pair_setup`` of the pair fields as arrays (a
+    point's axis value, or the base's) in the base's bath, or, with an s
+    axis, in each point's.  The base's state was checked when it was
+    parsed; a point's own state is validated here."""
+    params = PairBatch(*(np.array([p.values.get(_PAIR_AXES.get(f), getattr(
+        base.params, f)) for p in points]) for f in PairBatch._fields))
+    model = base.bath
+    if "s" in points[0].values:
+        model = [replace(base.bath, s=p.values["s"]) for p in points]
+    rho0 = base.rho0
+    states = [rho0 if p.initial_state is base.initial_state else p.rho0
+              for p in points]
+    for state in states:
+        if state is not rho0:
+            validate_density_matrix(state)
+    eig, rates, v = pair_setup(params, model, base.kappa)
+    return eig, rates, v, to_eigenmode_basis(np.array(states), v)
 
 
 def _sweep_rows(base: RunConfig, names, batch, record, plan) -> list:
@@ -519,53 +551,51 @@ def _sweep_rows(base: RunConfig, names, batch, record, plan) -> list:
     ValueError the point raised, evolved over the span of ``plan`` (a
     ``sync_plan`` for ``base.analysis``) and classified with it.
 
-    Each point gets its own setup; the points that pass it are evolved and
-    classified as one batch, in which every point has the bits it has
-    alone.  If the batch raises a ValueError (a point's signals fail their
-    checks), each point is evaluated alone, so the error stays on its row.
-    Any other exception propagates.
+    The points are set up (``_batch_setup``), evolved and classified as
+    one batch, in which every point has the bits it has alone.  If the
+    batch raises a ValueError (a point fails a check of its setup, its
+    state or its signals), each point is evaluated alone, so the error
+    stays on its row.  Any other exception propagates.
     """
-    configs = [_apply_axes(base, names, values) for values in batch]
-    out = []
-    for rc in configs:
-        try:
-            out.append(pair_setup(rc.params, rc.bath, rc.kappa))
-        except ValueError as exc:
-            out.append(exc)
-    live = [k for k, o in enumerate(out) if not isinstance(o, ValueError)]
+    points = [_apply_axes(base, names, values) for values in batch]
 
-    def classify(ks):
-        traj = evolve_analytic(
-            [out[k][0] for k in ks], [out[k][1] for k in ks],
-            [to_eigenmode_basis(configs[k].rho0, out[k][2]) for k in ks],
-            plan.times, plan.span)
-        return dict(zip(ks, detect_sync(traj, plan.config, plan).rows))
+    def evaluate(ks):
+        setup = eig, rates, _, rho0 = _batch_setup(base, [points[k] for k in ks])
+        traj = evolve_analytic(eig, rates, rho0, plan.times, plan.span)
+        return ks, setup, detect_sync(traj, plan.config, plan).rows
 
+    out = [None] * len(points)
     try:
-        metrics = classify(live) if live else {}
+        done = [evaluate(range(len(points)))]
     except ValueError:
-        # some point's signals failed a check: classify each point alone
-        metrics = {}
-        for k in live:
+        # some point failed a check: evaluate each point alone
+        done = []
+        for k in range(len(points)):
             try:
-                metrics |= classify([k])
+                done.append(evaluate([k]))
             except ValueError as exc:
                 out[k] = exc
-    for k, m in metrics.items():
-        try:
-            out[k] = _sweep_row(configs[k], *out[k], plan.times[plan.span],
-                                m, record)
-        except ValueError as exc:
-            out[k] = exc
+    for ks, setup, rows in done:
+        for i, (k, m) in enumerate(zip(ks, rows)):
+            try:
+                out[k] = _sweep_row(m, record, setup, i, plan)
+            except ValueError as exc:
+                out[k] = exc
     return out
 
 
-def _sweep_row(rc: RunConfig, eig, rates, v, times, m, record) -> dict:
-    """One point's row from its setup, the times its signals span and its
-    SyncMetrics ``m``."""
+def _sweep_row(m, record, setup, i: int, plan) -> dict:
+    """A point's row from its SyncMetrics ``m`` and, for the recordables
+    that read more, from its entry ``i`` of a ``_batch_setup``, on the span
+    of ``plan``."""
     out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
            "omega_sync": m.omega_sync, "regime": m.regime,
            "below_floor": int(m.below_floor)}
+    if "mi" not in record and "correlator" not in record:
+        return out
+    eig, rates = (type(x)(*(getattr(x, f.name)[i] for f in fields(x)))
+                  for x in setup[:2])
+    v, rho0 = setup[2][i], setup[3][i]
     if "mi" in record:
         # Exact fixed point, not the last sample: at T=0 it is the dressed
         # vacuum, so MI depends on the pair alone and stays smooth across
@@ -573,9 +603,9 @@ def _sweep_row(rc: RunConfig, eig, rates, v, times, m, record) -> dict:
         rho_ss = to_computational_basis(steady_state(rates), v)
         out["mi"] = mutual_information(rho_ss)
     if "correlator" in record:
-        states = eigenmode_states(eig, rates, to_eigenmode_basis(rc.rho0, v),
-                                  times)
-        sel = window_mask(times, *rc.analysis.late_window)
+        times = plan.times[plan.span]
+        states = eigenmode_states(eig, rates, rho0, times)
+        sel = window_mask(times, *plan.config.late_window)
         # spin_correlator is Tr(rho op): rotate op into the eigenmode basis
         # once instead of every state out of it
         op = v.T @ CORRELATOR_OP @ v

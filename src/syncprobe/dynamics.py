@@ -147,71 +147,97 @@ def _two_state_propagators(up: float, down: float, times: np.ndarray):
     return p_eq[None, :, :] + damp[:, None, None] * rest[None, :, :]
 
 
-class _Block(NamedTuple):
-    """One parity-odd coherence block: its two entries (row, column), their
-    initial values ``x``, the slow part of ``x``, the internal rate at which
-    the fast part ``x - slow`` decays, and the rotation frequency and the
-    dephasing rate the whole pair shares."""
+# The two parity-odd coherence blocks, the only entries a parity-odd
+# observable reads: block A, (rho_01, rho_23), and block B, (rho_02, rho_13),
+# as (row, column) pairs, and as row and column index arrays (block, entry).
+_BLOCK_ENTRIES = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+_ROWS, _COLS = np.array(_BLOCK_ENTRIES).transpose(2, 0, 1)
 
-    entries: tuple[tuple[int, int], tuple[int, int]]
+
+def _leading(a: np.ndarray, k: int) -> np.ndarray:
+    """``a`` with its last ``k`` axes moved in front of the others."""
+    return a.transpose(*range(a.ndim - k, a.ndim), *range(a.ndim - k))
+
+
+class _Blocks(NamedTuple):
+    """The coherence blocks, A then B, along the first axis of every field:
+    the initial values ``x`` of their two entries and the slow part of
+    ``x`` (entries second), the internal rate at which the fast part
+    ``x - slow`` decays, and the rotation frequency and the dephasing rate
+    each block's pair shares.  A batch adds a last axis of one entry per
+    point."""
+
     x: np.ndarray
     slow: np.ndarray
-    rate: float
-    freq: float
-    dephase: float
+    rate: np.ndarray
+    freq: np.ndarray
+    dephase: np.ndarray
 
 
 def _blocks(eig: EigenStructure, rates: LindbladRates,
-            rho0: np.ndarray) -> tuple[_Block, _Block]:
-    """The two coherence blocks, the only entries a parity-odd observable reads.
+            rho0: np.ndarray) -> _Blocks:
+    """The two coherence blocks of ``rho0`` (eigenmode basis; a batch has
+    one (4, 4) state per point, first).
 
     Block A couples (rho_01, rho_23) through mode-1 rates, is damped by half
     the mode-2 total rate and rotates at E2; block B couples (rho_02, rho_13)
     with the roles of the modes exchanged and sign-flipped cross terms, and
     rotates at E1.  ``slow_rates / rate`` projects onto the slow
     (non-decaying) mode of a block's rate matrix; a block with no internal
-    rate is all slow.
+    rate is all slow.  For a batch (array fields) every operation is
+    elementwise over the points, so each has the bits it has alone.
     """
     g1u, g1d = rates.g1_up, rates.g1_down
     g2u, g2d = rates.g2_up, rates.g2_down
-    t1, t2 = rates.g1_total, rates.g2_total
-    table = []
-    for entries, slow_rates, rate, freq, dephase in (
-            (((0, 1), (2, 3)), [[g1d, g1d], [g1u, g1u]], t1, eig.E2, 0.5 * t2),
-            (((0, 2), (1, 3)), [[g2d, -g2d], [-g2u, g2u]], t2, eig.E1, 0.5 * t1)):
-        x = np.array([rho0[j, k] for j, k in entries])
-        slow = x if rate == 0.0 else (np.array(slow_rates) / rate) @ x
-        table.append(_Block(entries, x, slow, rate, freq, dephase))
-    return tuple(table)
+    x = _leading(rho0[..., _ROWS, _COLS], 2)
+    rate = np.array([rates.g1_total, rates.g2_total])
+    # slow_rates[block, row, entry]
+    slow_rates = np.array([[[g1d, g1d], [g1u, g1u]],
+                           [[g2d, -g2d], [-g2u, g2u]]])
+    with np.errstate(divide="ignore", invalid="ignore"):   # rate 0: unused
+        proj = slow_rates / rate[:, None, None]
+    slow = proj[:, :, 0] * x[:, None, 0] + proj[:, :, 1] * x[:, None, 1]
+    if not rate.all():
+        slow = np.where(rate[:, None] == 0.0, x, slow)
+    return _Blocks(x, slow, rate, np.array([eig.E2, eig.E1]), 0.5 * rate[::-1])
 
 
-def _coherences(blocks, times: np.ndarray) -> dict:
+def _coherences(blocks: _Blocks, times: np.ndarray) -> dict:
     """Each block entry at every time, Schroedinger picture, keyed by
     (row, column): the pair evolves as exp((i*freq - dephase)*t) times
     slow + exp(-rate*t) * fast."""
     out = {}
-    for b in blocks:
-        rot = np.exp((1j * b.freq - b.dephase) * times)
-        damp = np.exp(-b.rate * times)
-        for entry, slow, fast in zip(b.entries, b.slow, b.x - b.slow):
+    for b, entries in enumerate(_BLOCK_ENTRIES):
+        rot = np.exp((1j * blocks.freq[b] - blocks.dephase[b]) * times)
+        damp = np.exp(-blocks.rate[b] * times)
+        for entry, slow, fast in zip(entries, blocks.slow[b],
+                                     blocks.x[b] - blocks.slow[b]):
             out[entry] = rot * (slow + damp * fast)
     return out
 
 
-def _signal_terms(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(amps, exponents) with Tr(rho(t) W) = Re[amps[s] @ exp(exponents*t)]
-    for the s-th real symmetric parity-odd W of ``weights``.
+def _signal_terms(blocks: _Blocks, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(amps, exponents) with Tr(rho(t) W) = Re[amps[..., s, :] @
+    exp(exponents * t)] for the s-th real symmetric parity-odd W of
+    ``weights``: amps (..., 2, 4) and exponents (..., 4), with a leading
+    point axis for a batch.
 
     Each block gives two exponentials, its rotation i*freq - dephase alone
     and with its internal decay rate, and per signal two amplitudes: the
     slow and the fast part of its entries against their weights, doubled
     for the conjugate entries."""
-    exponents = np.array([1j * b.freq - b.dephase - r
-                          for b in blocks for r in (0.0, b.rate)])
-    amps = np.array([[2.0 * sum(w[k, j] * v for (j, k), v in zip(b.entries, part))
-                      for b in blocks for part in (b.slow, b.x - b.slow)]
-                     for w in weights])
-    return amps, exponents
+    # exponents[block, part], parts[block, part, entry] and
+    # w[signal, block, entry] = W[column, row] of the entry, points last
+    rotation = 1j * blocks.freq - blocks.dephase
+    exponents = np.array([rotation, rotation - blocks.rate]).swapaxes(0, 1)
+    parts = np.array([blocks.slow, blocks.x - blocks.slow]).swapaxes(0, 1)
+    w = np.array(weights)[..., _COLS, _ROWS]
+    w = w.transpose(0, w.ndim - 2, w.ndim - 1, *range(1, w.ndim - 2))
+    amps = 2.0 * (w[:, :, None, 0] * parts[None, :, :, 0]
+                  + w[:, :, None, 1] * parts[None, :, :, 1])
+    points = rotation.shape[1:]
+    return (_leading(amps.reshape((2, 4) + points), len(points)).copy(),
+            _leading(exponents.reshape((4,) + points), len(points)).copy())
 
 
 def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
@@ -343,33 +369,30 @@ def _real_sum(c: np.ndarray, g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def evolve_analytic(eig, rates, rho0, times: np.ndarray,
                     span: slice | None = None) -> Trajectory:
-    """Exact block solution; ``rho0`` must be given in the eigenmode basis.
+    """Exact block solution; ``rho0`` is a density matrix in the eigenmode
+    basis, which this does not check: ``probe_protocol.simulate`` and the
+    sweep validate the computational-basis state it is rotated from.
 
-    ``eig``, ``rates`` and ``rho0`` describe one setup (an EigenStructure,
-    its LindbladRates and a state), or are equal-length sequences of them,
-    a batch of setups on one grid: the Trajectory then holds one row of
-    signals per setup, each with the bits it has alone.  Works on any
-    increasing time grid (the closed form needs no stepping).  ``times``
-    is the whole grid and ``span`` the part of it to evaluate, by default
-    all of it; the Trajectory holds the span alone.  Returns the signals
-    only: they read only the four parity-allowed coherences, two damped
-    exponentials per coherence block, evaluated chunk by chunk
+    ``eig`` and ``rates`` describe one setup, with ``rho0`` (4, 4), or a
+    batch of setups on one grid: array fields with one entry per point and
+    ``rho0`` (P, 4, 4).  The Trajectory then holds one row of signals per
+    point, each with the bits it has alone.  Works on any increasing time
+    grid (the closed form needs no stepping).  ``times`` is the whole grid
+    and ``span`` the part of it to evaluate, by default all of it; the
+    Trajectory holds the span alone.  Returns the signals only: they read
+    only the four parity-allowed coherences, two damped exponentials per
+    coherence block (``_signal_terms``), evaluated chunk by chunk
     (_EVOLVE_CHUNK) from tables anchored on the whole grid
     (``_oscillations``), so a sample has the same bits in any span of a
     uniform grid.  The dense (n, 4, 4) states come from
     ``eigenmode_states``.
     """
-    batch = not isinstance(eig, EigenStructure)
-    setups = zip(eig, rates, rho0, strict=True) if batch else [(eig, rates, rho0)]
-    terms = []
-    for e, r, rho in setups:
-        validate_density_matrix(rho)
-        terms.append(_signal_terms(_blocks(e, r, rho), fock_observable_weights(e)))
+    amps, exponents = _signal_terms(_blocks(eig, rates, rho0), eig.weights)
     times = np.asarray(times, dtype=float)
     span = slice(None) if span is None else span
-    signals = _oscillations(np.array([a for a, _ in terms]),
-                            np.array([z for _, z in terms]), times, span)
-    if not batch:
+    signals = _oscillations(amps.reshape(-1, 2, 4), exponents.reshape(-1, 4),
+                            times, span)
+    if amps.ndim == 2:
         signals = signals[0]
     return Trajectory(times=times[span], sx_q=signals[..., 0, :],
                       sx_p=signals[..., 1, :])
@@ -478,16 +501,17 @@ def asymptotic_form(eig: EigenStructure, rates: LindbladRates,
     rate.  Thermal occupation enters through the rates themselves.
     """
     validate_density_matrix(rho0)
-    blocks = _blocks(eig, rates, rho0)[::-1]       # E1's term first
+    blocks = _blocks(eig, rates, rho0)
     t1, t2 = rates.g1_total, rates.g2_total
     hi = max(t1, t2)
     sync_expected = hi > 0.0 and abs(t1 - t2) > 0.05 * hi
     forms = []
     for w in fock_observable_weights(eig):
-        # a block's slow part against its entries' weights is its amplitude
+        # a block's slow part against its entries' weights is its
+        # amplitude; block B, E1's term, first
         terms = tuple(
-            AsymptoticTerm(complex(b.slow @ [w[k, j] for j, k in b.entries]),
-                           b.freq, b.dephase) for b in blocks)
+            AsymptoticTerm(complex(blocks.slow[b] @ w[_COLS[b], _ROWS[b]]),
+                           blocks.freq[b], blocks.dephase[b]) for b in (1, 0))
         forms.append(AsymptoticForm(terms=terms, sync_expected=sync_expected))
     return tuple(forms)
 
@@ -518,7 +542,9 @@ def plus_plus_state() -> np.ndarray:
 
 
 def to_eigenmode_basis(rho_comp: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    return transform.conj().T @ rho_comp @ transform
+    """V^dag rho V; a stack of transforms (P, 4, 4) rotates ``rho_comp`` into
+    each, and every rotation has the bits it has alone."""
+    return transform.conj().swapaxes(-1, -2) @ rho_comp @ transform
 
 
 def to_computational_basis(rho_eig: np.ndarray, transform: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .dynamics import (
     evolve_analytic,
     plus_plus_state,
     to_eigenmode_basis,
+    validate_density_matrix,
 )
 from .signal_analysis import (
     ANTI_PHASE,
@@ -286,29 +287,39 @@ class Simulation(NamedTuple):
 
 # Here, not in dynamics, because benchmarks/tracing.py times each layer
 # through the bindings of this module (and of cli).
-def pair_setup(params: QubitPairParams, model: SpectralDensityModel,
-               kappa: float = KAPPA_DEFAULT
+def pair_setup(params, model, kappa=KAPPA_DEFAULT
                ) -> tuple[EigenStructure, LindbladRates, np.ndarray]:
-    """(eig, rates, transform) of one pair at ``params.temperature``: what
-    ``simulate`` evolves from, and what a sweep builds for each point of a
-    batch it evolves at once (``dynamics.evolve_analytic``)."""
+    """(eig, rates, transform) of a pair at ``params.temperature``: what
+    ``simulate`` evolves from.  For a PairBatch ``params`` (and ``model``
+    one SpectralDensityModel or one per pair, see ``lindblad_rates``) the
+    same calls set up every pair of a sweep batch at once, each with the
+    bits it has alone; the first pair that fails a check raises."""
     eig = diagonalize(params)
     rates = lindblad_rates(eig, model, params.temperature, kappa)
     return eig, rates, eigenmode_transform(params, eig)
+
+
+# The default initial state |++>, valid by construction, so never checked.
+_PLUS_PLUS = plus_plus_state()
+_PLUS_PLUS.flags.writeable = False
 
 
 def simulate(params: QubitPairParams, model: SpectralDensityModel,
              times: np.ndarray, rho0: np.ndarray | None = None,
              kappa: float = KAPPA_DEFAULT,
              span: slice | None = None) -> Simulation:
-    """Closed-form evolution of ``rho0`` (computational basis; None means
-    |++>) at ``params.temperature``: the one path from a setup to signals.
+    """Closed-form evolution of ``rho0`` (computational basis, checked by
+    ``validate_density_matrix``; None means |++>) at
+    ``params.temperature``: the one path from a setup to signals.
     ``times`` is the whole grid and ``span`` the part of it the trajectory
     holds, by default all of it (see ``evolve_analytic``).  The trajectory
     holds the signals only; ``dynamics.eigenmode_states`` builds the states
     from ``eig``, ``rates`` and ``rho0`` rotated by ``transform``."""
+    if rho0 is None:
+        rho0 = _PLUS_PLUS
+    else:
+        validate_density_matrix(rho0)
     eig, rates, v = pair_setup(params, model, kappa)
-    rho0 = plus_plus_state() if rho0 is None else rho0
     traj = evolve_analytic(eig, rates, to_eigenmode_basis(rho0, v), times,
                            span)
     return Simulation(eig, rates, v, traj)

@@ -1,9 +1,11 @@
 """Synchronization measure, probe spectra, linewidths, and state correlators.
 
 The synchronization measure is a windowed Pearson correlation between the two
-local observables.  Spectra come from a Hann-tapered, zero-padded DFT of a
-time window, with parabolic sub-bin peak refinement; linewidths from a fit of
-the exact line shape of a damped cosine seen through that taper and window.
+local observables.  Spectra come from a Hann-tapered DFT of a time window,
+zero-padded from n samples to the smallest 2*3*5-smooth length of at least
+4n (``_smooth_length``: the rfft's fast lengths, about 4x), with parabolic
+sub-bin peak refinement; linewidths from a fit of the exact line shape of a
+damped cosine seen through that taper and window.
 Results are arrays and dataclasses; their JSON and CSV forms are the CLI's.
 """
 
@@ -146,12 +148,27 @@ def _as_slice(mask: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
+def _smooth_length(m: int) -> int:
+    """The smallest 2*3*5-smooth integer >= m (m >= 1): 2^a 3^b 5^c with
+    the least power of two that reaches m, over every 3^b 5^c below the
+    best length so far."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _spectrum_plan(times: np.ndarray, t_start: float,
                    t_end: float) -> _SpectrumPlan:
     dt = uniform_step(times)
     check_window(times, t_start, t_end)
     part = _as_slice(window_mask(times, t_start, t_end))
-    n_fft = 4 * (part.stop - part.start)
+    n_fft = _smooth_length(4 * (part.stop - part.start))
     freqs = np.fft.rfftfreq(n_fft, d=dt)
     freqs *= 2.0 * np.pi
     freqs.flags.writeable = False
@@ -163,8 +180,10 @@ def windowed_fft(signal, times, t_start: float, t_end: float,
                  plan: _SpectrumPlan | None = None):
     """Spectrum of the mean-subtracted, Hann-tapered segment [t_start, t_end].
 
-    Zero-pads by 4x for sub-bin interpolation; peaks are local maxima whose
-    height and prominence both exceed 5x the median magnitude.  ``plan``,
+    Zero-pads the segment's n samples to the smallest 2*3*5-smooth length
+    of at least 4n, for sub-bin interpolation at a length the rfft is fast
+    at; peaks are local maxima whose height and prominence both exceed 5x
+    the median magnitude.  ``plan``,
     a ``SyncPlan``'s ``spectrum``, saves the checks, taper and frequency
     axis of its grid and window (ValueError on another grid or window);
     the spectra of one plan share its read-only ``freqs``.  A 2-d
@@ -197,8 +216,11 @@ def _peaks(spec: np.ndarray, freqs: np.ndarray) -> tuple[Peak, ...]:
     # spectrum is >= 0, so no peak's prominence exceeds its height: filtering
     # on height=prom (>= floor) keeps exactly the peaks height=floor would,
     # without scanning the prominence of sidelobes that cannot pass.
-    mid = spec.size // 2   # the median of the 2n + 1 bins of a 4n pad
-    floor = 5.0 * float(np.partition(spec, mid)[mid])
+    # The median of every bin: the middle one of an odd count, the mean of
+    # the middle two of an even one (an rfft of N samples has N // 2 + 1).
+    mid = ((spec.size - 1) // 2, spec.size // 2)
+    part = np.partition(spec, mid)
+    floor = 2.5 * float(part[mid[0]] + part[mid[1]])
     prom = max(floor, 0.05 * float(np.max(spec)))
     peaks = []
     for i in _find_peaks(spec, prom):

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -151,9 +151,22 @@ class QubitPairParams:
     __post_init__ = check_fields
 
 
+class PairBatch(NamedTuple):
+    """The fields of QubitPairParams as arrays, one entry per pair of a
+    batch, taken as they are: their values were checked where they were
+    parsed.  ``diagonalize``, ``eigenmode_transform`` and
+    ``probe_protocol.pair_setup`` broadcast over them."""
+
+    omega_q: np.ndarray
+    omega_p: np.ndarray
+    lam: np.ndarray
+    temperature: np.ndarray
+
+
 @dataclass(frozen=True)
 class EigenStructure:
-    """Closed-form spectrum and rotation angles of H_S."""
+    """Closed-form spectrum and rotation angles of H_S: floats, or arrays
+    with one entry per pair of a PairBatch."""
 
     E1: float
     E2: float
@@ -161,6 +174,12 @@ class EigenStructure:
     theta_minus: float
     Delta: float
     delta: float
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``fock_observable_weights(self)``, computed once: the transform's
+        self-check and the signals both read them."""
+        return fock_observable_weights(self)
 
 
 @dataclass(frozen=True)
@@ -179,12 +198,16 @@ class OperatorSet:
     h_s: np.ndarray
 
 
-def diagonalize(params: QubitPairParams) -> EigenStructure:
+def diagonalize(params) -> EigenStructure:
     """Closed-form eigenfrequencies and Bogoliubov angles of H_S.
 
-    E1 >= E2 >= 0 always; the degenerate corner (equal frequencies at zero
-    coupling) yields E1 = E2 and is legal here, flagged only where rates are
-    formed downstream.
+    ``params`` is a QubitPairParams, or a PairBatch whose fields are
+    arrays: the EigenStructure then holds one entry per pair in each field,
+    each with the bits it has alone.  E1 >= E2 >= 0 always; the degenerate
+    corner (equal frequencies at zero coupling) yields E1 = E2 and is legal
+    here.  E2 is omega_q * omega_p / E1 (E1 E2 = omega_q omega_p), not
+    (Delta - delta)/2, which cancels when E2 << E1; it is 0 only where that
+    quotient underflows, which ``lindblad_rates`` rejects.
     """
     wq, wp, lam = params.omega_q, params.omega_p, params.lam
     w_sum = wq + wp
@@ -197,30 +220,35 @@ def diagonalize(params: QubitPairParams) -> EigenStructure:
     theta_plus = 0.5 * np.arctan2(2.0 * lam, w_sum)
     theta_minus = 0.5 * np.arctan2(2.0 * lam, w_dif)
     E1 = 0.5 * (Delta + delta)
-    E2 = 0.5 * (Delta - delta)
+    # E1 >= max(omega_q, omega_p), so omega_p / E1 <= 1 and only an E2
+    # below the smallest double underflows
+    E2 = wq * (wp / E1)
     return EigenStructure(E1=E1, E2=E2, theta_plus=theta_plus,
                           theta_minus=theta_minus, Delta=Delta, delta=delta)
 
 
-def _hamiltonian_matrix(params: QubitPairParams) -> np.ndarray:
-    """H_S in the computational basis, entry by entry.
+def _hamiltonian_matrix(params) -> np.ndarray:
+    """H_S in the computational basis, entry by entry (a stack of them for
+    a PairBatch).
 
     Bit for bit the Kronecker-product sum (omega_q/2) sz (x) I
     + (omega_p/2) I (x) sz + lam sx (x) sx, without forming the products.
     """
-    a, b, lam = 0.5 * params.omega_q, 0.5 * params.omega_p, params.lam
-    return np.array([[a + b, 0.0, 0.0, lam],
-                     [0.0, a - b, lam, 0.0],
-                     [0.0, lam, b - a, 0.0],
-                     [lam, 0.0, 0.0, -a - b]], dtype=complex)
+    a, b = 0.5 * np.asarray(params.omega_q), 0.5 * np.asarray(params.omega_p)
+    h = np.zeros(a.shape + (4, 4), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = a + b, a - b
+    h[..., 2, 2], h[..., 3, 3] = b - a, -a - b
+    h[..., 0, 3] = h[..., 1, 2] = h[..., 2, 1] = h[..., 3, 0] = params.lam
+    return h
 
 
 def build_operators(params: QubitPairParams, eig: EigenStructure) -> OperatorSet:
     """Construct eta_i, parity, and the Pauli/Hamiltonian matrices.
 
     Raises ConventionError if the canonical anticommutation relations or the
-    H_S reconstruction identity fail at _CHECK_TOL (that would mean a
-    branch-sign bug, not a numerical accident: all formulas are closed-form).
+    H_S reconstruction identity fail at _CHECK_TOL, relative to the operator
+    each rebuilds (that would mean a branch-sign bug, not a numerical
+    accident: all formulas are closed-form).
     """
     c1 = np.kron(SIGMA_PLUS, ID2)
     c2 = np.kron(SIGMA_Z, SIGMA_PLUS)
@@ -247,7 +275,8 @@ def build_operators(params: QubitPairParams, eig: EigenStructure) -> OperatorSet
 
     # Convention self-checks. Cheap (a handful of 4x4 products) and they turn
     # a wrong branch choice into a loud failure instead of a subtly wrong
-    # trajectory.
+    # trajectory.  Each defect is relative to max(1, the largest entry of
+    # the operator it rebuilds), so rounding at a large energy scale passes.
     def _anti(a, b):
         return a @ b + b @ a
 
@@ -266,7 +295,7 @@ def build_operators(params: QubitPairParams, eig: EigenStructure) -> OperatorSet
             raise ConventionError(f"anticommutation failed: {name}")
 
     h_rebuilt = eig.E1 * (n1 - 0.5 * eye) + eig.E2 * (n2 - 0.5 * eye)
-    if np.max(np.abs(h_rebuilt - h_s)) > _CHECK_TOL:
+    if _relative_defect(h_rebuilt - h_s, h_s) > _CHECK_TOL:
         raise ConventionError(
             "H_S != E1 (n1 - 1/2) + E2 (n2 - 1/2); branch convention broken")
 
@@ -274,11 +303,11 @@ def build_operators(params: QubitPairParams, eig: EigenStructure) -> OperatorSet
     d_ang = eig.theta_plus - eig.theta_minus
     sxq_rebuilt = (np.cos(s_ang) * (eta1d + eta1)
                    + np.sin(s_ang) * (eta2d + eta2))
-    if np.max(np.abs(sxq_rebuilt - sx_q)) > _CHECK_TOL:
+    if _relative_defect(sxq_rebuilt - sx_q, sx_q) > _CHECK_TOL:
         raise ConventionError("sx_q quasiparticle decomposition broken")
     sxp_rebuilt = (np.sin(d_ang) * (eta1_tilde.conj().T + eta1_tilde)
                    + np.cos(d_ang) * (eta2_tilde.conj().T + eta2_tilde))
-    if np.max(np.abs(sxp_rebuilt - sx_p)) > _CHECK_TOL:
+    if _relative_defect(sxp_rebuilt - sx_p, sx_p) > _CHECK_TOL:
         raise ConventionError("sx_p parity-dressed decomposition broken")
 
     return OperatorSet(eta1=eta1, eta2=eta2, eta1_tilde=eta1_tilde,
@@ -296,14 +325,17 @@ def direct_diagonalize(params: QubitPairParams):
 
 
 def fock_energies(eig: EigenStructure) -> np.ndarray:
-    """H_S eigenvalues of the Fock states |00>, |01>, |10>, |11>."""
+    """H_S eigenvalues of the Fock states |00>, |01>, |10>, |11>, along the
+    last axis."""
     half = 0.5 * (eig.E1 + eig.E2)
-    return np.array([-half, 0.5 * (eig.E2 - eig.E1),
-                     0.5 * (eig.E1 - eig.E2), half])
+    energies = np.array([-half, 0.5 * (eig.E2 - eig.E1),
+                         0.5 * (eig.E1 - eig.E2), half])
+    return energies.transpose(*range(1, energies.ndim), 0)
 
 
 def fock_observable_weights(eig: EigenStructure):
-    """(W_q, W_p): sigma_x matrices in the eigenmode basis, from the angles.
+    """(W_q, W_p): sigma_x matrices in the eigenmode basis, from the angles
+    (a stack of them for a batch EigenStructure).
 
     Closed form, from the sx_q and sx_p decompositions in the module
     docstring.  sigma^x flips quasiparticle parity, so the only nonzero
@@ -314,28 +346,40 @@ def fock_observable_weights(eig: EigenStructure):
     ss = np.sin(eig.theta_plus + eig.theta_minus)
     cd = np.cos(eig.theta_plus - eig.theta_minus)
     sd = np.sin(eig.theta_plus - eig.theta_minus)
-    w_q = np.zeros((4, 4))
-    w_q[0, 2] = w_q[1, 3] = cs
-    w_q[0, 1] = ss
-    w_q[2, 3] = -ss
-    w_p = np.zeros((4, 4))
-    w_p[0, 2] = -sd
-    w_p[1, 3] = sd
-    w_p[0, 1] = w_p[2, 3] = -cd
-    return w_q + w_q.T, w_p + w_p.T
+    w_q = np.zeros(np.shape(cs) + (4, 4))
+    w_q[..., 0, 2] = w_q[..., 1, 3] = cs
+    w_q[..., 0, 1] = ss
+    w_q[..., 2, 3] = -ss
+    w_p = np.zeros(w_q.shape)
+    w_p[..., 0, 2] = -sd
+    w_p[..., 1, 3] = sd
+    w_p[..., 0, 1] = w_p[..., 2, 3] = -cd
+    return w_q + w_q.swapaxes(-1, -2), w_p + w_p.swapaxes(-1, -2)
 
 
-_CHECK_TOL = 1e-10   # of the convention self-checks
+_CHECK_TOL = 1e-10   # of the convention self-checks, relative (_relative_defect)
 _EYE4 = np.eye(4)
 _SX_Q = np.kron(SIGMA_X, ID2).real
 _SX_P = np.kron(ID2, SIGMA_X).real
 _TRANSFORM_CHECKS = ("V^T V = I", "V^T H_S V = diag(Fock energies)",
                      "V^T sx_q V = W_q", "V^T sx_p V = W_p")
+# the operators of the checks, with H_S (second) set per pair
+_TRANSFORM_OPS = np.array([_EYE4, np.zeros((4, 4)), _SX_Q, _SX_P])
 
 
-def eigenmode_transform(params: QubitPairParams,
-                        eig: EigenStructure) -> np.ndarray:
-    """Real orthogonal V whose columns are the quasiparticle Fock states.
+def _relative_defect(diff: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """The largest entry of |diff| over the last two axes, divided by
+    max(1, the largest entry of |op|), the operator whose identity ``diff``
+    checks: the operators are of order one except H_S, whose rounding
+    grows with the energy scale."""
+    return (abs(diff).max(axis=(-2, -1))
+            / np.maximum(1.0, abs(op).max(axis=(-2, -1))))
+
+
+def eigenmode_transform(params, eig: EigenStructure) -> np.ndarray:
+    """Real orthogonal V whose columns are the quasiparticle Fock states
+    (a stack of them, one per pair, for a PairBatch and its
+    EigenStructure).
 
     Column order is |n1 n2> = |00>, |01>, |10>, |11> (quasiparticle vacuum
     first) in the computational basis, with tp = theta_plus, tm = theta_minus:
@@ -349,24 +393,33 @@ def eigenmode_transform(params: QubitPairParams,
     sin tp); the global sign drops out of every conversion anyway.  A
     density matrix converts as rho_eig = V^T rho V.
 
-    Raises ConventionError unless, to _CHECK_TOL (as in build_operators),
-    V^T V = I, V^T H_S V is diagonal in the Fock energies, and V^T sx_q V
-    and V^T sx_p V are the closed-form weights: everything the evolution
-    reads.  A failure means ``eig`` does not belong to ``params`` or a
-    branch convention is broken.
+    Raises ConventionError unless, for every pair, V^T V = I, V^T H_S V is
+    diagonal in the Fock energies, and V^T sx_q V and V^T sx_p V are the
+    closed-form weights, each to _CHECK_TOL relative to its operator
+    (``_relative_defect``, as in build_operators): everything the
+    evolution reads.  A failure means ``eig`` does not belong to ``params``
+    or a branch convention is broken.
     """
     ctp, stp = np.cos(eig.theta_plus), np.sin(eig.theta_plus)
     ctm, stm = np.cos(eig.theta_minus), np.sin(eig.theta_minus)
-    v = np.array([[-stp, 0.0, 0.0, -ctp],
-                  [0.0, stm, ctm, 0.0],
-                  [0.0, -ctm, stm, 0.0],
-                  [ctp, 0.0, 0.0, -stp]])
-    w_q, w_p = fock_observable_weights(eig)
-    ops = np.array([_EYE4, _hamiltonian_matrix(params).real, _SX_Q, _SX_P])
-    want = np.array([_EYE4, np.diag(fock_energies(eig)), w_q, w_p])
-    defects = abs(v.T @ ops @ v - want).max(axis=(1, 2))
-    for name, defect in zip(_TRANSFORM_CHECKS, defects):
-        if defect > _CHECK_TOL:
-            raise ConventionError(f"eigenmode transform: {name} fails by "
-                                  f"{defect:.3g}")
+    v = np.zeros(np.shape(ctp) + (4, 4))
+    v[..., 0, 0], v[..., 3, 0] = -stp, ctp
+    v[..., 1, 1], v[..., 2, 1] = stm, -ctm
+    v[..., 1, 2], v[..., 2, 2] = ctm, stm
+    v[..., 0, 3], v[..., 3, 3] = -ctp, -stp
+    # the operators and what V turns them into, stacked on the third-last axis
+    ops = np.empty(v.shape[:-2] + _TRANSFORM_OPS.shape)
+    ops[...] = _TRANSFORM_OPS
+    ops[..., 1, :, :] = _hamiltonian_matrix(params).real
+    want = np.empty(ops.shape)
+    want[..., 0, :, :] = _EYE4
+    want[..., 1, :, :] = fock_energies(eig)[..., None] * _EYE4
+    want[..., 2, :, :], want[..., 3, :, :] = eig.weights
+    vt = v.swapaxes(-1, -2)[..., None, :, :]
+    defects = _relative_defect(vt @ ops @ v[..., None, :, :] - want, ops)
+    if defects.max() > _CHECK_TOL:
+        failed = np.argwhere(defects > _CHECK_TOL)   # (point..., check) rows
+        raise ConventionError(
+            f"eigenmode transform: {_TRANSFORM_CHECKS[failed[0][-1]]} fails "
+            f"by {defects[tuple(failed[0])]:.3g}")
     return v

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncprobe import cli, probe_protocol
+from syncprobe import cli, dynamics, probe_protocol
 from syncprobe.bath import KAPPA_DEFAULT, PowerLawCutoff, evaluate_J
 from syncprobe.cli import (
     ConfigError,
@@ -27,6 +27,9 @@ from syncprobe.cli import (
 )
 from syncprobe.dynamics import Trajectory
 from syncprobe.presets import PRESETS, get_preset
+from syncprobe.spin_model import QubitPairParams
+
+from oracles import point_signal_terms
 
 OHMIC = {"kind": "power-law", "gamma0": 0.01, "s": 1.0, "omega_c": 20.0}
 
@@ -697,6 +700,43 @@ def test_any_bath_and_temperature_fail_by_name_or_run_quietly(
         "Error") for row in rows)
 
 
+def _scaled_run(k: float) -> dict:
+    """The run config of omega_p 1.2, lambda 0.2 (s 1, no cutoff, T 0) in
+    the unit where omega_q = k: every frequency times k, every time over
+    k; with s = 1, J scales by k too."""
+    return _run_cfg(params={"omega_q": k, "omega_p": 1.2 * k, "lambda": 0.2 * k,
+                            "temperature": 0.0},
+                    bath=dict(OHMIC, omega_c=None),
+                    time_grid={"t_max": 400.0 / k, "dt": 0.05 / k},
+                    analysis={"window": 3.0 / k,
+                              "late_window": [200.0 / k, 310.0 / k]})
+
+
+@pytest.mark.parametrize("k", [1.0, 1e7])
+def test_evolve_runs_at_a_large_energy_scale(tmp_path, k):
+    """At omega_q = 1e7 the rounding of V^T H_S V exceeds 1e-10 absolute;
+    the transform's self-checks are relative to H_S's scale, so the pair
+    evolves, to the regime it has at omega_q = 1."""
+    code, err = _main_stderr("evolve", "--config",
+                             str(_write(tmp_path, _scaled_run(k))),
+                             "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    metrics = json.loads((tmp_path / "out" / "sync_metrics.json").read_text())
+    assert metrics["metrics"]["regime"] == "InPhase"
+
+
+def test_evolve_names_params_where_e2_underflows(tmp_path):
+    """E2 = omega_q omega_p / E1 is about 1e-340 here, below the smallest
+    double: the pair has no rates, and the error names its section."""
+    cfg = _run_cfg(params={"omega_q": 1e-20, "omega_p": 1e-20,
+                           "lambda": 1e300, "temperature": 0.0},
+                   time_grid={"t_max": 20.0, "dt": 0.05},
+                   analysis={"window": 1.0, "late_window": [10.0, 20.0]})
+    code, err = _main_stderr("evolve", "--config", str(_write(tmp_path, cfg)),
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and err.startswith("error: params: E2 = 0 <= 0"), err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -804,6 +844,69 @@ def test_sweep_batch_keeps_a_signal_failure_on_its_row(monkeypatch):
     assert cells[:2] + cells[3:] == good[:2] + good[3:]
 
 
+def _random_density(rng) -> np.ndarray:
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+# J = 0.02 w^1.5 tabulated over every E1 and E2 of _SWEEP_POINTS
+_TABLE = {"kind": "tabulated",
+          "points": [[w, 0.02 * w ** 1.5] for w in np.geomspace(0.05, 5.0, 30)]}
+_BATHS = {"cutoff": dict(OHMIC), "no cutoff": dict(OHMIC, omega_c=None),
+          "tabulated": _TABLE}
+
+
+def _batch_terms(base, points):
+    """(amps, exponents) of ``points`` set up as one batch."""
+    eig, rates, _, rho0 = cli._batch_setup(base, points)
+    return dynamics._signal_terms(dynamics._blocks(eig, rates, rho0),
+                                  eig.weights)
+
+
+@settings(max_examples=60)
+@given(points=st.lists(_SWEEP_POINTS, min_size=1, max_size=12),
+       bath=st.sampled_from(sorted(_BATHS)), seed=st.integers(0, 2 ** 16),
+       own=st.lists(st.booleans(), min_size=12, max_size=12),
+       split=st.integers(0, 12))
+def test_batch_setup_matches_the_single_point_oracle(points, bath, seed, own,
+                                                     split):
+    """A batch's amplitudes and exponents are, point by point, those of the
+    scalar formulas (oracles.point_signal_terms) to 1e-12 of their largest
+    entry, over the omega_p, lambda, s and T axes, power-law baths with and
+    without a cutoff, a tabulated bath, and density-matrix states, the
+    base's or a point's own; and a point's bits do not depend on the batch
+    it is set up in."""
+    rng = np.random.default_rng(seed)
+    state = _random_density(rng)
+    base = parse_run_config(_run_cfg(
+        bath=_BATHS[bath],
+        initial_state=np.stack((state.real, state.imag), -1).tolist()))
+    names = ["omega_p", "lambda", "s", "T"]
+    if bath == "tabulated":     # no s axis
+        names, points = names[:2] + names[3:], [p[:2] + p[3:] for p in points]
+    grid = [cli._apply_axes(base, names, values) for values in points]
+    grid = [replace(p, initial_state=_random_density(rng)) if mine else p
+            for p, mine in zip(grid, own)]
+    amps, exponents = _batch_terms(base, grid)
+    for p, a, z in zip(grid, amps, exponents):
+        values = dict(p.values, omega_q=1.0)
+        pair = QubitPairParams(omega_q=1.0, omega_p=values["omega_p"],
+                               lam=values["lambda"], temperature=values["T"])
+        model = (replace(base.bath, s=values["s"]) if "s" in values
+                 else base.bath)
+        want_a, want_z = point_signal_terms(pair, model, p.rho0, base.kappa)
+        assert np.max(np.abs(a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+        assert np.max(np.abs(z - want_z)) <= 1e-12 * np.max(np.abs(want_z))
+    parts = [grid[:split], grid[split:]] + [[p] for p in grid]
+    for part, start in zip(parts, [0, split] + list(range(len(grid)))):
+        if part:
+            part_a, part_z = _batch_terms(base, part)
+            assert part_a.tobytes() == amps[start:start + len(part)].tobytes()
+            assert part_z.tobytes() == \
+                exponents[start:start + len(part)].tobytes()
+
+
 def test_sweep_point_same_row_on_late_span():
     """A sweep evolves only the late span; each recordable reads the late
     window or the steady state, so the row is the one the whole grid gives
@@ -843,7 +946,9 @@ def test_sweep_correlator_einsum_matches_state_loop():
         row = cli._sweep_point(base, ["s", "omega_p"], values,
                                ("correlator",),
                                cli.sync_plan(times, base.analysis, slice(None)))
-        rc = cli._apply_axes(base, ["s", "omega_p"], values)
+        s, omega_p = values
+        rc = replace(base, params=replace(base.params, omega_p=omega_p),
+                     bath=replace(base.bath, s=s))
         eig, rates, v, _ = cli.simulate(rc.params, rc.bath, times, rc.rho0,
                                         rc.kappa)
         states = cli.eigenmode_states(

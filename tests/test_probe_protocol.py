@@ -413,7 +413,7 @@ def test_scan_passes_the_pair_to_every_classification(monkeypatch):
     assert len(seen) == calls
     assert (tp.lam, tp.omega_p_bar, tp.uncertainty, tp.ratio) == \
         (0.3, 2.0 * omega_p_bar, 2.0 * uncertainty, 1.5023349829800612)
-    assert (tp.n1, tp.n2) == (0.0029187630704018332, 0.013234972725500551)
+    assert (tp.n1, tp.n2) == (0.0029187630704018332, 0.013234972725500537)
 
 
 def test_two_undecidable_grid_points_raise_resolution_error(monkeypatch):

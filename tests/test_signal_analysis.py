@@ -147,6 +147,46 @@ def test_windowed_fft_input_validation():
         windowed_fft(sig, times, 0.0, 1.0)
 
 
+def _smooth(k: int) -> bool:
+    """Whether k has no prime factor but 2, 3 and 5."""
+    for q in (2, 3, 5):
+        while k % q == 0:
+            k //= q
+    return k == 1
+
+
+@settings(max_examples=40)
+@given(n=st.integers(64, 100_000))
+@example(n=2201)    # sweep-map's late window: 8 804 -> 9 000
+@example(n=6201)    # a scan's late window: 24 804 -> 25 000
+def test_spectrum_pad_is_the_smallest_smooth_length_of_4n(n):
+    """A window of n samples is padded to the smallest 2*3*5-smooth length
+    of at least 4n, where the rfft is fast."""
+    times = default_time_grid(0.05 * (n - 1), 0.05)
+    plan = signal_analysis._spectrum_plan(times, 0.0, times[-1])
+    signal_analysis._hann.cache_clear()     # one taper per drawn length
+    assert plan.part == slice(0, n)
+    assert plan.n_fft >= 4 * n and _smooth(plan.n_fft)
+    assert not any(_smooth(k) for k in range(4 * n, plan.n_fft))
+    assert plan.freqs.size == plan.n_fft // 2 + 1
+
+
+def test_peak_floor_is_five_medians_at_an_even_bin_count(monkeypatch):
+    """65 samples pad to 270, whose rfft has 136 bins: the height floor is
+    5x their median, the mean of the middle two bins."""
+    floors = []
+    real = signal_analysis._find_peaks
+    monkeypatch.setattr(signal_analysis, "_find_peaks",
+                        lambda x, floor: floors.append(floor) or real(x, floor))
+    times = default_time_grid(3.2, 0.05)
+    est = windowed_fft(np.cos(5.0 * times) + 0.1 * times, times, 0.0, 3.2)
+    assert est.magnitude.size == 136
+    median = float(np.median(est.magnitude))
+    middle = np.sort(est.magnitude)[67:69]
+    assert middle[0] < median < middle[1]    # neither middle bin alone
+    assert floors == [max(5.0 * median, 0.05 * float(np.max(est.magnitude)))]
+
+
 def test_windowed_fft_peaks_match_height_floor_filter(monkeypatch):
     """Filtering on height=prom keeps exactly the peaks height=floor kept,
     and each call of the numpy peak finder agrees with scipy's."""
@@ -457,8 +497,8 @@ def test_nosync_verdict_computes_no_spectrum(monkeypatch):
     monkeypatch.setattr(signal_analysis, "windowed_fft", no_spectrum)
     m = detect_sync(traj)
     assert (m.regime, m.omega_sync, m.c_floor, m.c_ceil, m.c_min_abs,
-            m.below_floor, m.window) == (NO_SYNC, None, -0.8557340314636108,
-                                         0.92863472452331, 0.0226586280245784,
+            m.below_floor, m.window) == (NO_SYNC, None, -0.8557340314636039,
+                                         0.928634724523258, 0.022658628024620202,
                                          False, 3.0)
     np.testing.assert_array_equal(m.c_times, whole.c_times)
     np.testing.assert_array_equal(m.c_values, whole.c_values)

@@ -218,6 +218,37 @@ def test_corrupted_eigenstructure_raises(corrupt):
         eigenmode_transform(p, bad)
 
 
+@pytest.mark.parametrize("k", [1.0, 1e7])
+def test_relative_checks_pass_at_any_scale_and_still_catch_a_flipped_sign(k):
+    """The self-checks divide each defect by max(1, the largest entry of
+    its operator): the pair scaled by 1e7 passes, in both the transform and
+    the operator algebra, and a flipped theta_minus still fails."""
+    p = QubitPairParams(omega_q=k, omega_p=1.2 * k, lam=0.2 * k)
+    eig = diagonalize(p)
+    eigenmode_transform(p, eig)
+    build_operators(p, eig)
+    with pytest.raises(ConventionError, match="eigenmode transform"):
+        eigenmode_transform(p, replace(eig, theta_minus=-eig.theta_minus))
+    with pytest.raises(ConventionError):
+        build_operators(p, replace(eig, theta_minus=-eig.theta_minus))
+
+
+@pytest.mark.parametrize("omega_p, lam", [(1e-8, 0.2), (1.0, 1e8),
+                                          (1e-300, 0.2), (1e300, 0.2)])
+def test_e2_is_exact_where_the_difference_cancels(omega_p, lam):
+    """E2 = omega_q omega_p / E1 keeps its digits where (Delta - delta)/2
+    loses them or rounds to 0: within 4 ulps of a 60-digit evaluation."""
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 60
+    wq, wp, lm = Decimal(1), Decimal(omega_p), Decimal(lam)
+    big = ((2 * lm) ** 2 + (wq + wp) ** 2).sqrt()
+    small = ((2 * lm) ** 2 + (wq - wp) ** 2).sqrt()
+    want = float(wq * wp / ((big + small) / 2))
+    got = diagonalize(QubitPairParams(omega_p=omega_p, lam=lam)).E2
+    assert want > 0.0 and abs(got - want) <= 4 * np.spacing(want)
+
+
 def test_param_validation():
     with pytest.raises(ValueError, match="omega_p"):
         QubitPairParams(omega_p=-1.0)

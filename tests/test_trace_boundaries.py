@@ -77,12 +77,13 @@ def test_sweep_point_and_scan_classification_record_layer_spans(monkeypatch):
     assert _layer_spans(tracer, first) == LAYER_SPANS
 
 
-def test_sweep_batches_record_setup_per_point_and_one_span_per_batch(
+def test_sweep_batches_record_one_setup_and_one_span_per_batch(
         monkeypatch, tmp_path):
-    """``sweep`` sets each point up through the traced bindings and
-    evolves and classifies each batch in one span of each: 20 points in
-    batches of 8 (two full and a tail of 4) give 20 setups and 3 evolve
-    and detect spans, each evolve span over the 2 250-sample late span."""
+    """``sweep`` sets each batch up as arrays through the traced bindings,
+    and evolves and classifies it in one span of each: 20 points in
+    batches of 8 (two full and a tail of 4) give 3 setups (a diagonalize
+    and a transform span each, and a rates span) and 3 evolve and detect
+    spans, each evolve span over the 2 250-sample late span."""
     tracer = _installed_tracer(monkeypatch)
     cfg = {"base": get_preset("fig1"), "record": ["c", "omega_sync", "regime"],
            "axes": [{"name": "omega_p", "lo": 0.8, "hi": 1.2, "steps": 4},
@@ -92,9 +93,9 @@ def test_sweep_batches_record_setup_per_point_and_one_span_per_batch(
     assert cli._SWEEP_BATCH == 8
     assert cli.main(["sweep", "--config", str(path), "--out",
                      str(tmp_path / "out"), "--workers", "1"]) == 0
-    points, batches = 20, 3
+    batches = 3
     assert _layer_spans(tracer, 0) == {
-        "spin_model.setup": 2 * points, "bath.lindblad_rates": points,
+        "spin_model.setup": 2 * batches, "bath.lindblad_rates": batches,
         "dynamics.evolve_analytic": batches,
         "signal_analysis.detect_sync": batches}
     evolve = tracer.names.index("dynamics.evolve_analytic")
