@@ -46,7 +46,7 @@ from .bath import (
 from .dynamics import (
     StateValidationError,
     default_time_grid,
-    eigenmode_states,
+    evolve_correlator,
     plus_plus_state,
     steady_state,
     to_computational_basis,
@@ -72,14 +72,12 @@ from .probe_protocol import (
 from .probe_protocol import (build_operators, diagonalize, eigenmode_transform,
                              lindblad_rates)
 from .signal_analysis import (
-    CORRELATOR_OP,
     SyncConfig,
     check_window,
     detect_sync,
     late_span,
     mutual_information,
     sync_plan,
-    window_mask,
     windowed_fft,
 )
 from .presets import get_preset
@@ -493,22 +491,6 @@ def sweep_spec_to_dict(spec: SweepSpec) -> dict:
 # ---------------------------------------------------------------------------
 # simulation helpers
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a sweep: its axis values by axis name, each
-    checked when the spec was parsed, over the base config's fields, and
-    the state it starts from."""
-
-    values: dict
-    initial_state: "str | np.ndarray"
-
-    rho0 = RunConfig.rho0
-
-
-def _apply_axes(base: RunConfig, names, values) -> SweepPoint:
-    return SweepPoint(dict(zip(names, values)), base.initial_state)
-
-
 def _sweep_columns(record) -> list[str]:
     cols = []
     for q in record:
@@ -525,25 +507,20 @@ def _sweep_columns(record) -> list[str]:
 _SWEEP_BATCH = 8
 
 
-def _batch_setup(base: RunConfig, points) -> tuple:
-    """(eig, rates, transform, initial state in the eigenmode basis) of
-    every point at once: ``pair_setup`` of the pair fields as arrays (a
-    point's axis value, or the base's) in the base's bath, or, with an s
-    axis, in each point's.  The base's state was checked when it was
-    parsed; a point's own state is validated here."""
-    params = PairBatch(*(np.array([p.values.get(_PAIR_AXES.get(f), getattr(
-        base.params, f)) for p in points]) for f in PairBatch._fields))
+def _batch_setup(base: RunConfig, names, batch) -> tuple:
+    """(eig, rates, transform, base state in the eigenmode basis) of every
+    point of ``batch`` (a list of values of the axes ``names``) at once:
+    ``pair_setup`` of the pair fields as arrays (a point's axis value, or
+    the base's) in the base's bath, or, with an s axis, in each point's.
+    The base's state was checked when it was parsed."""
+    columns = dict(zip(names, zip(*batch)))     # axis name: its values
+    params = PairBatch(*(np.array(columns.get(_PAIR_AXES.get(f), [getattr(
+        base.params, f)] * len(batch))) for f in PairBatch._fields))
     model = base.bath
-    if "s" in points[0].values:
-        model = [replace(base.bath, s=p.values["s"]) for p in points]
-    rho0 = base.rho0
-    states = [rho0 if p.initial_state is base.initial_state else p.rho0
-              for p in points]
-    for state in states:
-        if state is not rho0:
-            validate_density_matrix(state)
+    if "s" in columns:
+        model = [replace(base.bath, s=s) for s in columns["s"]]
     eig, rates, v = pair_setup(params, model, base.kappa)
-    return eig, rates, v, to_eigenmode_basis(np.array(states), v)
+    return eig, rates, v, to_eigenmode_basis(base.rho0, v)
 
 
 def _sweep_rows(base: RunConfig, names, batch, record, plan) -> list:
@@ -552,65 +529,62 @@ def _sweep_rows(base: RunConfig, names, batch, record, plan) -> list:
     ``sync_plan`` for ``base.analysis``) and classified with it.
 
     The points are set up (``_batch_setup``), evolved and classified as
-    one batch, in which every point has the bits it has alone.  If the
-    batch raises a ValueError (a point fails a check of its setup, its
-    state or its signals), each point is evaluated alone, so the error
-    stays on its row.  Any other exception propagates.
+    one batch, in which every point has the bits it has alone; a
+    ``correlator`` is evolved for the batch over the late window alone.
+    If the batch raises a ValueError (a point fails a check of its setup
+    or its signals), each point is evaluated alone, so the error stays on
+    its row.  Any other exception propagates.
     """
-    points = [_apply_axes(base, names, values) for values in batch]
+    start = plan.span.indices(plan.times.size)[0]
+    late = plan.spectrum.part          # of the span
+    late = slice(start + late.start, start + late.stop)
 
     def evaluate(ks):
-        setup = eig, rates, _, rho0 = _batch_setup(base, [points[k] for k in ks])
+        setup = eig, rates, v, rho0 = _batch_setup(base, names,
+                                                   [batch[k] for k in ks])
         traj = evolve_analytic(eig, rates, rho0, plan.times, plan.span)
-        return ks, setup, detect_sync(traj, plan.config, plan).rows
+        rows = detect_sync(traj, plan.config, plan).rows
+        # after the verdict, whose correlation windows are the batch's peak
+        corr = (evolve_correlator(eig, rates, rho0, v, plan.times, late)
+                if "correlator" in record else None)
+        return ks, setup, corr, rows
 
-    out = [None] * len(points)
+    out = [None] * len(batch)
     try:
-        done = [evaluate(range(len(points)))]
+        done = [evaluate(range(len(batch)))]
     except ValueError:
         # some point failed a check: evaluate each point alone
         done = []
-        for k in range(len(points)):
+        for k in range(len(batch)):
             try:
                 done.append(evaluate([k]))
             except ValueError as exc:
                 out[k] = exc
-    for ks, setup, rows in done:
+    for ks, (_, rates, v, _), corr, rows in done:
         for i, (k, m) in enumerate(zip(ks, rows)):
             try:
-                out[k] = _sweep_row(m, record, setup, i, plan)
+                out[k] = _sweep_row(m, record, rates, v, corr, i)
             except ValueError as exc:
                 out[k] = exc
     return out
 
 
-def _sweep_row(m, record, setup, i: int, plan) -> dict:
+def _sweep_row(m, record, rates, v, corr, i: int) -> dict:
     """A point's row from its SyncMetrics ``m`` and, for the recordables
-    that read more, from its entry ``i`` of a ``_batch_setup``, on the span
-    of ``plan``."""
+    that read more, from its entry ``i`` of the batch's rates and
+    transforms and of ``corr``, its correlator over the late window."""
     out = {"c_floor": m.c_floor, "c_ceil": m.c_ceil, "c_min_abs": m.c_min_abs,
            "omega_sync": m.omega_sync, "regime": m.regime,
            "below_floor": int(m.below_floor)}
-    if "mi" not in record and "correlator" not in record:
-        return out
-    eig, rates = (type(x)(*(getattr(x, f.name)[i] for f in fields(x)))
-                  for x in setup[:2])
-    v, rho0 = setup[2][i], setup[3][i]
     if "mi" in record:
         # Exact fixed point, not the last sample: at T=0 it is the dressed
         # vacuum, so MI depends on the pair alone and stays smooth across
         # the transition whatever the bath does.
-        rho_ss = to_computational_basis(steady_state(rates), v)
+        point = type(rates)(*(getattr(rates, f.name)[i] for f in fields(rates)))
+        rho_ss = to_computational_basis(steady_state(point), v[i])
         out["mi"] = mutual_information(rho_ss)
     if "correlator" in record:
-        times = plan.times[plan.span]
-        states = eigenmode_states(eig, rates, rho0, times)
-        sel = window_mask(times, *plan.config.late_window)
-        # spin_correlator is Tr(rho op): rotate op into the eigenmode basis
-        # once instead of every state out of it
-        op = v.T @ CORRELATOR_OP @ v
-        vals = np.einsum("njk,kj->n", states[sel], op)
-        out["correlator"] = float(np.mean(np.abs(vals)))
+        out["correlator"] = float(np.mean(np.abs(corr[i])))
     return out
 
 

@@ -7,7 +7,9 @@ the tests:
   the eigenmode (quasiparticle Fock) basis by exact eigendecomposition of
   constant 2x2 coefficient matrices, then reinstates the Hamiltonian phases.
   The signals read only the four parity-allowed coherences, so that is all
-  it evaluates; ``eigenmode_states`` builds the full states around them.
+  it evaluates.  ``evolve_correlator`` gives the interspin correlator the
+  same way, from the singly excited populations and their coherence; no
+  path builds the closed form's dense (n, 4, 4) states.
 * ``evolve_numeric`` vectorizes the full Liouvillian (column stacking) and
   steps it with the matrix exponential.  Its jump operators come from the raw
   ``eigh`` eigenvectors, never the block algebra or the Bogoliubov angles,
@@ -21,7 +23,7 @@ eigenmode basis, Fock order |00>, |01> (mode 2), |10> (mode 1), |11>;
 ``evolve_numeric`` expects the computational basis.  Both report observables
 in the Schroedinger picture, with all Hamiltonian phases reinstated.  Only
 ``evolve_numeric`` stores states in its ``Trajectory``, in the computational
-basis; ``eigenmode_states`` returns the closed form's in the eigenmode basis.
+basis.
 
 Expectation-value weights and the eigenmode transform are closed form in the
 Bogoliubov angles (``fock_observable_weights``, ``eigenmode_transform``).  The
@@ -41,8 +43,7 @@ import numpy as np
 from .bath import (KAPPA_DEFAULT, LindbladRates, SpectralDensityModel,
                    bose_occupation, evaluate_J)
 from .spin_model import (ID2, SIGMA_X, EigenStructure, QubitPairParams,
-                         direct_diagonalize, fock_energies,
-                         fock_observable_weights)
+                         direct_diagonalize, fock_observable_weights)
 
 
 class StateValidationError(ValueError):
@@ -57,14 +58,15 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise StateValidationError(f"expected a 4x4 matrix, got {rho.shape}")
+    # each check written to fail on NaN, which compares false
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-12:
+    if not herm <= 1e-12:
         raise StateValidationError(f"Hermiticity defect {herm:.3g} > 1e-12")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > 1e-12:
+    if not tr <= 1e-12:
         raise StateValidationError(f"trace deviates from 1 by {tr:.3g}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -1e-10:
+    if not lo >= -1e-10:
         raise StateValidationError(f"negative eigenvalue {lo:.3g}")
 
 
@@ -131,22 +133,6 @@ class AsymptoticForm:
         return min(self.terms, key=lambda term: term.decay)
 
 
-def _two_state_propagators(up: float, down: float, times: np.ndarray):
-    """exp(t*[[-up, down], [up, -down]]) for every t, shape (n, 2, 2).
-
-    ``up`` pumps occupation 0 -> 1, ``down`` relaxes 1 -> 0.  Rank-1 plus
-    projector structure; handles the decoupled case up = down = 0.
-    """
-    tot = up + down
-    n = times.size
-    if tot == 0.0:
-        return np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
-    p_eq = np.array([[down, down], [up, up]]) / tot
-    rest = np.eye(2) - p_eq
-    damp = np.exp(-tot * times)
-    return p_eq[None, :, :] + damp[:, None, None] * rest[None, :, :]
-
-
 # The two parity-odd coherence blocks, the only entries a parity-odd
 # observable reads: block A, (rho_01, rho_23), and block B, (rho_02, rho_13),
 # as (row, column) pairs, and as row and column index arrays (block, entry).
@@ -202,20 +188,6 @@ def _blocks(eig: EigenStructure, rates: LindbladRates,
     return _Blocks(x, slow, rate, np.array([eig.E2, eig.E1]), 0.5 * rate[::-1])
 
 
-def _coherences(blocks: _Blocks, times: np.ndarray) -> dict:
-    """Each block entry at every time, Schroedinger picture, keyed by
-    (row, column): the pair evolves as exp((i*freq - dephase)*t) times
-    slow + exp(-rate*t) * fast."""
-    out = {}
-    for b, entries in enumerate(_BLOCK_ENTRIES):
-        rot = np.exp((1j * blocks.freq[b] - blocks.dephase[b]) * times)
-        damp = np.exp(-blocks.rate[b] * times)
-        for entry, slow, fast in zip(entries, blocks.slow[b],
-                                     blocks.x[b] - blocks.slow[b]):
-            out[entry] = rot * (slow + damp * fast)
-    return out
-
-
 def _signal_terms(blocks: _Blocks, weights) -> tuple[np.ndarray, np.ndarray]:
     """(amps, exponents) with Tr(rho(t) W) = Re[amps[..., s, :] @
     exp(exponents * t)] for the s-th real symmetric parity-odd W of
@@ -240,37 +212,49 @@ def _signal_terms(blocks: _Blocks, weights) -> tuple[np.ndarray, np.ndarray]:
             _leading(exponents.reshape((4,) + points), len(points)).copy())
 
 
-def eigenmode_states(eig: EigenStructure, rates: LindbladRates,
-                     rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Full (n, 4, 4) states of the closed form, in the eigenmode basis like
-    ``rho0``; ``evolve_analytic`` reads the same coherences for its signals.
-    Rotate them back with ``to_computational_basis(rho, transform)``."""
-    validate_density_matrix(rho0)
-    times = np.asarray(times, dtype=float)
-    n = times.size
-    diag0 = np.real(np.diag(rho0))
-    # decay exponents have real part <= 0: an overflow is -inf, exp gives 0
-    with np.errstate(over="ignore"):
-        u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
-        u2 = _two_state_propagators(rates.g2_up, rates.g2_down, times)
-        # population propagator is the Kronecker product of the per-mode ones
-        pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
+def _relaxation(up, down) -> tuple[np.ndarray, np.ndarray]:
+    """(eq, rest), points first, with eq + exp(-(up + down)*t) * rest the
+    population propagator exp(t*[[-up, down], [up, -down]]) of one mode:
+    ``up`` pumps occupation 0 -> 1, ``down`` relaxes 1 -> 0.  A mode with
+    no rate is all eq, the identity."""
+    tot = np.asarray(up + down)[..., None, None]
+    eq = np.array([[down, down], [up, up]], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):   # rate 0: unused
+        eq = np.where(tot == 0.0, np.eye(2), _leading(eq, eq.ndim - 2) / tot)
+    return eq, np.eye(2) - eq
 
-        # the two parity-even coherences only dephase, at the full total rate
-        eps = fock_energies(eig)
-        anti = -0.5 * (rates.g1_total + rates.g2_total)
-        rho_t = np.zeros((n, 4, 4), dtype=complex)
-        for k in range(4):
-            rho_t[:, k, k] = pop[:, k]
-        for (j, k), val in _coherences(_blocks(eig, rates, rho0),
-                                       times).items():
-            rho_t[:, j, k] = val
-        for j, k in ((0, 3), (1, 2)):
-            rho_t[:, j, k] = rho0[j, k] * np.exp(
-                (anti - 1j * (eps[j] - eps[k])) * times)
-    iu = np.triu_indices(4, k=1)
-    rho_t[:, iu[1], iu[0]] = np.conj(rho_t[:, iu[0], iu[1]])
-    return rho_t
+
+def _correlator_terms(eig: EigenStructure, rates: LindbladRates,
+                      rho0: np.ndarray, transform: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(amps, exponents), each (..., 6) with a leading point axis for a
+    batch, with Tr(rho(t) op) = amps @ exp(exponents * t) for op = V^T
+    (sigma_q^+ sigma_p^-) V, V = ``transform``.
+
+    op = outer(V[1], V[2]) reads only the singly excited Fock states |01>
+    and |10>: their populations, which relax as the product of the two
+    modes' propagators (exponents 0, -t2, -t1 and -(t1 + t2), t_i the
+    mode-i total rate), and the coherence rho_12 and its conjugate, which
+    only dephase, at -(t1 + t2)/2 +- i(E1 - E2)."""
+    # w[j, k] = op[k, j] over |01>, |10>, so Tr(rho op) = sum rho_jk w[j, k]
+    w = transform[..., 2, 1:3, None] * transform[..., 1, None, 1:3]
+    pops = np.real(np.diagonal(rho0, axis1=-2, axis2=-1))
+    pops = pops.reshape(pops.shape[:-1] + (2, 2))           # [n1, n2]
+    eq1, rest1 = _relaxation(rates.g1_up, rates.g1_down)
+    eq2, rest2 = _relaxation(rates.g2_up, rates.g2_down)
+    amps = []
+    for u1, u2 in ((eq1, eq2), (eq1, rest2), (rest1, eq2), (rest1, rest2)):
+        # the populations [n1, n2] this part of the propagator carries
+        part = u1 @ pops @ u2.swapaxes(-1, -2)
+        amps.append(w[..., 0, 0] * part[..., 0, 1]
+                    + w[..., 1, 1] * part[..., 1, 0])
+    amps += [rho0[..., 1, 2] * w[..., 0, 1], rho0[..., 2, 1] * w[..., 1, 0]]
+    t1, t2 = rates.g1_total, rates.g2_total
+    coherence = -0.5 * (t1 + t2) + 1j * (eig.E1 - eig.E2)
+    exponents = [np.zeros_like(t1 + t2), -t2, -t1, -(t1 + t2),
+                 coherence, np.conj(coherence)]
+    return (np.moveaxis(np.array(amps, dtype=complex), 0, -1),
+            np.moveaxis(np.array(exponents, dtype=complex), 0, -1))
 
 
 # Samples per chunk of evolve_analytic, over all the points of a batch.
@@ -384,8 +368,8 @@ def evolve_analytic(eig, rates, rho0, times: np.ndarray,
     coherence block (``_signal_terms``), evaluated chunk by chunk
     (_EVOLVE_CHUNK) from tables anchored on the whole grid
     (``_oscillations``), so a sample has the same bits in any span of a
-    uniform grid.  The dense (n, 4, 4) states come from
-    ``eigenmode_states``.
+    uniform grid.  No path builds the dense (n, 4, 4) states; the
+    correlator comes from ``evolve_correlator``.
     """
     amps, exponents = _signal_terms(_blocks(eig, rates, rho0), eig.weights)
     times = np.asarray(times, dtype=float)
@@ -396,6 +380,32 @@ def evolve_analytic(eig, rates, rho0, times: np.ndarray,
         signals = signals[0]
     return Trajectory(times=times[span], sx_q=signals[..., 0, :],
                       sx_p=signals[..., 1, :])
+
+
+def evolve_correlator(eig, rates, rho0, transform: np.ndarray,
+                      times: np.ndarray, span: slice | None = None
+                      ) -> np.ndarray:
+    """The complex interspin correlator Tr(rho(t) op), op = V^T
+    (sigma_q^+ sigma_p^-) V, at every t of ``times[span]`` (by default all
+    of it): ``signal_analysis.spin_correlator`` of each state rotated back
+    to the computational basis.  ``eig``, ``rates`` and ``rho0``
+    (eigenmode basis) are as for ``evolve_analytic``, and ``transform`` is
+    V, or one V per point of a batch, which then gives one row per point.
+
+    Its six damped exponentials (``_correlator_terms``) run through the
+    signal kernel, ``_oscillations``, with the real and the imaginary part
+    as its two signals, so a sample has the same bits in any span and any
+    batch."""
+    amps, exponents = _correlator_terms(eig, rates, rho0, transform)
+    times = np.asarray(times, dtype=float)
+    span = slice(None) if span is None else span
+    parts = _oscillations(np.stack((amps, -1j * amps), -2).reshape(-1, 2, 6),
+                          exponents.reshape(-1, 6), times, span)
+    # filled in place: a complex temporary per part raised a figcorr
+    # sweep's peak RSS by 0.4 MB
+    corr = np.empty(parts.shape[::2], dtype=complex)
+    corr.real, corr.imag = parts[:, 0], parts[:, 1]
+    return corr[0] if amps.ndim == 1 else corr
 
 
 def _liouvillian(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:

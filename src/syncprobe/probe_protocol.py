@@ -313,8 +313,9 @@ def simulate(params: QubitPairParams, model: SpectralDensityModel,
     ``params.temperature``: the one path from a setup to signals.
     ``times`` is the whole grid and ``span`` the part of it the trajectory
     holds, by default all of it (see ``evolve_analytic``).  The trajectory
-    holds the signals only; ``dynamics.eigenmode_states`` builds the states
-    from ``eig``, ``rates`` and ``rho0`` rotated by ``transform``."""
+    holds the signals only; ``dynamics.evolve_correlator`` gives the
+    interspin correlator from ``eig``, ``rates``, ``transform`` and
+    ``rho0`` rotated by it."""
     if rho0 is None:
         rho0 = _PLUS_PLUS
     else:

@@ -1,4 +1,5 @@
-"""Numeric routes kept only as independent oracles for the closed forms.
+"""Numeric routes kept only as independent oracles for the closed forms,
+and the dense states of the closed form as a reference.
 
 Imported by the test modules (pytest puts this directory on ``sys.path``).
 """
@@ -8,7 +9,9 @@ import sys
 
 import numpy as np
 
-from syncprobe.spin_model import ConventionError, OperatorSet
+from syncprobe.dynamics import (_BLOCK_ENTRIES, _blocks,
+                                validate_density_matrix)
+from syncprobe.spin_model import ConventionError, OperatorSet, fock_energies
 
 
 def null_vector_transform(ops: OperatorSet) -> np.ndarray:
@@ -105,3 +108,69 @@ def point_signal_terms(params, model, rho0: np.ndarray, kappa: float):
                                  for i, (j, k) in enumerate(entries))
                        for part in (slow, x - slow)]
     return np.array(amps), np.array(exponents)
+
+
+def _two_state_propagators(up: float, down: float, times: np.ndarray):
+    """exp(t*[[-up, down], [up, -down]]) for every t, shape (n, 2, 2).
+
+    ``up`` pumps occupation 0 -> 1, ``down`` relaxes 1 -> 0.  Rank-1 plus
+    projector structure; handles the decoupled case up = down = 0.
+    """
+    tot = up + down
+    n = times.size
+    if tot == 0.0:
+        return np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    p_eq = np.array([[down, down], [up, up]]) / tot
+    rest = np.eye(2) - p_eq
+    damp = np.exp(-tot * times)
+    return p_eq[None, :, :] + damp[:, None, None] * rest[None, :, :]
+
+
+def _coherences(blocks, times: np.ndarray) -> dict:
+    """Each parity-odd block entry at every time, Schroedinger picture,
+    keyed by (row, column): the pair evolves as exp((i*freq - dephase)*t)
+    times slow + exp(-rate*t) * fast."""
+    out = {}
+    for b, entries in enumerate(_BLOCK_ENTRIES):
+        rot = np.exp((1j * blocks.freq[b] - blocks.dephase[b]) * times)
+        damp = np.exp(-blocks.rate[b] * times)
+        for entry, slow, fast in zip(entries, blocks.slow[b],
+                                     blocks.x[b] - blocks.slow[b]):
+            out[entry] = rot * (slow + damp * fast)
+    return out
+
+
+def eigenmode_states(eig, rates, rho0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """Full (n, 4, 4) states of the closed form of one pair, in the
+    eigenmode basis like ``rho0``: the dense-state reference of
+    ``dynamics.evolve_correlator``, and of the physicality criteria.  The
+    populations come from the Kronecker product of the per-mode
+    propagators, the parity-odd blocks from their slow/fast split, and
+    the parity-even coherences dephase at the full total rate.  Rotate a
+    state back with ``to_computational_basis(rho, transform)``."""
+    validate_density_matrix(rho0)
+    times = np.asarray(times, dtype=float)
+    n = times.size
+    diag0 = np.real(np.diag(rho0))
+    # decay exponents have real part <= 0: an overflow is -inf, exp gives 0
+    with np.errstate(over="ignore"):
+        u1 = _two_state_propagators(rates.g1_up, rates.g1_down, times)
+        u2 = _two_state_propagators(rates.g2_up, rates.g2_down, times)
+        # population propagator is the Kronecker product of the per-mode ones
+        pop = np.einsum("nab,ncd->nacbd", u1, u2).reshape(n, 4, 4) @ diag0
+
+        eps = fock_energies(eig)
+        anti = -0.5 * (rates.g1_total + rates.g2_total)
+        rho_t = np.zeros((n, 4, 4), dtype=complex)
+        for k in range(4):
+            rho_t[:, k, k] = pop[:, k]
+        for (j, k), val in _coherences(_blocks(eig, rates, rho0),
+                                       times).items():
+            rho_t[:, j, k] = val
+        for j, k in ((0, 3), (1, 2)):
+            rho_t[:, j, k] = rho0[j, k] * np.exp(
+                (anti - 1j * (eps[j] - eps[k])) * times)
+    iu = np.triu_indices(4, k=1)
+    rho_t[:, iu[1], iu[0]] = np.conj(rho_t[:, iu[0], iu[1]])
+    return rho_t

@@ -24,7 +24,6 @@ from syncprobe.bath import (
 from syncprobe.cli import main as cli_main
 from syncprobe.dynamics import (
     default_time_grid,
-    eigenmode_states,
     evolve_numeric,
     plus_plus_state,
     steady_state,
@@ -54,6 +53,8 @@ from syncprobe.spin_model import (
     diagonalize,
     eigenmode_transform,
 )
+
+from oracles import eigenmode_states
 
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 QUARTIC = PowerLawCutoff(gamma0=0.01, s=2.0, omega_c=20.0)

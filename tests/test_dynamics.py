@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,30 +9,35 @@ from syncprobe import dynamics
 from syncprobe import (
     LindbladRates,
     NoUniqueSteadyStateError,
+    PairBatch,
     PowerLawCutoff,
     QubitPairParams,
     StateValidationError,
+    Tabulated,
     Trajectory,
     asymptotic_form,
     build_operators,
     default_time_grid,
     diagonalize,
     direct_diagonalize,
-    eigenmode_states,
     evolve_analytic,
+    evolve_correlator,
     evolve_numeric,
     fock_observable_weights,
     plus_plus_state,
     simulate,
+    spin_correlator,
     steady_state,
     to_computational_basis,
     to_eigenmode_basis,
     validate_density_matrix,
 )
 from syncprobe.cli import _write_columns
+from syncprobe.probe_protocol import pair_setup
 from syncprobe.spin_model import ID2, SIGMA_X
 
-from oracles import direct_oscillations, null_vector_transform
+from oracles import (direct_oscillations, eigenmode_states,
+                     null_vector_transform)
 
 OHMIC = PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=20.0)
 
@@ -527,6 +534,66 @@ def test_one_sample_rows_match_the_oracle_in_spans_and_batches(
         direct_oscillations(amps, exponents, times[span]).tobytes()
 
 
+_CORRELATOR_BATHS = {
+    "cutoff": OHMIC,
+    "no cutoff": PowerLawCutoff(gamma0=0.01, s=1.0, omega_c=None),
+    # J = 0.02 w^1.5 tabulated over every E1 and E2 drawn below
+    "tabulated": Tabulated(omegas=np.geomspace(0.05, 5.0, 30),
+                           js=0.02 * np.geomspace(0.05, 5.0, 30) ** 1.5),
+    "no rate": PowerLawCutoff(gamma0=0.0, s=1.0, omega_c=None),
+}
+
+
+def _point(x, i: int):
+    """Entry ``i`` of a batch EigenStructure or LindbladRates."""
+    return type(x)(*(getattr(x, f.name)[i] for f in fields(x)))
+
+
+@settings(max_examples=40)
+@given(bath=st.sampled_from(sorted(_CORRELATOR_BATHS)), s=st.floats(0.5, 3.0),
+       pairs=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(0.05, 0.45),
+                                st.just(0.0) | st.floats(0.0, 2.0)),
+                      min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 16), a=st.floats(0.0, 1.0),
+       b=st.floats(0.0, 1.0))
+def test_correlator_matches_the_dense_state_oracle(bath, s, pairs, seed, a, b):
+    """evolve_correlator gives, point by point, spin_correlator of every
+    dense oracle state rotated back to the computational basis, within
+    1e-12 of its largest magnitude: over power-law baths with and without
+    a cutoff, a tabulated bath and a bath with no rate at all, T = 0 and
+    T > 0, and random density-matrix states.  A row of a batch, and any
+    span of it, has the bits of the point in a batch of its own."""
+    model = _CORRELATOR_BATHS[bath]
+    if isinstance(model, PowerLawCutoff):
+        model = replace(model, s=s)
+    rho0 = _random_state(np.random.default_rng(seed))
+    times = default_time_grid(60.0, 0.2)        # 301 samples: table rows
+    start = int(a * (times.size - 2))
+    span = slice(start, start + 2 + int(b * (times.size - start - 2)))
+
+    def setup(chosen):
+        wp, lam, temp = (np.array(x) for x in zip(*chosen))
+        eig, rates, v = pair_setup(PairBatch(np.ones(wp.size), wp, lam, temp),
+                                   model)
+        return eig, rates, to_eigenmode_basis(rho0, v), v
+
+    batch = setup(pairs)
+    got = evolve_correlator(*batch, times)
+    for i, pair in enumerate(pairs):
+        alone = setup([pair])
+        assert evolve_correlator(*alone, times)[0].tobytes() == got[i].tobytes()
+        assert evolve_correlator(*alone, times, span)[0].tobytes() == \
+            got[i][span].tobytes()
+        eig, rates = _point(batch[0], i), _point(batch[1], i)
+        rho, v = batch[2][i], batch[3][i]
+        want = np.array([spin_correlator(to_computational_basis(state, v))
+                         for state in eigenmode_states(eig, rates, rho, times)])
+        assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
+        single = evolve_correlator(eig, rates, rho, v, times)
+        assert single.shape == times.shape
+        assert np.max(np.abs(single - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_numeric_rejects_nonuniform_grid():
     p = QubitPairParams(omega_p=1.2, lam=0.2)
     with pytest.raises(ValueError):
@@ -545,6 +612,18 @@ def test_state_validation():
     with pytest.raises(StateValidationError):
         validate_density_matrix(neg)
     validate_density_matrix(plus_plus_state())
+
+
+def test_state_validation_names_a_nan_entry():
+    """NaN compares false, so each check is written to fail on it: a state
+    with NaN off-diagonals is rejected as such, not evolved into signals
+    that are not finite."""
+    rho = plus_plus_state()
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(StateValidationError, match="Hermiticity defect nan"):
+        validate_density_matrix(rho)
+    with pytest.raises(StateValidationError, match="Hermiticity defect nan"):
+        simulate(QubitPairParams(omega_p=1.2, lam=0.2), OHMIC, SHORT, rho)
 
 
 def test_state_validation_eigenvalue_floor_is_1e_10():

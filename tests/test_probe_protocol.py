@@ -898,21 +898,23 @@ def test_sweep_batch_memory_per_point():
     mostly the correlation windows it copies, so the batch's peak grows
     with the batch size.  Its points together stay under 1.7 MB, 5 % of a
     34 MB peak RSS: a larger batch constant fails here before it costs the
-    benchmark's peak_rss_mb."""
+    benchmark's peak_rss_mb.  The bound holds for figD's recordables and
+    for figcorr's, whose correlator is evolved after the verdict."""
     from syncprobe import cli
     from syncprobe.presets import get_preset
 
     spec = cli.parse_sweep_spec(get_preset("figD"))
     plan = sync_plan(spec.base.time_grid.times(), spec.base.analysis)
     points = [(0.5 + 0.01 * k, 0.2) for k in range(cli._SWEEP_BATCH)]
-    task = (spec.base, ["omega_p", "lambda"], points, spec.record, plan)
-    cli._sweep_task(task)   # the taper cache, built on the first spectrum
-    tracemalloc.start()
-    try:
-        rows = cli._sweep_task(task)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(err is None for _, err in rows)
-    assert peak <= 200_000 * len(points)
-    assert peak <= 1_700_000
+    for record in (spec.record, tuple(get_preset("figcorr")["record"])):
+        task = (spec.base, ["omega_p", "lambda"], points, record, plan)
+        cli._sweep_task(task)   # the taper cache, built on the first spectrum
+        tracemalloc.start()
+        try:
+            rows = cli._sweep_task(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(err is None for _, err in rows)
+        assert peak <= 200_000 * len(points), record
+        assert peak <= 1_700_000, record
